@@ -15,7 +15,7 @@ import numpy as np
 from .designs import eigvecs_descending, haar_stiefel
 from .likelihood import NumericalFailureError
 from .metrics import procrustes_rel_change
-from .model import EstimationProblem
+from .model import EstimationProblem, pmi_covariance
 
 __all__ = [
     "BaselineConfig",
@@ -64,21 +64,13 @@ class BaselineReport:
 
 def two_stage_estimate(problem: EstimationProblem) -> np.ndarray:
     """Single-round estimate Q_1 V_{I_1}: outer reduction times the codeword."""
-    rd = problem.rounds[0]
-    return rd.Q @ problem.codebook.codeword(rd.pmi)
+    return problem.selected[0].copy()
 
 
-def _pmi_covariance(problem: EstimationProblem, basis: Optional[np.ndarray] = None) -> np.ndarray:
-    """(1/T) sum_t W_t V_{I_t} V_{I_t}^H W_t^H with W_t = Q_t or B^H Q_t."""
-    cb = problem.codebook
-    dim = problem.d if basis is None else basis.shape[1]
-    dtype = complex if np.iscomplexobj(problem.q_stack) or np.iscomplexobj(cb.V) else float
-    cov = np.zeros((dim, dim), dtype=dtype)
-    for rd in problem.rounds:
-        W = rd.Q if basis is None else basis.conj().T @ rd.Q
-        E = W @ cb.codeword(rd.pmi)
-        cov += E @ E.conj().T
-    return cov / problem.T
+def _require_cqi(problem: EstimationProblem) -> np.ndarray:
+    if not problem.has_cqi:
+        raise ValueError("not every round carries a CQI value")
+    return problem.cqi_array
 
 
 def spectral_estimate(problem: EstimationProblem, r: Optional[int] = None) -> np.ndarray:
@@ -88,7 +80,7 @@ def spectral_estimate(problem: EstimationProblem, r: Optional[int] = None) -> np
     precoding estimate.
     """
     r = r if r is not None else problem.codebook.r
-    cov = _pmi_covariance(problem)
+    cov = pmi_covariance(problem)
     w = np.linalg.eigvalsh(cov)[::-1]
     if r > np.sum(w > w[0] * 1e-12):
         warnings.warn(
@@ -159,11 +151,9 @@ def am_estimate_single(
     config = config or BaselineConfig()
     if problem.codebook.r != 1:
         raise ValueError("single-stream AM requires a width-1 codebook")
-    eta = problem.cqi_array
+    eta = _require_cqi(problem)
     lam = config.lambda_am if config.lambda_am is not None else 1.0
-    rows = np.stack(
-        [rd.Q @ problem.codebook.codeword(rd.pmi)[:, 0] for rd in problem.rounds]
-    )
+    rows = problem.selected[:, :, 0]
     if config.init == "spectral":
         x0 = spectral_estimate(problem, 1)[:, 0]
     elif config.init == "identity":
@@ -192,13 +182,12 @@ def am_estimate_multi(
     """
     config = config or BaselineConfig()
     rng = rng or np.random.default_rng(config.seed)
-    eta = problem.cqi_array
+    eta = _require_cqi(problem)
     lam = config.lambda_am if config.lambda_am is not None else (1.0 if r == 1 else 100.0)
     d = problem.d
     if r > d:
         raise ValueError("stream count exceeds the ambient dimension")
-    cb = problem.codebook
-    dtype = complex if np.iscomplexobj(problem.q_stack) or np.iscomplexobj(cb.V) else float
+    dtype = problem.dtype
     cols = []
     total_iters = 0
     last = None
@@ -211,13 +200,8 @@ def am_estimate_multi(
             P = np.eye(d, dtype=dtype)
         if P.shape[1] < 1:
             raise ValueError("no orthogonal complement left for the next stream")
-        stream_col = min(k, cb.r - 1)
-        rows = np.stack(
-            [
-                P.conj().T @ (rd.Q @ cb.codeword(rd.pmi)[:, stream_col])
-                for rd in problem.rounds
-            ]
-        )
+        # rows[t] = P^H Q_t V_{I_t} e_k, the stream-k column of the codeword.
+        rows = problem.selected[:, :, min(k, problem.codebook.r - 1)] @ P.conj()
         u0 = haar_stiefel(P.shape[1], 1, rng, real=dtype is float)[:, 0]
         u, rep = _am_phase_ls_loop(
             rows, np.sqrt(eta / r), lam, u0.astype(rows.dtype), config.max_iters, config.rel_tol
@@ -242,10 +226,7 @@ def am_estimate_multi(
 
 def _pr_data(problem: EstimationProblem, basis: np.ndarray) -> np.ndarray:
     """M_t = B^H Q_t V_{I_t}, stacked as (T, k, r)."""
-    cb = problem.codebook
-    return np.stack(
-        [basis.conj().T @ rd.Q @ cb.codeword(rd.pmi) for rd in problem.rounds]
-    )
+    return np.matmul(basis.conj().T, problem.selected)
 
 
 def _intensities(Ms: np.ndarray, S: np.ndarray) -> np.ndarray:
@@ -324,13 +305,13 @@ def subspace_pr_estimate(
     config = config or BaselineConfig()
     B = prior.B if hasattr(prior, "B") else np.asarray(prior)
     r = r if r is not None else problem.codebook.r
-    eta = problem.cqi_array
+    eta = _require_cqi(problem)
     Ms = _pr_data(problem, B)
     if np.max(eta) <= 0:
         warnings.warn("all CQI values vanish; returning the zero estimate", DegenerateEstimateWarning)
         S = np.zeros((B.shape[1], r), dtype=Ms.dtype)
         return B @ S, BaselineReport(0, 0.0, "degenerate", degenerate=True)
-    cov = np.einsum("tkr,tlr->kl", Ms, Ms.conj()) / Ms.shape[0]
+    cov = pmi_covariance(problem, B)
     lam_max = float(np.linalg.eigvalsh(cov)[-1].real)
     S0 = eigvecs_descending(cov, r).astype(Ms.dtype)
     y0 = _intensities(Ms, S0)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import EstimationProblem, _softmax
+from .model import EstimationProblem, _gains_from_proj, _softmax
 
 __all__ = [
     "FisherMatrix",
@@ -90,17 +90,13 @@ def fisher(problem: EstimationProblem, h: np.ndarray, tau: float | None = None) 
         raise ValueError("Fisher matrix is defined for the single-stream model")
     tau = problem.tau if tau is None else tau
     h = np.asarray(h).ravel().astype(complex)
-    d = h.size
-    # a_stack[t, :, i] = Q_t v_i
-    a_stack = np.einsum("tdp,pn->tdn", problem.q_stack.astype(complex), problem.codebook.V)
-    inner = np.einsum("tdn,d->tn", a_stack.conj(), h)
-    gains = np.abs(inner) ** 2
-    P = _softmax(gains / tau)
-    w = a_stack * inner[:, None, :]  # a_{t,i} (a_{t,i}^H h)
-    G = np.concatenate([w.real, w.imag], axis=1)  # (T, 2d, N)
-    second = np.einsum("tn,tdn,ten->de", P, G, G)
-    mean = np.einsum("tn,tdn->td", P, G)
-    F = (4.0 / tau**2) * (second - mean.T @ mean)
+    inner = problem.effective_flat_h @ h  # a_{t,i}^H h, round-major
+    P = _softmax(_gains_from_proj(inner[:, None], problem.codebook) / tau)
+    W = problem.effective_flat * inner  # columns a_{t,i} (a_{t,i}^H h)
+    G = np.concatenate([W.real, W.imag])  # (2d, T*N)
+    GP = G * P.ravel()
+    mean = GP.reshape(G.shape[0], problem.T, -1).sum(axis=2)  # (2d, T)
+    F = (4.0 / tau**2) * (GP @ G.T - mean @ mean.T)
     F = 0.5 * (F + F.T)
     return FisherMatrix(F=F, theta=realify_vector(h), tau=tau)
 
@@ -157,20 +153,28 @@ def crb_trace(F: np.ndarray | FisherMatrix, rank_tol: float | None = None) -> fl
     """tr(F^+) via symmetric eigendecomposition.
 
     Eigenvalues above ``rank_tol`` (default 2d * eps * lambda_max) are
-    inverted, the rest dropped; this keeps the single gauge null direction
-    out of the trace.  More than one dropped eigenvalue indicates an
-    identifiability deficit beyond the phase and raises a warning.
+    inverted, the rest dropped.  A FisherMatrix knows its gauge direction
+    u = J theta, which is always projected out first, so the tolerance
+    applies only to the other eigenvalues and dropping any of them raises
+    an identifiability warning.  A bare matrix has no known gauge: one
+    dropped eigenvalue is taken to be the gauge and more than one raises
+    the warning.
     """
-    if isinstance(F, FisherMatrix):
-        F = F.F
-    F = np.asarray(F)
+    u = F.gauge if isinstance(F, FisherMatrix) else None
+    F = np.asarray(F.F if u is not None else F)
+    tol_scale = F.shape[0] * np.finfo(float).eps
+    allowed = 1
+    if u is not None and np.any(u):
+        # Restrict F to an orthonormal basis of u's complement.
+        D = np.linalg.qr(u[:, None], mode="complete")[0][:, 1:]
+        F, allowed = D.T @ F @ D, 0
     w = np.linalg.eigvalsh(F)
     lam_max = w[-1] if w.size else 0.0
     if lam_max <= 0:
         return 0.0
-    tol = rank_tol if rank_tol is not None else F.shape[0] * np.finfo(float).eps * lam_max
+    tol = rank_tol if rank_tol is not None else tol_scale * lam_max
     keep = w > tol
-    if np.sum(~keep) > 1:
+    if np.sum(~keep) > allowed:
         warnings.warn(
             f"Fisher matrix has {int(np.sum(~keep))} near-zero eigenvalues; "
             "parameters are not identifiable beyond the phase gauge",

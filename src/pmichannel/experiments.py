@@ -11,7 +11,7 @@ import math
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -211,9 +211,7 @@ def _fdd_estimate(
     prior: likelihood.SubspacePrior,
     r: int,
     rng: np.random.Generator,
-    am_lambda: Optional[float],
     mle_init: Optional[str],
-    mle_tau: Optional[float] = None,
 ) -> Optional[np.ndarray]:
     if method == "two-stage":
         if problem.T != 1:
@@ -221,10 +219,8 @@ def _fdd_estimate(
         return baselines.two_stage_estimate(problem)
     if method == "spectral":
         return baselines.spectral_estimate(problem, r)
-    if method in _CQI_METHODS and not problem.has_cqi:
-        return None
     if method == "am":
-        cfg = baselines.BaselineConfig(lambda_am=am_lambda)
+        cfg = baselines.BaselineConfig()
         if r == 1:
             est, _ = baselines.am_estimate_single(problem, cfg)
         else:
@@ -234,13 +230,6 @@ def _fdd_estimate(
         est, _ = baselines.subspace_pr_estimate(problem, prior, r)
         return est
     if method in ("mle", "subspace-mle"):
-        if mle_tau is not None and mle_tau != problem.tau:
-            problem = model.EstimationProblem(
-                rounds=problem.rounds,
-                codebook=problem.codebook,
-                tau=mle_tau,
-                radius=problem.radius,
-            )
         # With one round the likelihood is minimized along the reported
         # effective codeword, which the spectral start hits exactly;
         # identity-column starts have no gradient toward unseen directions.
@@ -276,8 +265,8 @@ def run_fdd_experiment(
 
     PMIs follow the hard argmax rule on the full receive channel; CQI is
     attached (32-bit rounded) for the magnitude-based baselines.  Designs
-    start from the codebook-compatible first round and are nested, so the
-    T-round problem extends the (T-1)-round one.
+    start from the codebook-compatible first round and are nested, so every
+    T-round problem is a prefix of one simulated max(rounds)-round history.
     """
     cb = designs.dft_codebook(p, r)
     channels = _load_channels(dataset, n_samples, d, n_rx, paths, seed)
@@ -288,10 +277,12 @@ def run_fdd_experiment(
         rng = np.random.default_rng([seed, 4, sample_index])
         prior = likelihood.SubspacePrior(designs.eigvecs_descending(Sigma, k))
         qs = _build_design(Sigma, t_max, p, scheme, rng)
-        all_rounds = model.simulate_rounds(qs, cb, H, tau, rule="hard", attach_cqi=attach_cqi)
+        history = model.simulate_problem(
+            qs, cb, H, tau, rule="hard", attach_cqi=attach_cqi, radius=radius
+        )
         out = []
         for T in rounds:
-            problem = model.EstimationProblem(tuple(all_rounds[:T]), cb, tau, radius=radius)
+            problem = history.prefix(T)
             for method in methods:
                 rng_m = np.random.default_rng([seed, 5, sample_index, T])
                 t0 = time.perf_counter()
@@ -300,10 +291,7 @@ def run_fdd_experiment(
                         ExperimentResult(method, T, sample_index, seed, "skipped", 1.0, 0.0)
                     )
                     continue
-                est = _fdd_estimate(
-                    method, problem, prior, r, rng_m,
-                    am_lambda=None, mle_init=mle_init,
-                )
+                est = _fdd_estimate(method, problem, prior, r, rng_m, mle_init)
                 if est is None:
                     continue
                 bp = metrics.beam_precision(est, H)
@@ -367,68 +355,26 @@ def run_ablation(
     """Improvement of the subspace MLE over the spectral method per grid point.
 
     kind="tau" sweeps the temperature; kind="init" compares identity, random
-    and spectral starts.  The feedback data is shared across grid points
-    (the hard PMI rule does not depend on tau), matching a per-setting rerun.
+    and spectral starts.  Each grid point is one ``run_fdd_experiment`` with
+    the same seed, so all of them see the same channels and feedback (the
+    hard PMI rule does not depend on tau); ``fdd_kwargs`` go to that driver.
     """
     if kind == "tau":
         grid = tuple(grid) if grid is not None else (0.1, 0.5, 1.0, 5.0, 10.0, 100.0)
-        variants = [(f"tau={g}", {"mle_tau": float(g), "mle_init": None}) for g in grid]
+        variants = [(f"tau={g}", {**fdd_kwargs, "tau": float(g)}) for g in grid]
     elif kind == "init":
         grid = tuple(grid) if grid is not None else ("identity", "random", "spectral")
-        variants = [(f"init={g}", {"mle_tau": None, "mle_init": str(g)}) for g in grid]
+        variants = [(f"init={g}", {**fdd_kwargs, "mle_init": str(g)}) for g in grid]
     else:
         raise ValueError(f"unknown ablation kind {kind!r}")
 
-    d = fdd_kwargs.pop("d", 32)
-    p = fdd_kwargs.pop("p", 8)
-    n_rx = fdd_kwargs.pop("n_rx", 4)
-    r = fdd_kwargs.pop("r", 1)
-    k = fdd_kwargs.pop("k", 8)
-    tau = fdd_kwargs.pop("tau", 1.0)
-    paths = fdd_kwargs.pop("paths", 4)
-    scheme = fdd_kwargs.pop("scheme", "structured-outer-inner")
-    dataset = fdd_kwargs.pop("dataset", None)
-    radius = fdd_kwargs.pop("radius", 4.0)
-    if fdd_kwargs:
-        raise TypeError(f"unexpected arguments {sorted(fdd_kwargs)}")
-
-    cb = designs.dft_codebook(p, r)
-    channels = _load_channels(dataset, n_samples, d, n_rx, paths, seed)
-    t_max = max(rounds)
-
-    def task(sample_index: int) -> list:
-        H, Sigma = channels[sample_index]
-        rng = np.random.default_rng([seed, 4, sample_index])
-        prior = likelihood.SubspacePrior(designs.eigvecs_descending(Sigma, k))
-        qs = _build_design(Sigma, t_max, p, scheme, rng)
-        all_rounds = model.simulate_rounds(qs, cb, H, tau, rule="hard", attach_cqi=True)
-        out = []
-        for T in rounds:
-            problem = model.EstimationProblem(tuple(all_rounds[:T]), cb, tau, radius=radius)
-            spec = baselines.spectral_estimate(problem, r)
-            bp_spec = metrics.beam_precision(spec, H)
-            out.append(
-                ExperimentResult("spectral", T, sample_index, seed, "beam_precision", bp_spec, 0.0)
-            )
-            for label, opts in variants:
-                rng_m = np.random.default_rng([seed, 5, sample_index, T])
-                t0 = time.perf_counter()
-                est = _fdd_estimate(
-                    "subspace-mle", problem, prior, r, rng_m,
-                    am_lambda=None,
-                    mle_init=opts["mle_init"],
-                    mle_tau=opts["mle_tau"],
-                )
-                bp = metrics.beam_precision(est, H)
-                out.append(
-                    ExperimentResult(
-                        f"subspace-mle[{label}]", T, sample_index, seed,
-                        "beam_precision", bp, time.perf_counter() - t0,
-                    )
-                )
-        return out
-
-    rows = [r_ for chunk in _run_tasks(list(range(len(channels))), task, workers) for r_ in chunk]
+    run = dict(rounds=rounds, n_samples=n_samples, seed=seed, workers=workers)
+    rows = run_fdd_experiment(methods=("spectral",), **run, **fdd_kwargs)
+    for label, kw in variants:
+        rows += [
+            replace(row, method=f"subspace-mle[{label}]")
+            for row in run_fdd_experiment(methods=("subspace-mle",), **run, **kw)
+        ]
     return rows
 
 
@@ -459,9 +405,7 @@ def summarize_ablation(rows: Sequence[ExperimentResult]) -> list:
 def _fd_gradient_realified(problem, x, h=1e-6):
     """Central finite differences of the NLL in realified coordinates."""
     x = np.asarray(x)
-    complex_mode = np.iscomplexobj(x) or np.iscomplexobj(problem.q_stack) or np.iscomplexobj(
-        problem.codebook.V
-    )
+    complex_mode = np.iscomplexobj(x) or problem.dtype is complex
     shape = x.shape
     out = np.zeros(shape, dtype=complex if complex_mode else float)
     it = np.nditer(np.zeros(shape), flags=["multi_index"])

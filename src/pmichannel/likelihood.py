@@ -15,7 +15,14 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .metrics import procrustes_rel_change
-from .model import EstimationProblem, _as_matrix, _softmax, all_gains
+from .model import (
+    EstimationProblem,
+    _as_matrix,
+    _gains_from_proj,
+    _softmax,
+    all_gains,
+    pmi_covariance,
+)
 
 __all__ = [
     "MleConfig",
@@ -132,12 +139,9 @@ def _value_and_grad(problem: EstimationProblem, X: np.ndarray) -> tuple[float, n
     with Hermitian A, which is the conjugate-coordinate (Wirtinger) gradient
     scaled so finite differences of the realified coordinates match.
     """
-    from .model import _gains_from_proj
-
-    cb = problem.codebook
-    T, n, r = problem.T, cb.n_codewords, cb.r
-    C = problem.effective_flat_h @ X  # (T*n*r, m) projections
-    gains = _gains_from_proj(problem, C)
+    T, r = problem.T, problem.codebook.r
+    C = problem.effective_flat_h @ X  # (T*N*r, m) projections
+    gains = _gains_from_proj(C, problem.codebook)
     scores = gains / problem.tau
     mx = scores.max(axis=1, keepdims=True)
     ex = np.exp(scores - mx)
@@ -167,21 +171,20 @@ def nll_hessian_real(problem: EstimationProblem, x: np.ndarray) -> np.ndarray:
     probability-weighted moments of the effective codewords.
     """
     x = np.asarray(x)
-    if np.iscomplexobj(x) or np.iscomplexobj(problem.q_stack) or np.iscomplexobj(problem.codebook.V):
+    if np.iscomplexobj(x) or problem.dtype is complex:
         raise ValueError("real-mode Hessian requires real-valued data")
     if problem.codebook.r != 1 or x.ndim != 1:
         raise ValueError("real-mode Hessian requires a single stream")
     tau, T = problem.tau, problem.T
-    A = np.einsum("tdp,pn->tdn", problem.q_stack, problem.codebook.V)
-    s = np.einsum("tdn,d->tn", A, x)
+    A = problem.effective_flat  # column (t, n) is a_{t,n}
+    s = (problem.effective_flat_h @ x).reshape(T, -1)
     P = _softmax(s**2 / tau)
-    a_sel = A[np.arange(T), :, problem.pmi_array]
-    term_sel = a_sel.T @ a_sel
-    term_c = np.einsum("tn,tdn,ten->de", P, A, A)
-    term_s = np.einsum("tn,tn,tdn,ten->de", P, s**2, A, A)
-    v = np.einsum("tn,tn,tdn->td", P, s, A)
-    term_v = v.T @ v
-    H = (2.0 / (tau * T)) * (term_c - term_sel) + (4.0 / (tau**2 * T)) * (term_s - term_v)
+    a_sel = problem.selected[:, :, 0]
+    v = np.einsum("tn,dtn->td", P * s, A.reshape(A.shape[0], T, -1))
+    c1, c2 = 2.0 / (tau * T), 4.0 / (tau**2 * T)
+    # The C_t and S_t moments share one weighted GEMM over the columns of A.
+    w = (c1 + c2 * s**2) * P
+    H = (A * w.ravel()) @ A.T - c1 * (a_sel.T @ a_sel) - c2 * (v.T @ v)
     return 0.5 * (H + H.T)
 
 
@@ -202,31 +205,6 @@ def population_excess_risk(
     return max(float(np.mean(kl)), 0.0)
 
 
-def _problem_dtype(problem: EstimationProblem) -> type:
-    if np.iscomplexobj(problem.q_stack) or np.iscomplexobj(problem.codebook.V):
-        return complex
-    return float
-
-
-def _spectral_direction(problem: EstimationProblem, basis: Optional[np.ndarray], m: int) -> np.ndarray:
-    """Top-m eigenvectors of the sample covariance of selected codewords.
-
-    With a subspace basis the covariance is formed in coefficient space,
-    (1/T) sum (B^H Q_t) V_{I_t} V_{I_t}^H (B^H Q_t)^H.
-    """
-    from .designs import eigvecs_descending
-
-    cb = problem.codebook
-    dim = problem.d if basis is None else basis.shape[1]
-    cov = np.zeros((dim, dim), dtype=_problem_dtype(problem))
-    for rd in problem.rounds:
-        W = rd.Q if basis is None else basis.conj().T @ rd.Q
-        E = W @ cb.codeword(rd.pmi)
-        cov += E @ E.conj().T
-    cov /= problem.T
-    return eigvecs_descending(cov, m)
-
-
 def _initial_point(
     problem: EstimationProblem,
     config: MleConfig,
@@ -234,10 +212,10 @@ def _initial_point(
     m: int,
     radius_hint: Optional[float],
 ) -> np.ndarray:
-    from .designs import haar_stiefel
+    from .designs import eigvecs_descending, haar_stiefel
 
     dim = problem.d if basis is None else basis.shape[1]
-    dtype = _problem_dtype(problem)
+    dtype = problem.dtype
     if config.init == "explicit":
         if config.x0 is None:
             raise ValueError("explicit initialization needs x0")
@@ -248,7 +226,9 @@ def _initial_point(
         rng = np.random.default_rng(config.seed)
         return haar_stiefel(dim, m, rng, real=dtype is float)
     if config.init == "spectral":
-        X = _spectral_direction(problem, basis, m)
+        # Top-m eigenvectors of the selected-codeword covariance, formed in
+        # coefficient space under a subspace prior.
+        X = eigvecs_descending(pmi_covariance(problem, basis), m)
         # Scan the scale along the spectral direction; the likelihood is not
         # scale invariant, so a decent starting norm matters.
         hi = radius_hint if radius_hint is not None else 10.0

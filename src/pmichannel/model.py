@@ -28,6 +28,7 @@ __all__ = [
     "sample_pmi",
     "hard_pmi",
     "cqi_value",
+    "pmi_covariance",
     "simulate_rounds",
     "simulate_problem",
 ]
@@ -130,79 +131,143 @@ class Codebook:
 class FeedbackRound:
     """One communication round: reduction matrix, reported PMI, optional CQI.
 
-    The CQI is stored after rounding to the nearest IEEE-754 32-bit value,
-    matching a 32-bit quantized report.
+    A plain record.  Rounds are validated, and their CQI values rounded to
+    the nearest IEEE-754 32-bit value (a 32-bit quantized report), when an
+    EstimationProblem is built from them.
     """
 
     Q: np.ndarray
     pmi: int
     cqi: Optional[float] = None
 
-    def __post_init__(self):
-        Q = np.asarray(self.Q)
-        if Q.ndim != 2:
-            raise ValueError("Q must be a 2-D array")
-        gram = Q.conj().T @ Q
-        if not np.allclose(gram, np.eye(Q.shape[1]), atol=_ORTHO_TOL):
-            raise ValueError("Q must have orthonormal columns (Q^H Q = I)")
-        object.__setattr__(self, "Q", Q)
-        if self.cqi is not None:
-            if self.cqi < 0:
-                raise ValueError("CQI must be nonnegative")
-            object.__setattr__(self, "cqi", float(np.float32(self.cqi)))
 
-
-@dataclass(frozen=True)
 class EstimationProblem:
-    """Immutable bundle of T feedback rounds, codebook and model parameters.
+    """Immutable feedback history of T rounds, codebook and model parameters.
 
-    ``radius`` is the norm bound of the constrained likelihood problem; it
-    may be left None and chosen at solve time.
+    The history is held as arrays: ``q_stack`` (T, d, p) reduction matrices,
+    ``pmi_array`` (T,) reported indices and ``cqi_array`` (T,) 32-bit
+    rounded CQI values, or None unless every round carries one.  ``radius``
+    is the norm bound of the constrained likelihood problem; it may be left
+    None and chosen at solve time.
+
+    Build a problem from FeedbackRound records with the constructor, or from
+    arrays (which are not copied) with ``from_arrays``; both pass the same
+    batched validation.
     """
 
-    rounds: tuple
-    codebook: Codebook
-    tau: float
-    radius: Optional[float] = None
-
-    def __post_init__(self):
-        rounds = tuple(self.rounds)
-        if len(rounds) < 1:
+    def __init__(
+        self,
+        rounds: Sequence[FeedbackRound],
+        codebook: Codebook,
+        tau: float,
+        radius: Optional[float] = None,
+    ):
+        rounds = tuple(rounds)
+        if not rounds:
             raise ValueError("need at least one feedback round")
-        if self.tau <= 0:
-            raise ValueError("temperature must be positive")
-        if self.radius is not None and self.radius <= 0:
-            raise ValueError("radius must be positive")
-        d, p = rounds[0].Q.shape
-        for rd in rounds:
-            if rd.Q.shape != (d, p):
-                raise ValueError("all rounds must share the same Q shape")
-            if rd.pmi >= self.codebook.n_codewords:
-                raise ValueError("PMI out of codebook range")
-        if p != self.codebook.p:
+        qs, pmi, cqi = zip(*((fb.Q, fb.pmi, fb.cqi) for fb in rounds))
+        self._validate(
+            np.stack(qs), np.array(pmi), None if None in cqi else cqi, codebook, tau, radius
+        )
+
+    @classmethod
+    def from_arrays(
+        cls,
+        q_stack: np.ndarray,
+        pmi: np.ndarray,
+        codebook: Codebook,
+        tau: float,
+        cqi: Optional[np.ndarray] = None,
+        radius: Optional[float] = None,
+    ) -> "EstimationProblem":
+        """Problem from a (T, d, p) design stack, T PMIs and optional T CQI values."""
+        problem = cls.__new__(cls)
+        problem._validate(q_stack, pmi, cqi, codebook, tau, radius)
+        return problem
+
+    def _validate(self, q_stack, pmi, cqi, codebook, tau, radius) -> None:
+        """The one boundary check; stores what it accepts."""
+        q = np.asarray(q_stack)
+        if q.ndim != 3 or q.shape[0] < 1:
+            raise ValueError("q_stack must be a (T, d, p) array with T >= 1")
+        T, _, p = q.shape
+        if p != codebook.p:
             raise ValueError("codebook dimension does not match Q columns")
-        object.__setattr__(self, "rounds", rounds)
+        gram = np.matmul(q.conj().transpose(0, 2, 1), q)
+        if not np.allclose(gram, np.eye(p), atol=_ORTHO_TOL):
+            raise ValueError("Q must have orthonormal columns (Q^H Q = I)")
+        pmi = np.asarray(pmi)
+        if pmi.shape != (T,) or not np.issubdtype(pmi.dtype, np.integer):
+            raise ValueError("need one integer PMI per round")
+        if np.any((pmi < 0) | (pmi >= codebook.n_codewords)):
+            raise ValueError("PMI out of codebook range")
+        if cqi is not None:
+            cqi = np.asarray(cqi, dtype=np.float32).astype(float)
+            if cqi.shape != (T,) or not np.all((cqi >= 0) & (cqi < np.inf)):
+                raise ValueError("need one finite nonnegative CQI per round")
+        if not 0 < tau < np.inf:
+            raise ValueError("temperature must be positive and finite")
+        if radius is not None and not 0 < radius < np.inf:
+            raise ValueError("radius must be positive and finite")
+        self.__dict__.update(
+            q_stack=q, pmi_array=pmi.astype(np.intp, copy=False), cqi_array=cqi,
+            codebook=codebook, tau=tau, radius=radius,
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError("EstimationProblem is immutable")
+
+    def prefix(self, T: int) -> "EstimationProblem":
+        """The first T rounds as a problem sharing this one's arrays and lifts."""
+        if not 1 <= T <= self.T:
+            raise ValueError(f"prefix length {T} outside 1..{self.T}")
+        k = T * self.n_codewords * self.codebook.r
+        out = EstimationProblem.__new__(EstimationProblem)
+        out.__dict__.update(
+            q_stack=self.q_stack[:T],
+            pmi_array=self.pmi_array[:T],
+            cqi_array=None if self.cqi_array is None else self.cqi_array[:T],
+            codebook=self.codebook,
+            tau=self.tau,
+            radius=self.radius,
+            effective_stack=self.effective_stack[:T],
+            effective_flat=self.effective_flat[:, :k],
+            effective_flat_h=self.effective_flat_h[:k],
+        )
+        return out
 
     @property
     def T(self) -> int:
-        return len(self.rounds)
+        return self.q_stack.shape[0]
 
     @property
     def d(self) -> int:
-        return self.rounds[0].Q.shape[0]
+        return self.q_stack.shape[1]
 
     @property
     def p(self) -> int:
-        return self.rounds[0].Q.shape[1]
+        return self.q_stack.shape[2]
 
     @property
     def n_codewords(self) -> int:
         return self.codebook.n_codewords
 
+    @property
+    def has_cqi(self) -> bool:
+        return self.cqi_array is not None
+
     @cached_property
-    def q_stack(self) -> np.ndarray:
-        """All reduction matrices stacked as a (T, d, p) array."""
-        return np.stack([rd.Q for rd in self.rounds])
+    def dtype(self) -> type:
+        """complex if the designs or the codebook are complex, else float."""
+        return complex if np.iscomplexobj(self.q_stack) or np.iscomplexobj(self.codebook.V) else float
+
+    @cached_property
+    def rounds(self) -> tuple:
+        """The history as FeedbackRound records."""
+        cqi = self.cqi_array.tolist() if self.has_cqi else [None] * self.T
+        return tuple(
+            FeedbackRound(Q, int(i), c) for Q, i, c in zip(self.q_stack, self.pmi_array, cqi)
+        )
 
     @cached_property
     def effective_stack(self) -> np.ndarray:
@@ -221,20 +286,16 @@ class EstimationProblem:
         return np.ascontiguousarray(self.effective_flat.conj().T)
 
     @cached_property
-    def pmi_array(self) -> np.ndarray:
-        return np.array([rd.pmi for rd in self.rounds], dtype=np.intp)
+    def selected(self) -> np.ndarray:
+        """Lifted reported codewords Q_t V_{I_t}, shape (T, d, r).
 
-    @cached_property
-    def cqi_array(self) -> np.ndarray:
-        """CQI values as a float array; raises if any round lacks one."""
-        vals = [rd.cqi for rd in self.rounds]
-        if any(v is None for v in vals):
-            raise ValueError("not every round carries a CQI value")
-        return np.array(vals, dtype=float)
-
-    @property
-    def has_cqi(self) -> bool:
-        return all(rd.cqi is not None for rd in self.rounds)
+        One (d, p) x (p, r) product per round, so each entry has the bits of
+        ``Q_t @ codebook.codeword(I_t)``.
+        """
+        r = self.codebook.r
+        cols = self.pmi_array[:, None] * r + np.arange(r)
+        blocks = self.codebook.V[:, cols].transpose(1, 0, 2)  # (T, p, r): V_{I_t}
+        return np.matmul(self.q_stack, np.ascontiguousarray(blocks))
 
 
 def effective_codeword(problem: EstimationProblem, t: int, i: int) -> np.ndarray:
@@ -244,54 +305,46 @@ def effective_codeword(problem: EstimationProblem, t: int, i: int) -> np.ndarray
     """
     if not 0 <= t < problem.T:
         raise IndexError(f"round index {t} out of range")
-    a = problem.rounds[t].Q @ problem.codebook.codeword(i)
-    return a[:, 0] if problem.codebook.r == 1 else a
+    if not 0 <= i < problem.n_codewords:
+        raise IndexError(f"codeword index {i} out of range")
+    r = problem.codebook.r
+    a = problem.effective_stack[t, :, i * r : (i + 1) * r]
+    return a[:, 0] if r == 1 else a
 
 
-def _gains_from_qstack(qs: np.ndarray, cb: Codebook, x: np.ndarray) -> np.ndarray:
-    """Squared Frobenius gains ||V_i^H Q_t^H X||_F^2 for all rounds and codewords.
-
-    qs: (T, d, p) stacked reduction matrices; x: (d,) or (d, m).
-    Returns a real (T, N) array.
-    """
-    X = _as_matrix(x)
-    # B[t] = Q_t^H X, then C[t] = V^H B[t] gives every codeword column at once.
-    B = np.einsum("tdp,dm->tpm", qs.conj(), X)
-    C = np.einsum("pc,tpm->tcm", cb.V.conj(), B)
-    T = qs.shape[0]
-    C = C.reshape(T, cb.n_codewords, cb.r, X.shape[1])
-    return np.einsum("tnrm,tnrm->tn", C, C.conj()).real
+def pmi_covariance(problem: EstimationProblem, basis: Optional[np.ndarray] = None) -> np.ndarray:
+    """(1/T) sum_t W_t V_{I_t} V_{I_t}^H W_t^H with W_t = Q_t, or B^H Q_t for a basis B."""
+    E = problem.selected if basis is None else np.matmul(basis.conj().T, problem.selected)
+    E = E.transpose(1, 0, 2).reshape(E.shape[1], -1)
+    return (E @ E.conj().T) / problem.T
 
 
-def _gains_from_proj(problem: EstimationProblem, C: np.ndarray) -> np.ndarray:
-    """Reduce per-column projections (T*N*r, m) to per-codeword gains (T, N)."""
-    cb = problem.codebook
+def _gains_from_proj(C: np.ndarray, codebook: Codebook) -> np.ndarray:
+    """Reduce projections C = A^H X, shape (T*N*r, m), to per-codeword gains (T, N)."""
     sq = C.real**2
     if np.iscomplexobj(C):
         sq = sq + C.imag**2
-    return sq.reshape(problem.T, cb.n_codewords, -1).sum(axis=2)
+    return sq.reshape(-1, codebook.n_codewords, codebook.r * C.shape[1]).sum(axis=2)
 
 
 def all_gains(problem: EstimationProblem, x: np.ndarray) -> np.ndarray:
-    """Gain matrix of shape (T, N); entry (t, i) is round t's gain at codeword i."""
-    return _gains_from_proj(problem, problem.effective_flat_h @ _as_matrix(x))
+    """Gain matrix of shape (T, N); entry (t, i) is ||V_i^H Q_t^H X||_F^2."""
+    return _gains_from_proj(problem.effective_flat_h @ _as_matrix(x), problem.codebook)
 
 
 def round_gains(problem: EstimationProblem, t: int, x: np.ndarray) -> np.ndarray:
     if not 0 <= t < problem.T:
         raise IndexError(f"round index {t} out of range")
-    return _gains_from_qstack(problem.q_stack[t : t + 1], problem.codebook, x)[0]
+    k = problem.n_codewords * problem.codebook.r
+    rows = problem.effective_flat_h[t * k : (t + 1) * k]
+    return _gains_from_proj(rows @ _as_matrix(x), problem.codebook)[0]
 
 
 def gain(problem: EstimationProblem, t: int, i: int, x: np.ndarray) -> float:
     """||V_i^H Q_t^H X||_F^2; reduces to |a_{t,i}^H x|^2 for one stream."""
     if not 0 <= i < problem.n_codewords:
         raise IndexError(f"codeword index {i} out of range")
-    X = _as_matrix(x)
-    if X.shape[0] != problem.d:
-        raise ValueError("x has wrong leading dimension")
-    proj = problem.codebook.codeword(i).conj().T @ problem.rounds[t].Q.conj().T @ X
-    return float(np.sum(np.abs(proj) ** 2))
+    return float(round_gains(problem, t, x)[i])
 
 
 def _softmax(scores: np.ndarray) -> np.ndarray:
@@ -327,41 +380,8 @@ def hard_pmi(problem: EstimationProblem, t: int, x: np.ndarray) -> int:
 
 def cqi_value(problem: EstimationProblem, t: int, x: np.ndarray) -> float:
     """Gain at the round's reported PMI, rounded to the nearest 32-bit float."""
-    g = gain(problem, t, problem.rounds[t].pmi, x)
+    g = gain(problem, t, problem.pmi_array[t], x)
     return float(np.float32(g))
-
-
-def simulate_rounds(
-    qs: Sequence[np.ndarray],
-    codebook: Codebook,
-    x_true: np.ndarray,
-    tau: float,
-    rng: Optional[np.random.Generator] = None,
-    rule: str = "softmax",
-    attach_cqi: bool = False,
-) -> list:
-    """Generate feedback rounds for a known channel.
-
-    rule="softmax" draws each PMI from the temperature-tau softmax model
-    (requires ``rng``); rule="hard" applies the deterministic argmax rule.
-    """
-    if rule not in ("softmax", "hard"):
-        raise ValueError(f"unknown feedback rule {rule!r}")
-    if rule == "softmax" and rng is None:
-        raise ValueError("softmax sampling needs an rng")
-    qs = [np.asarray(Q) for Q in qs]
-    gains = _gains_from_qstack(np.stack(qs), codebook, x_true)
-    rounds = []
-    for t, Q in enumerate(qs):
-        if rule == "hard":
-            pmi = int(np.argmax(gains[t]))
-        else:
-            pmf = _softmax(gains[t] / tau)
-            u = rng.random()
-            pmi = min(int(np.searchsorted(np.cumsum(pmf), u, side="right")), len(pmf) - 1)
-        cqi = float(np.float32(gains[t, pmi])) if attach_cqi else None
-        rounds.append(FeedbackRound(Q=Q, pmi=pmi, cqi=cqi))
-    return rounds
 
 
 def simulate_problem(
@@ -374,6 +394,45 @@ def simulate_problem(
     attach_cqi: bool = False,
     radius: Optional[float] = None,
 ) -> EstimationProblem:
-    """Convenience wrapper: simulate rounds and bundle them into a problem."""
-    rounds = simulate_rounds(qs, codebook, x_true, tau, rng, rule, attach_cqi)
-    return EstimationProblem(rounds=tuple(rounds), codebook=codebook, tau=tau, radius=radius)
+    """Simulate the feedback of a known channel over the designs ``qs``.
+
+    rule="softmax" draws each PMI from the temperature-tau softmax model by
+    inverse-CDF sampling with one uniform per round, in round order
+    (requires ``rng``); rule="hard" applies the deterministic argmax rule,
+    ties broken by the smallest index.  With ``attach_cqi`` every round
+    reports the 32-bit rounded gain at its PMI.
+    """
+    if rule not in ("softmax", "hard"):
+        raise ValueError(f"unknown feedback rule {rule!r}")
+    if rule == "softmax" and rng is None:
+        raise ValueError("softmax sampling needs an rng")
+    q_stack = np.asarray(qs)
+    T = len(q_stack)
+    problem = EstimationProblem.from_arrays(
+        q_stack, np.zeros(T, dtype=np.intp), codebook, tau, radius=radius
+    )
+    gains = all_gains(problem, x_true)
+    if rule == "hard":
+        pmi = np.argmax(gains, axis=1)
+    else:
+        cdf = np.cumsum(_softmax(gains / tau), axis=1)
+        # Counting cdf entries <= u is searchsorted(cdf, u, side="right").
+        pmi = np.minimum((cdf <= rng.random(T)[:, None]).sum(axis=1), codebook.n_codewords - 1)
+    cqi = gains[np.arange(T), pmi].astype(np.float32).astype(float) if attach_cqi else None
+    # The validated placeholder PMIs give way to the simulated feedback,
+    # which is in range by construction.
+    problem.__dict__.update(pmi_array=pmi, cqi_array=cqi)
+    return problem
+
+
+def simulate_rounds(
+    qs: Sequence[np.ndarray],
+    codebook: Codebook,
+    x_true: np.ndarray,
+    tau: float,
+    rng: Optional[np.random.Generator] = None,
+    rule: str = "softmax",
+    attach_cqi: bool = False,
+) -> tuple:
+    """The feedback rounds of ``simulate_problem`` as FeedbackRound records."""
+    return simulate_problem(qs, codebook, x_true, tau, rng, rule, attach_cqi).rounds

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -151,6 +153,27 @@ class TestCrbTrace:
         F = np.diag([3.0, 0.0, 0.0])
         with pytest.warns(crb.IdentifiabilityWarning):
             crb.crb_trace(F)
+
+    def test_gauge_always_dropped_for_fisher_input(self, rng):
+        # Roundoff can leave the gauge eigenvalue just above the rank
+        # tolerance; a FisherMatrix still drops it and keeps the trace.
+        prob, h = random_problem(rng, d=4, p=4, n=4, T=30)
+        fm = crb.fisher(prob, h)
+        u = fm.gauge / np.linalg.norm(fm.gauge)
+        tol = fm.F.shape[0] * np.finfo(float).eps * np.linalg.eigvalsh(fm.F)[-1]
+        bumped = crb.FisherMatrix(fm.F + 4 * tol * np.outer(u, u), fm.theta, fm.tau)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", crb.IdentifiabilityWarning)
+            got = crb.crb_trace(bumped)
+        expected = crb.crb_trace(fm.F)
+        assert abs(got - expected) <= 1e-8 * expected
+
+    def test_extra_null_direction_warns_for_fisher_input(self):
+        # Gauge of theta = e_1 is e_{d+1}; one more null direction is a deficit.
+        theta = np.eye(6)[0]
+        F = np.diag([1.0, 0.0, 2.0, 1e-9, 1.0, 1.0])
+        with pytest.warns(crb.IdentifiabilityWarning):
+            crb.crb_trace(crb.FisherMatrix(F, theta), rank_tol=1e-6)
 
     def test_phase_invariance_of_trace(self, rng):
         prob, h = random_problem(rng, d=4, p=4, n=4, T=30)

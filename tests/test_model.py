@@ -20,13 +20,15 @@ class TestTypes:
             model.Codebook(V=np.array([[2.0], [0.0]]))
 
     def test_round_requires_orthonormal_q(self):
+        # FeedbackRound is a plain record; the problem boundary checks Q.
         with pytest.raises(ValueError):
-            model.FeedbackRound(Q=np.ones((3, 2)), pmi=0)
+            make_problem([np.ones((3, 2))], designs.dft_codebook(2), [0])
 
     def test_cqi_stored_as_float32(self):
         q = np.eye(3)[:, :2]
-        rd = model.FeedbackRound(Q=q, pmi=0, cqi=0.1)
-        assert rd.cqi == float(np.float32(0.1))
+        prob = make_problem([q], designs.dft_codebook(2), [0], cqis=[0.1])
+        assert prob.cqi_array[0] == float(np.float32(0.1))
+        assert prob.rounds[0].cqi == float(np.float32(0.1))
 
     def test_pmi_range_checked(self):
         cb = designs.dft_codebook(2)
@@ -38,10 +40,78 @@ class TestTypes:
         with pytest.raises(ValueError):
             make_problem([np.eye(2)], cb, [0], tau=0.0)
 
+    def test_from_arrays_matches_rounds(self, rng):
+        prob, _ = random_problem(rng, rule="hard", attach_cqi=True)
+        arr = model.EstimationProblem.from_arrays(
+            prob.q_stack, prob.pmi_array, prob.codebook, prob.tau, cqi=prob.cqi_array
+        )
+        rebuilt = model.EstimationProblem(arr.rounds, prob.codebook, prob.tau)
+        for a, b in ((arr, prob), (rebuilt, prob)):
+            np.testing.assert_array_equal(a.q_stack, b.q_stack)
+            np.testing.assert_array_equal(a.pmi_array, b.pmi_array)
+            np.testing.assert_array_equal(a.cqi_array, b.cqi_array)
+
+    def test_immutable(self, rng):
+        prob, _ = random_problem(rng)
+        with pytest.raises(AttributeError):
+            prob.tau = 2.0
+
     def test_channel_vector_form(self):
         ch = model.Channel(H=np.ones(3))
         assert ch.H.shape == (3, 1)
         assert ch.vector.shape == (3,)
+
+
+class TestBoundary:
+    """Bad feedback fails where the problem is built, not as wrong numbers."""
+
+    @pytest.mark.parametrize("pmi", [-1, 1.5, np.float64(1.0)])
+    def test_bad_pmi(self, pmi):
+        with pytest.raises(ValueError):
+            make_problem([np.eye(2)], designs.dft_codebook(2), [pmi])
+
+    @pytest.mark.parametrize("cqi", [np.nan, np.inf, -0.5])
+    def test_bad_cqi(self, cqi):
+        with pytest.raises(ValueError):
+            make_problem([np.eye(2)], designs.dft_codebook(2), [0], cqis=[cqi])
+
+    @pytest.mark.parametrize("tau", [np.nan, np.inf, -1.0])
+    def test_bad_tau(self, tau):
+        with pytest.raises(ValueError):
+            make_problem([np.eye(2)], designs.dft_codebook(2), [0], tau=tau)
+
+    @pytest.mark.parametrize("radius", [np.nan, np.inf, 0.0])
+    def test_bad_radius(self, radius):
+        rounds = (model.FeedbackRound(Q=np.eye(2), pmi=0),)
+        with pytest.raises(ValueError):
+            model.EstimationProblem(rounds, designs.dft_codebook(2), 1.0, radius=radius)
+
+    @pytest.mark.parametrize("shape", [(2, 2), (1, 1, 2, 2)])
+    def test_q_stack_rank(self, shape):
+        q = np.broadcast_to(np.eye(2), shape)
+        with pytest.raises(ValueError):
+            model.EstimationProblem.from_arrays(q, np.zeros(1, dtype=int), designs.dft_codebook(2), 1.0)
+
+    def test_pmi_count(self):
+        with pytest.raises(ValueError):
+            model.EstimationProblem.from_arrays(
+                np.eye(2)[None], np.zeros(2, dtype=int), designs.dft_codebook(2), 1.0
+            )
+
+
+class TestPrefix:
+    def test_shares_arrays(self, rng):
+        prob, _ = random_problem(rng, T=5, attach_cqi=True, rule="hard")
+        pre = prob.prefix(3)
+        assert pre.T == 3 and pre.radius == prob.radius and pre.has_cqi
+        for name in ("q_stack", "pmi_array", "cqi_array", "effective_flat", "effective_flat_h"):
+            assert np.shares_memory(getattr(pre, name), getattr(prob, name))
+
+    @pytest.mark.parametrize("T", [0, 6])
+    def test_range(self, rng, T):
+        prob, _ = random_problem(rng, T=5)
+        with pytest.raises(ValueError):
+            prob.prefix(T)
 
 
 class TestEffectiveCodeword:
@@ -223,6 +293,13 @@ class TestSimulate:
         cb = designs.dft_codebook(2)
         with pytest.raises(ValueError):
             model.simulate_rounds([np.eye(2)], cb, np.ones(2), 1.0, rule="softmax")
+
+    def test_softmax_stream_matches_scalar_sampling(self, rng):
+        # One uniform per round in round order: the stream of sample_pmi.
+        prob, x = random_problem(rng, T=50, tau=0.3)
+        sim = model.simulate_problem(prob.q_stack, prob.codebook, x, prob.tau, np.random.default_rng(8))
+        gen = np.random.default_rng(8)
+        assert sim.pmi_array.tolist() == [model.sample_pmi(prob, t, x, gen) for t in range(prob.T)]
 
     def test_attach_cqi(self, rng):
         prob, x = random_problem(rng, rule="hard", attach_cqi=True)
