@@ -2,7 +2,8 @@
 
 Subcommands: crb-experiment, fdd-experiment, ablate-tau, ablate-init,
 verify-theory, dataset-make, dataset-inspect.  Options may also be given
-through a JSON config file (--config); explicit flags override it.
+through a JSON config file (--config); explicit flags override it, and
+options given in neither take the driver's own defaults.
 """
 
 from __future__ import annotations
@@ -26,28 +27,37 @@ def _float_list(text: str) -> list:
     return [float(v) for v in text.split(",") if v.strip()]
 
 
-def _add_common(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--config", type=str, default=None, help="JSON file with defaults")
+def _add_common(sp: argparse.ArgumentParser, outputs: bool = True) -> None:
+    sp.add_argument("--config", type=str, default=None, help="JSON file of options")
     sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--out", type=str, default=None, help="output directory")
-    sp.add_argument("--workers", type=int, default=None)
+    if outputs:
+        sp.add_argument("--out", type=str, default=None, help="output directory")
+        sp.add_argument("--workers", type=int, default=None)
 
 
-def _merge(args: argparse.Namespace, defaults: dict) -> dict:
-    """Config file first, command line on top, built-in defaults last."""
-    merged = dict(defaults)
-    if getattr(args, "config", None):
-        merged.update(json.loads(Path(args.config).read_text()))
-    for key, val in vars(args).items():
-        if key in ("command", "config"):
-            continue
-        if val is not None:
-            merged[key] = val
-    return merged
+def _options(ap: argparse.ArgumentParser, args: argparse.Namespace) -> dict:
+    """The config file's keys, then the flags given on top; nothing else.
+
+    Options left unset take the driver's own defaults.  A config key must
+    name one of the subcommand's flags; ``samples`` becomes ``n_samples``.
+    """
+    flags = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
+    opts = {}
+    if args.config:
+        opts = json.loads(Path(args.config).read_text())
+        if not isinstance(opts, dict):
+            ap.error(f"{args.command}: config {args.config} is not a JSON object")
+        unknown = sorted(set(opts) - set(flags))
+        if unknown:
+            ap.error(f"{args.command}: unknown config key(s) in {args.config}: {', '.join(unknown)}")
+    opts.update({k: v for k, v in flags.items() if v is not None})
+    if "samples" in opts:
+        opts["n_samples"] = opts.pop("samples")
+    return opts
 
 
 def _outdir(opts: dict) -> Path:
-    out = Path(opts.get("out") or "results")
+    out = Path(opts.pop("out", "results"))
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -63,7 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--tau", type=float, default=None)
     sp.add_argument("--rounds", type=_int_list, default=None, help="comma-separated T values")
     sp.add_argument("--trials", type=int, default=None)
-    sp.add_argument("--dataset", type=str, default=None)
 
     sp = sub.add_parser("fdd-experiment", help="beam precision of all methods vs rounds")
     _add_common(sp)
@@ -96,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--skip-slope", action="store_true", default=None, dest="skip_slope")
 
     sp = sub.add_parser("dataset-make", help="write a synthetic ray-model dataset")
-    _add_common(sp)
+    _add_common(sp, outputs=False)
     sp.add_argument("--samples", type=int, default=None)
     sp.add_argument("--d", type=int, default=None)
     sp.add_argument("--n-rx", type=int, default=None, dest="n_rx")
@@ -110,11 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_crb(opts: dict) -> int:
     out = _outdir(opts)
-    rows = experiments.run_crb_experiment(
-        d=opts["d"], p=opts["p"], tau=opts["tau"], rounds=tuple(opts["rounds"]),
-        trials=opts["trials"], seed=opts["seed"], workers=opts["workers"],
-        dataset=opts.get("dataset"),
-    )
+    rows = experiments.run_crb_experiment(**opts)
     experiments.write_results_csv(rows, out / "results.csv")
     experiments.write_timings_csv(rows, out / "timings.csv")
     summary = experiments.summarize_crb(rows)
@@ -129,16 +134,9 @@ def _cmd_crb(opts: dict) -> int:
 
 def _cmd_fdd(opts: dict) -> int:
     out = _outdir(opts)
-    methods = (
-        tuple(m.strip() for m in opts["methods"].split(","))
-        if opts.get("methods")
-        else experiments.FDD_METHODS
-    )
-    rows = experiments.run_fdd_experiment(
-        r=opts["r"], tau=opts["tau"], rounds=tuple(opts["rounds"]),
-        n_samples=opts["samples"], scheme=opts["scheme"], methods=methods,
-        seed=opts["seed"], dataset=opts.get("dataset"), workers=opts["workers"],
-    )
+    if "methods" in opts:
+        opts["methods"] = tuple(m.strip() for m in opts["methods"].split(","))
+    rows = experiments.run_fdd_experiment(**opts)
     experiments.write_results_csv(rows, out / "results.csv")
     experiments.write_timings_csv(rows, out / "timings.csv")
     experiments.write_summary_csv(experiments.summarize_fdd(rows), out / "summary.csv")
@@ -148,14 +146,9 @@ def _cmd_fdd(opts: dict) -> int:
 
 def _cmd_ablate(opts: dict, kind: str) -> int:
     out = _outdir(opts)
-    grid = None
-    if opts.get("grid"):
-        grid = _float_list(opts["grid"]) if kind == "tau" else opts["grid"].split(",")
-    rows = experiments.run_ablation(
-        kind, grid=grid, rounds=tuple(opts["rounds"]), n_samples=opts["samples"],
-        seed=opts["seed"], workers=opts["workers"], r=opts["r"],
-        dataset=opts.get("dataset"),
-    )
+    if "grid" in opts:
+        opts["grid"] = _float_list(opts["grid"]) if kind == "tau" else opts["grid"].split(",")
+    rows = experiments.run_ablation(kind, **opts)
     experiments.write_results_csv(rows, out / "results.csv")
     experiments.write_summary_csv(experiments.summarize_ablation(rows), out / "summary.csv")
     print(f"wrote {out}/results.csv and summary.csv")
@@ -164,35 +157,26 @@ def _cmd_ablate(opts: dict, kind: str) -> int:
 
 def _cmd_verify(opts: dict) -> int:
     out = _outdir(opts)
-    records = experiments.run_theory_verification(
-        seed=opts["seed"],
-        moment_samples=opts["moment_samples"],
-        secant_samples=opts["secant_samples"],
-        slope_trials=opts["slope_trials"],
-        workers=opts["workers"],
-        include_slope=not opts.get("skip_slope"),
-    )
-    experiments.write_report_csv(records, out / "report.csv")
-    failed = [rec for rec in records if not rec["passed"]]
+    opts["include_slope"] = not opts.pop("skip_slope", False)
+    records = experiments.run_theory_verification(**opts)
+    experiments.write_summary_csv(records, out / "report.csv")
     for rec in records:
         status = "pass" if rec["passed"] else "FAIL"
         print(f"[{status}] {rec['check']}: value={rec['value']:.4g} threshold={rec['threshold']:.4g}")
     print(f"wrote {out}/report.csv")
-    return 1 if failed else 0
+    return 0 if all(rec["passed"] for rec in records) else 1
 
 
 def _cmd_dataset_make(opts: dict) -> int:
-    data = experiments.make_synthetic_dataset(
-        n_samples=opts["samples"], d=opts["d"], n_rx=opts["n_rx"],
-        paths=opts["paths"], seed=opts["seed"],
-    )
-    write_dataset(opts["path"], data)
-    print(f"wrote {opts['path']}: {data.n_samples} samples, d={data.d}, n_rx={data.n_rx}")
+    path = opts.pop("path")
+    data = experiments.make_synthetic_dataset(**opts)
+    write_dataset(path, data)
+    print(f"wrote {path}: {data.n_samples} samples, d={data.d}, n_rx={data.n_rx}")
     return 0
 
 
-def _cmd_dataset_inspect(opts: dict) -> int:
-    data = read_dataset(opts["path"])
+def _cmd_dataset_inspect(path: str) -> int:
+    data = read_dataset(path)
     norms = np.linalg.norm(data.channels.reshape(data.n_samples, -1), axis=1)
     print(f"samples: {data.n_samples}")
     print(f"d: {data.d}")
@@ -202,54 +186,22 @@ def _cmd_dataset_inspect(opts: dict) -> int:
     return 0
 
 
-_DEFAULTS = {
-    "crb-experiment": {
-        "seed": 0, "out": "results", "workers": 1, "d": 16, "p": 4,
-        "tau": 0.05, "rounds": [2000, 5000, 10000], "trials": 100,
-    },
-    "fdd-experiment": {
-        "seed": 0, "out": "results", "workers": 1, "r": 1, "tau": 1.0,
-        "rounds": [1, 5, 10, 20], "samples": 100,
-        "scheme": "structured-outer-inner",
-    },
-    "ablate-tau": {
-        "seed": 0, "out": "results", "workers": 1, "rounds": [5, 10],
-        "samples": 50, "r": 1,
-    },
-    "ablate-init": {
-        "seed": 0, "out": "results", "workers": 1, "rounds": [5, 10],
-        "samples": 50, "r": 1,
-    },
-    "verify-theory": {
-        "seed": 0, "out": "results", "workers": 1,
-        "moment_samples": 1_000_000, "secant_samples": 100_000, "slope_trials": 50,
-    },
-    "dataset-make": {
-        "seed": 0, "out": "results", "workers": 1, "samples": 100,
-        "d": 32, "n_rx": 4, "paths": 4,
-    },
+_COMMANDS = {
+    "crb-experiment": _cmd_crb,
+    "fdd-experiment": _cmd_fdd,
+    "ablate-tau": lambda opts: _cmd_ablate(opts, "tau"),
+    "ablate-init": lambda opts: _cmd_ablate(opts, "init"),
+    "verify-theory": _cmd_verify,
+    "dataset-make": _cmd_dataset_make,
 }
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    cmd = args.command
-    if cmd == "dataset-inspect":
-        return _cmd_dataset_inspect({"path": args.path})
-    opts = _merge(args, _DEFAULTS[cmd])
-    if cmd == "crb-experiment":
-        return _cmd_crb(opts)
-    if cmd == "fdd-experiment":
-        return _cmd_fdd(opts)
-    if cmd == "ablate-tau":
-        return _cmd_ablate(opts, "tau")
-    if cmd == "ablate-init":
-        return _cmd_ablate(opts, "init")
-    if cmd == "verify-theory":
-        return _cmd_verify(opts)
-    if cmd == "dataset-make":
-        return _cmd_dataset_make(opts)
-    raise AssertionError(cmd)
+    ap = build_parser()
+    args = ap.parse_args(argv)
+    if args.command == "dataset-inspect":
+        return _cmd_dataset_inspect(args.path)
+    return _COMMANDS[args.command](_options(ap, args))
 
 
 if __name__ == "__main__":

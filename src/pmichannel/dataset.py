@@ -99,11 +99,14 @@ def _read_block(buf: bytes, offset: int, count: int, shape: tuple) -> tuple[np.n
             f"file ends at {len(buf)}"
         )
     raw = np.frombuffer(buf, dtype="<f8", count=2 * count, offset=offset)
+    bad = np.flatnonzero(~np.isfinite(raw))
+    if bad.size:
+        raise DatasetFormatError(f"non-finite value {raw[bad[0]]} at offset {offset + 8 * bad[0]}")
     return (raw[0::2] + 1j * raw[1::2]).reshape(shape), offset + nbytes
 
 
 def read_dataset(path) -> ChannelDataset:
-    """Parse a dataset file, validating magic, version and length."""
+    """Parse a dataset file; every malformation raises ``DatasetFormatError``."""
     with open(path, "rb") as fh:
         buf = fh.read()
     if len(buf) < _HEADER.size:
@@ -113,6 +116,11 @@ def read_dataset(path) -> ChannelDataset:
         raise DatasetFormatError(f"bad magic {magic!r} at offset 0")
     if version != 1:
         raise DatasetFormatError(f"unsupported version {version} at offset 8")
+    for name, value, at in (("d", d, 12), ("n_rx", n_rx, 16), ("n_samples", n_samples, 20)):
+        if value == 0:
+            raise DatasetFormatError(f"{name} = 0 at offset {at}")
+    if has_cov > 1:
+        raise DatasetFormatError(f"has_covariance byte {has_cov} is not 0 or 1 at offset 24")
     offset = _HEADER.size
     channels, offset = _read_block(buf, offset, n_samples * d * n_rx, (n_samples, d, n_rx))
     covariances = None

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import time
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -99,6 +98,46 @@ def fit_inverse_t(t_values: np.ndarray, y_values: np.ndarray) -> float:
 # CRB experiment
 # ----------------------------------------------------------------------
 
+def _mle_trials(
+    h: np.ndarray,
+    codebook: model.Codebook,
+    tau: float,
+    radius: float,
+    rounds: Sequence[int],
+    trials: int,
+    seed: int,
+    max_iters: int,
+    rel_tol: float,
+    workers: int,
+    score: Callable,
+) -> list:
+    """One spectral-start MLE per (T, trial) on a fresh Haar design.
+
+    Designs are real exactly when h is; each trial draws its design and
+    softmax feedback from the stream [seed, T, trial].  ``score(problem, x)``
+    maps the problem and the estimate's first column to the trial's
+    (method, metric, value) triples; every row carries the whole trial's
+    wall time.
+    """
+    d, p = h.shape[0], codebook.p
+    real = not np.iscomplexobj(h)
+    cfg = likelihood.MleConfig(init="spectral", max_iters=max_iters, rel_tol=rel_tol)
+
+    def task(key):
+        T, trial = key
+        t0 = time.perf_counter()
+        rng = np.random.default_rng([seed, T, trial])
+        qs = designs.haar_stiefel_stack(T, d, p, rng, real=real)
+        problem = model.simulate_problem(qs, codebook, h, tau, rng, rule="softmax", radius=radius)
+        x_hat, _ = likelihood.solve_mle(problem, cfg)
+        scores = score(problem, x_hat[:, 0])
+        dt = time.perf_counter() - t0
+        return [ExperimentResult(m, T, trial, seed, k, v, dt) for m, k, v in scores]
+
+    keys = [(T, i) for T in rounds for i in range(trials)]
+    return [row for chunk in _run_tasks(keys, task, workers) for row in chunk]
+
+
 def run_crb_experiment(
     d: int = 16,
     p: int = 4,
@@ -110,7 +149,6 @@ def run_crb_experiment(
     max_iters: int = 1000,
     rel_tol: float = 1e-9,
     workers: int = 1,
-    dataset: Optional[str] = None,
 ) -> list:
     """Phase-aligned MSE of the MLE against the trace CRB, per round count.
 
@@ -118,32 +156,20 @@ def run_crb_experiment(
     softmax-sampled PMI feedback over fresh Haar designs in every trial;
     the CRB is the trace pseudoinverse of the per-trial Fisher matrix.
     """
-    if dataset is not None:
-        warnings.warn("the CRB experiment is synthetic; dataset path ignored")
-    cb = designs.dft_codebook(p)
     rng_h = np.random.default_rng([seed, 7])
     g = rng_h.standard_normal(d) + 1j * rng_h.standard_normal(d)
     h = g / np.linalg.norm(g)
-    cfg = likelihood.MleConfig(init="spectral", max_iters=max_iters, rel_tol=rel_tol)
 
-    def task(key):
-        T, trial = key
-        t0 = time.perf_counter()
-        rng = np.random.default_rng([seed, T, trial])
-        qs = designs.haar_stiefel_stack(T, d, p, rng)
-        problem = model.simulate_problem(qs, cb, h, tau, rng, rule="softmax", radius=radius)
-        x_hat, _ = likelihood.solve_mle(problem, cfg)
-        mse = metrics.phase_aligned_mse(x_hat[:, 0], h)
-        bound = crb.crb_trace(crb.fisher(problem, h))
-        dt = time.perf_counter() - t0
+    def score(problem, x):
         return [
-            ExperimentResult("mle", T, trial, seed, "mse", mse, dt),
-            ExperimentResult("crb", T, trial, seed, "crb", bound, dt),
+            ("mle", "mse", metrics.phase_aligned_mse(x, h)),
+            ("crb", "crb", crb.crb_trace(crb.fisher(problem, h))),
         ]
 
-    keys = [(T, i) for T in rounds for i in range(trials)]
-    rows = [r for chunk in _run_tasks(keys, task, workers) for r in chunk]
-    return rows
+    return _mle_trials(
+        h, designs.dft_codebook(p), tau, radius, rounds, trials, seed,
+        max_iters, rel_tol, workers, score,
+    )
 
 
 def summarize_crb(rows: Sequence[ExperimentResult]) -> list:
@@ -172,21 +198,15 @@ def _load_channels(
     """Per-sample (H, Sigma_ul) pairs from a dataset file or the ray model."""
     if dataset is not None:
         data = read_dataset(dataset)
-        out = []
-        for s in range(data.n_samples):
-            H = data.channels[s]
-            if data.covariances is not None:
-                Sigma = data.covariances[s]
-            else:
-                Sigma = H @ H.conj().T + 1e-8 * np.eye(H.shape[0])
-            Sigma = 0.5 * (Sigma + Sigma.conj().T)
-            out.append((H, Sigma))
-        return out
+    else:
+        data = make_synthetic_dataset(n_samples, d, n_rx, paths, seed)
     out = []
-    for s in range(n_samples):
-        rng = np.random.default_rng([seed, 3, s])
-        ch, ul = designs.synthetic_channel(d, n_rx, paths, rng)
-        out.append((ch.H, ul.Sigma))
+    for s, H in enumerate(data.channels):
+        if data.covariances is not None:
+            Sigma = data.covariances[s]
+        else:
+            Sigma = H @ H.conj().T + 1e-8 * np.eye(H.shape[0])
+        out.append((H, 0.5 * (Sigma + Sigma.conj().T)))
     return out
 
 
@@ -459,23 +479,14 @@ def excess_risk_slope(
     rng_h = np.random.default_rng([seed, 11])
     h = rng_h.standard_normal(d)
     h /= np.linalg.norm(h)
-    cb = designs.identity_codebook(p, n_codewords)
-    cfg = likelihood.MleConfig(init="spectral", max_iters=max_iters, rel_tol=rel_tol)
 
-    def task(key):
-        T, trial = key
-        t0 = time.perf_counter()
-        rng = np.random.default_rng([seed, T, trial])
-        qs = designs.haar_stiefel_stack(T, d, p, rng, real=True)
-        problem = model.simulate_problem(qs, cb, h, tau, rng, rule="softmax", radius=radius)
-        x_hat, _ = likelihood.solve_mle(problem, cfg)
-        risk = likelihood.population_excess_risk(problem, h, x_hat[:, 0])
-        return ExperimentResult(
-            "mle", T, trial, seed, "excess_risk", risk, time.perf_counter() - t0
-        )
+    def score(problem, x):
+        return [("mle", "excess_risk", likelihood.population_excess_risk(problem, h, x))]
 
-    keys = [(T, i) for T in t_grid for i in range(trials)]
-    rows = _run_tasks(keys, task, workers)
+    rows = _mle_trials(
+        h, designs.identity_codebook(p, n_codewords), tau, radius, t_grid, trials, seed,
+        max_iters, rel_tol, workers, score,
+    )
     means = [np.mean([r.value for r in rows if r.T == T]) for T in t_grid]
     slope = float(np.polyfit(np.log(np.asarray(t_grid, float)), np.log(means), 1)[0])
     return slope, rows
@@ -627,21 +638,12 @@ def run_theory_verification(
     return records
 
 
-def write_report_csv(records: Sequence[dict], path) -> None:
-    lines = ["check,value,threshold,passed"]
-    for rec in records:
-        lines.append(
-            f"{rec['check']},{_fmt(rec['value'])},{_fmt(rec['threshold'])},{rec['passed']}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
 # ----------------------------------------------------------------------
 # Dataset synthesis
 # ----------------------------------------------------------------------
 
 def make_synthetic_dataset(
-    n_samples: int, d: int = 32, n_rx: int = 4, paths: int = 4, seed: int = 0
+    n_samples: int = 100, d: int = 32, n_rx: int = 4, paths: int = 4, seed: int = 0
 ) -> ChannelDataset:
     """Ray-model channels plus uplink covariances, ready for serialization."""
     chans = np.zeros((n_samples, d, n_rx), dtype=complex)

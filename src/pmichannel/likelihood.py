@@ -66,11 +66,11 @@ class MleConfig:
     """Solver knobs.
 
     ``init`` is one of "identity" (first columns of an identity matrix),
-    "random" (Gaussian projected onto the Stiefel manifold), "spectral"
+    "random" (a Haar Stiefel draw from ``default_rng(0)``), "spectral"
     (dominant eigenvectors of the PMI sample covariance, with a 1-D
     objective scan over the scale) or "explicit" (use ``x0``).  The step
-    starts at tau/(4 R^2) unless ``step0`` overrides it and is halved
-    whenever a step would increase the objective.
+    starts at tau/(4 R^2) and is halved whenever a step would increase the
+    objective.
     """
 
     max_iters: int = 100
@@ -78,8 +78,6 @@ class MleConfig:
     init: str = "identity"
     x0: Optional[np.ndarray] = None
     n_streams: Optional[int] = None
-    step0: Optional[float] = None
-    seed: int = 0
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -223,7 +221,7 @@ def _initial_point(
     if config.init == "identity":
         return np.eye(dim, m, dtype=dtype)
     if config.init == "random":
-        rng = np.random.default_rng(config.seed)
+        rng = np.random.default_rng(0)
         return haar_stiefel(dim, m, rng, real=dtype is float)
     if config.init == "spectral":
         # Top-m eigenvectors of the selected-codeword covariance, formed in
@@ -279,7 +277,7 @@ def solve_mle(
 
     S = project(S)
     f, G = value_grad(S)
-    step0 = config.step0 if config.step0 is not None else problem.tau / (4.0 * radius**2)
+    step0 = problem.tau / (4.0 * radius**2)
     step = step0
     rel = np.inf
     stop = "max-iters"

@@ -143,18 +143,14 @@ class SecantReport:
         return self.operator_min >= self.kappa0_stated
 
 
-def _codeword_outer_diffs(qs: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """Coordinates of A_{t,i} - A_{t,j} in the traceless symmetric basis.
+def _codeword_coords(qs: np.ndarray, V: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """q[t, n, m] = a_{t,n}^T B_m a_{t,n} for the lifted codewords a_{t,n} = Q_t v_n.
 
-    A_{t,i} = a a^T has unit trace, so all differences are traceless and the
-    basis coordinates capture them exactly.  Returns (T, N*N, m).
+    A_{t,n} = a a^T has unit trace, so every difference A_{t,i} - A_{t,j}
+    is traceless and its basis coordinates are q[t, i] - q[t, j] exactly.
     """
-    d = qs.shape[1]
-    basis = traceless_symmetric_basis(d)
-    A = np.einsum("tdp,pn->tdn", qs, V)  # effective codewords
-    # q[t, n, m] = a_{t,n}^T B_m a_{t,n}
-    q = np.einsum("tdn,mde,ten->tnm", A, basis, A)
-    return q[:, :, None, :] - q[:, None, :, :]  # (T, N, N, m) pair differences
+    A = np.einsum("tdp,pn->tdn", qs, V)
+    return np.einsum("tdn,mde,ten->tnm", A, basis, A)
 
 
 def certify_secant(
@@ -182,12 +178,13 @@ def certify_secant(
     N = codebook.n_codewords
     R = radius if radius is not None else 2.0 * max(np.linalg.norm(h), 1.0)
 
-    diffs = _codeword_outer_diffs(qs, codebook.V.astype(float))
-    C = diffs.reshape(T, N * N, -1)
-    op = np.einsum("tpm,tpn->mn", C, C) / T
+    # sum_{i,j} (q_i - q_j)(q_i - q_j)^T = 2N sum_n q_n q_n^T - 2 s s^T, s = sum_n q_n.
+    basis = traceless_symmetric_basis(d)
+    q = _codeword_coords(qs, codebook.V.astype(float), basis)
+    s = q.sum(axis=1)
+    op = (2.0 * N * np.einsum("tnm,tnk->mk", q, q) - 2.0 * s.T @ s) / T
     operator_min = float(np.linalg.eigvalsh(op)[0])
 
-    basis = traceless_symmetric_basis(d)
     hh = np.outer(h, h)
     random_min = np.inf
     for _ in range(trials):
@@ -297,9 +294,7 @@ def secant_expectation_check(
         signs = np.sign(np.einsum("sii->si", Rf))
         signs[signs == 0] = 1.0
         Q = Q * signs[:, None, :]
-        A = np.einsum("sdp,pn->sdn", Q, V)
-        # quad[s, n, m] = a_{s,n}^T B_m a_{s,n}
-        quad = np.einsum("sdn,mde,sen->snm", A, basis, A)
+        quad = _codeword_coords(Q, V, basis)
         nn = quad.shape[1]
         vals = 2.0 * nn * np.sum(quad**2, axis=1) - 2.0 * np.sum(quad, axis=1) ** 2
         sum_vals += vals.sum(axis=0)

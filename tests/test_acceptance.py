@@ -34,20 +34,6 @@ def _report(num, name, passed, detail, elapsed, limit=None):
         assert elapsed < limit, f"criterion {num} exceeded {limit}s ({elapsed:.1f}s)"
 
 
-def _fd_gradient(problem, x, h=1e-6):
-    x = np.asarray(x)
-    cm = np.iscomplexobj(x)
-    out = np.zeros(x.shape, dtype=complex if cm else float)
-    for idx in np.ndindex(*x.shape):
-        for unit in (1.0, 1j) if cm else (1.0,):
-            e = np.zeros(x.shape, dtype=out.dtype)
-            e[idx] = unit
-            fp = likelihood.nll(problem, x + h * e)
-            fm = likelihood.nll(problem, x - h * e)
-            out[idx] += (fp - fm) / (2 * h) * unit
-    return out
-
-
 def test_criterion_1_gradient_and_hessian_fd():
     t0 = time.time()
     rng = np.random.default_rng(101)
@@ -62,7 +48,7 @@ def test_criterion_1_gradient_and_hessian_fd():
         x = rng.standard_normal(d) + (1j * rng.standard_normal(d) if cm else 0.0)
         x *= 0.8 / np.linalg.norm(x)
         g = likelihood.nll_gradient(prob, x)
-        fd = _fd_gradient(prob, x)
+        fd = experiments._fd_gradient_realified(prob, x)
         denom = max(np.linalg.norm(fd), 1e-9)
         worst_grad = max(worst_grad, float(np.linalg.norm(g - fd)) / denom)
         if not cm:

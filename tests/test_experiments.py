@@ -17,13 +17,6 @@ class TestCrbDriver:
         for rec in summary:
             assert np.isfinite(rec["mse"]) and rec["crb"] > 0
 
-    def test_dataset_path_warns(self):
-        with pytest.warns(UserWarning, match="synthetic"):
-            experiments.run_crb_experiment(
-                d=4, p=2, rounds=(20,), trials=1, dataset="ignored.bin",
-                max_iters=10, rel_tol=1e-3,
-            )
-
     def test_fit_through_origin(self):
         t = np.array([100.0, 200.0, 400.0])
         c = experiments.fit_inverse_t(t, 5.0 / t)
@@ -191,3 +184,45 @@ class TestCli:
         )
         assert rc == 0
         assert (tmp_path / "ab" / "summary.csv").exists()
+
+    def test_unknown_config_key_is_an_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"d": 16, "smaples": 5}')
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["fdd-experiment", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.rstrip().endswith(": d, smaples")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["crb-experiment", "--dataset", "x.bin"],
+            ["dataset-make", "--out", "somewhere", "d.bin"],
+            ["dataset-make", "--workers", "7", "d.bin"],
+        ],
+    )
+    def test_removed_flags_rejected(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+
+    def test_overrides_reach_the_driver_unchanged(self, tmp_path):
+        # Only the options given reach the driver; everything else is its default.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"samples": 2, "rounds": [1, 3]}')
+        rc = cli.main(
+            [
+                "fdd-experiment", "--config", str(cfg), "--tau", "0.5",
+                "--methods", "spectral,mle", "--seed", "4", "--out", str(tmp_path / "o"),
+            ]
+        )
+        assert rc == 0
+        rows = experiments.run_fdd_experiment(
+            n_samples=2, rounds=(1, 3), tau=0.5, methods=("spectral", "mle"), seed=4
+        )
+        experiments.write_results_csv(rows, tmp_path / "direct.csv")
+        assert (tmp_path / "o" / "results.csv").read_bytes() == (
+            tmp_path / "direct.csv"
+        ).read_bytes()
