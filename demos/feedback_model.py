@@ -22,21 +22,22 @@ h /= np.linalg.norm(h)
 
 # One measurement round: Haar-random reduction followed by the hard rule.
 Q = designs.haar_stiefel(d, p, rng)
-probe = model.EstimationProblem(
-    (model.FeedbackRound(Q=Q, pmi=0),), codebook, tau
-)
-gains = [model.gain(probe, 0, i, h) for i in range(codebook.n_codewords)]
-print("\nround 0 effective gains:", np.round(gains, 4))
-print("hard PMI (argmax):", model.hard_pmi(probe, 0, h))
+probe = model.simulate_problem([Q], codebook, h, tau, rule="hard")
+print("\nround 0 effective gains:", np.round(model.all_gains(probe, h)[0], 4))
+print("hard PMI (argmax):", probe.pmi_array[0])
 
+# softmax_pmf returns every round's pmf at once, shape (T, N).
 for temp in (1.0, 0.3, 0.05):
-    pm = model.EstimationProblem(probe.rounds, codebook, temp)
-    print(f"softmax pmf at tau={temp}:", np.round(model.softmax_pmf(pm, 0, h), 3))
+    pm = model.EstimationProblem.from_arrays(probe.q_stack, probe.pmi_array, codebook, temp)
+    print(f"softmax pmf at tau={temp}:", np.round(model.softmax_pmf(pm, h)[0], 3))
 
 # A full feedback history drawn from the softmax model, then the MLE.
-qs = [designs.haar_stiefel(d, p, rng) for _ in range(T)]
+qs = designs.haar_stiefel_stack(T, d, p, rng)
 problem = model.simulate_problem(qs, codebook, h, tau, rng, rule="softmax", radius=2.0)
 print(f"\nsimulated {problem.T} rounds; first ten PMIs: {problem.pmi_array[:10].tolist()}")
+pmf = model.softmax_pmf(problem, h)
+print(f"softmax pmf of the whole history: shape {pmf.shape}; "
+      f"mean probability of the reported PMI {pmf[np.arange(T), problem.pmi_array].mean():.3f}")
 print(f"negative log-likelihood at the true channel: {likelihood.nll(problem, h):.4f}")
 print(f"negative log-likelihood at zero:             {likelihood.nll(problem, np.zeros(d)):.4f}"
       f"  (= log N = {np.log(codebook.n_codewords):.4f})")

@@ -50,11 +50,6 @@ from .model import (
     Codebook,
     EstimationProblem,
     FeedbackRound,
-    cqi_value,
-    effective_codeword,
-    gain,
-    hard_pmi,
-    sample_pmi,
     simulate_problem,
     simulate_rounds,
     softmax_pmf,

@@ -19,12 +19,28 @@ from . import experiments
 from .dataset import read_dataset, write_dataset
 
 
-def _int_list(text: str) -> list:
-    return [int(v) for v in text.split(",") if v.strip()]
+def _str_list(value) -> list:
+    """A comma string's non-empty items, or the items of a config file's JSON list as text."""
+    if isinstance(value, str):
+        items = [v.strip() for v in value.split(",") if v.strip()]
+    elif isinstance(value, list):
+        items = [str(v) for v in value]
+    else:
+        raise ValueError(f"expected a comma-separated string or a list, got {value!r}")
+    if not items:
+        raise ValueError("expected at least one item")
+    return items
 
 
-def _float_list(text: str) -> list:
-    return [float(v) for v in text.split(",") if v.strip()]
+def _int_list(value) -> list:
+    return [int(v) for v in _str_list(value)]
+
+
+def _float_list(value) -> list:
+    return [float(v) for v in _str_list(value)]
+
+
+_LIST_TYPES = (_int_list, _float_list, _str_list)
 
 
 def _add_common(sp: argparse.ArgumentParser, outputs: bool = True) -> None:
@@ -40,6 +56,8 @@ def _options(ap: argparse.ArgumentParser, args: argparse.Namespace) -> dict:
 
     Options left unset take the driver's own defaults.  A config key must
     name one of the subcommand's flags; ``samples`` becomes ``n_samples``.
+    A list-valued flag's key takes a JSON list or the flag's comma string,
+    either one parsed by the flag's own converter.
     """
     flags = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
     opts = {}
@@ -50,6 +68,13 @@ def _options(ap: argparse.ArgumentParser, args: argparse.Namespace) -> dict:
         unknown = sorted(set(opts) - set(flags))
         if unknown:
             ap.error(f"{args.command}: unknown config key(s) in {args.config}: {', '.join(unknown)}")
+        (sub,) = (a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
+        for action in sub.choices[args.command]._actions:
+            if action.type in _LIST_TYPES and action.dest in opts:
+                try:
+                    opts[action.dest] = action.type(opts[action.dest])
+                except ValueError as exc:
+                    ap.error(f"{args.command}: config key {action.dest!r} in {args.config}: {exc}")
     opts.update({k: v for k, v in flags.items() if v is not None})
     if "samples" in opts:
         opts["n_samples"] = opts.pop("samples")
@@ -82,16 +107,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--samples", type=int, default=None)
     sp.add_argument("--scheme", type=str, default=None,
                     choices=["haar-random", "structured-outer-inner"])
-    sp.add_argument("--methods", type=str, default=None, help="comma-separated method names")
+    sp.add_argument("--methods", type=_str_list, default=None, help="comma-separated method names")
     sp.add_argument("--dataset", type=str, default=None)
 
-    for name, help_text in (
-        ("ablate-tau", "temperature sweep for the subspace MLE"),
-        ("ablate-init", "initialization comparison for the subspace MLE"),
+    for name, help_text, grid_type in (
+        ("ablate-tau", "temperature sweep for the subspace MLE", _float_list),
+        ("ablate-init", "initialization comparison for the subspace MLE", _str_list),
     ):
         sp = sub.add_parser(name, help=help_text)
         _add_common(sp)
-        sp.add_argument("--grid", type=str, default=None, help="comma-separated grid")
+        sp.add_argument("--grid", type=grid_type, default=None, help="comma-separated grid")
         sp.add_argument("--rounds", type=_int_list, default=None)
         sp.add_argument("--samples", type=int, default=None)
         sp.add_argument("--r", type=int, default=None)
@@ -134,8 +159,6 @@ def _cmd_crb(opts: dict) -> int:
 
 def _cmd_fdd(opts: dict) -> int:
     out = _outdir(opts)
-    if "methods" in opts:
-        opts["methods"] = tuple(m.strip() for m in opts["methods"].split(","))
     rows = experiments.run_fdd_experiment(**opts)
     experiments.write_results_csv(rows, out / "results.csv")
     experiments.write_timings_csv(rows, out / "timings.csv")
@@ -146,8 +169,6 @@ def _cmd_fdd(opts: dict) -> int:
 
 def _cmd_ablate(opts: dict, kind: str) -> int:
     out = _outdir(opts)
-    if "grid" in opts:
-        opts["grid"] = _float_list(opts["grid"]) if kind == "tau" else opts["grid"].split(",")
     rows = experiments.run_ablation(kind, **opts)
     experiments.write_results_csv(rows, out / "results.csv")
     experiments.write_summary_csv(experiments.summarize_ablation(rows), out / "summary.csv")

@@ -29,10 +29,9 @@ _HERM_TOL = 1e-10
 
 @dataclass(frozen=True)
 class UplinkCovariance:
-    """Uplink spatial covariance and the subspace dimension used downstream."""
+    """Uplink spatial covariance: Hermitian positive semidefinite."""
 
     Sigma: np.ndarray
-    k: int
 
     def __post_init__(self):
         S = np.asarray(self.Sigma)
@@ -93,22 +92,8 @@ def identity_codebook(p: int, n: int | None = None, r: int = 1) -> Codebook:
 def haar_stiefel(
     d: int, p: int, rng: np.random.Generator, real: bool = False
 ) -> np.ndarray:
-    """Haar-random d x p matrix with orthonormal columns.
-
-    QR of an i.i.d. Gaussian matrix, with the R factor's diagonal phases
-    absorbed into Q so the result is the unique Haar representative.
-    Set ``real=True`` for the real Stiefel manifold.
-    """
-    if p > d:
-        raise ValueError("need p <= d")
-    if real:
-        G = rng.standard_normal((d, p))
-    else:
-        G = rng.standard_normal((d, p)) + 1j * rng.standard_normal((d, p))
-    Q, R = np.linalg.qr(G)
-    diag = np.diagonal(R)
-    phases = diag / np.abs(diag)
-    return Q * phases.conj()
+    """Haar-random d x p matrix with orthonormal columns; one ``haar_stiefel_stack`` draw."""
+    return haar_stiefel_stack(1, d, p, rng, real)[0]
 
 
 def haar_stiefel_stack(
@@ -116,8 +101,9 @@ def haar_stiefel_stack(
 ) -> np.ndarray:
     """n independent Haar Stiefel matrices as an (n, d, p) array.
 
-    Same law as ``haar_stiefel``; uses a batched QR, which is much faster
-    when thousands of design matrices are needed.
+    Batched QR of i.i.d. Gaussian matrices, with each R factor's diagonal
+    phases absorbed into Q so every result is the unique Haar
+    representative.  Set ``real=True`` for the real Stiefel manifold.
     """
     if p > d:
         raise ValueError("need p <= d")
@@ -204,4 +190,4 @@ def synthetic_channel(
     # Small isotropic floor keeps the covariance strictly PSD.
     Sigma += 1e-8 * np.eye(d)
     Sigma = 0.5 * (Sigma + Sigma.conj().T)
-    return Channel(H=H), UplinkCovariance(Sigma=Sigma, k=min(2 * paths, d))
+    return Channel(H=H), UplinkCovariance(Sigma=Sigma)

@@ -210,11 +210,13 @@ def _load_channels(
     return out
 
 
-def _build_design(
-    Sigma: np.ndarray, T: int, p: int, scheme: str, rng: np.random.Generator
-) -> list:
-    """Round 1 is the codebook-compatible reduction; later rounds follow the scheme."""
+def _build_design(Sigma: np.ndarray, T: int, scheme: str, rng: np.random.Generator) -> list:
+    """Round 1 is the codebook-compatible reduction; later rounds follow the scheme.
+
+    Every round has the first round's column count p.
+    """
     qs = [designs.type1_q1(Sigma)]
+    p = qs[0].shape[1]
     for _ in range(1, T):
         if scheme == "haar-random":
             qs.append(designs.haar_stiefel(Sigma.shape[0], p, rng))
@@ -264,7 +266,6 @@ def _fdd_estimate(
 
 def run_fdd_experiment(
     d: int = 32,
-    p: int = 8,
     n_rx: int = 4,
     r: int = 1,
     k: int = 8,
@@ -287,8 +288,8 @@ def run_fdd_experiment(
     attached (32-bit rounded) for the magnitude-based baselines.  Designs
     start from the codebook-compatible first round and are nested, so every
     T-round problem is a prefix of one simulated max(rounds)-round history.
+    The DFT codebook has the first round's dimension (8 ports).
     """
-    cb = designs.dft_codebook(p, r)
     channels = _load_channels(dataset, n_samples, d, n_rx, paths, seed)
     t_max = max(rounds)
 
@@ -296,7 +297,8 @@ def run_fdd_experiment(
         H, Sigma = channels[sample_index]
         rng = np.random.default_rng([seed, 4, sample_index])
         prior = likelihood.SubspacePrior(designs.eigvecs_descending(Sigma, k))
-        qs = _build_design(Sigma, t_max, p, scheme, rng)
+        qs = _build_design(Sigma, t_max, scheme, rng)
+        cb = designs.dft_codebook(qs[0].shape[1], r)
         history = model.simulate_problem(
             qs, cb, H, tau, rule="hard", attach_cqi=attach_cqi, radius=radius
         )
@@ -572,15 +574,12 @@ def run_theory_verification(
         rhs = problem.tau * nll_val - problem.tau * np.log(problem.n_codewords)
         worst_eq = max(worst_eq, abs(lhs - rhs) / max(1.0, abs(rhs)))
         risk = likelihood.population_excess_risk(problem, h, x)
-        enum = 0.0
-        for t in range(problem.T):
-            pmf = model.softmax_pmf(problem, t, h)
-            gx = model.round_gains(problem, t, x) / problem.tau
-            gh = model.round_gains(problem, t, h) / problem.tau
-            lse_x, lse_h = logsumexp(gx), logsumexp(gh)
-            for i in range(problem.n_codewords):
-                enum += pmf[i] * ((lse_x - gx[i]) - (lse_h - gh[i]))
-        enum /= problem.T
+        gx = model.all_gains(problem, x) / problem.tau
+        gh = model.all_gains(problem, h) / problem.tau
+        terms = model.softmax_pmf(problem, h) * (
+            (logsumexp(gx, axis=1, keepdims=True) - gx) - (logsumexp(gh, axis=1, keepdims=True) - gh)
+        )
+        enum = terms.sum() / problem.T
         worst_kl = max(worst_kl, abs(risk - enum))
     add("loss_equivalence", worst_eq, 1e-10, worst_eq <= 1e-10)
     add("kl_identity", worst_kl, 1e-12, worst_kl <= 1e-12)
@@ -596,9 +595,7 @@ def run_theory_verification(
         x = rng.standard_normal(d)
         x *= rng.uniform(0, R) / np.linalg.norm(x)
         floor = theory.p_min_value(problem.n_codewords, R, problem.tau)
-        for t in range(problem.T):
-            if model.softmax_pmf(problem, t, x).min() < floor:
-                ok = False
+        ok = ok and model.softmax_pmf(problem, x).min() >= floor
     add("p_min_floor", 1.0 if ok else 0.0, 1.0, ok)
 
     # Moment identities.

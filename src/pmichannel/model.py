@@ -20,14 +20,8 @@ __all__ = [
     "Codebook",
     "FeedbackRound",
     "EstimationProblem",
-    "effective_codeword",
-    "gain",
     "all_gains",
-    "round_gains",
     "softmax_pmf",
-    "sample_pmi",
-    "hard_pmi",
-    "cqi_value",
     "pmi_covariance",
     "simulate_rounds",
     "simulate_problem",
@@ -298,20 +292,6 @@ class EstimationProblem:
         return np.matmul(self.q_stack, np.ascontiguousarray(blocks))
 
 
-def effective_codeword(problem: EstimationProblem, t: int, i: int) -> np.ndarray:
-    """Codeword i lifted through round t's reduction matrix: Q_t @ V_i.
-
-    Returns a vector for single-stream codebooks, a (d, r) matrix otherwise.
-    """
-    if not 0 <= t < problem.T:
-        raise IndexError(f"round index {t} out of range")
-    if not 0 <= i < problem.n_codewords:
-        raise IndexError(f"codeword index {i} out of range")
-    r = problem.codebook.r
-    a = problem.effective_stack[t, :, i * r : (i + 1) * r]
-    return a[:, 0] if r == 1 else a
-
-
 def pmi_covariance(problem: EstimationProblem, basis: Optional[np.ndarray] = None) -> np.ndarray:
     """(1/T) sum_t W_t V_{I_t} V_{I_t}^H W_t^H with W_t = Q_t, or B^H Q_t for a basis B."""
     E = problem.selected if basis is None else np.matmul(basis.conj().T, problem.selected)
@@ -332,21 +312,6 @@ def all_gains(problem: EstimationProblem, x: np.ndarray) -> np.ndarray:
     return _gains_from_proj(problem.effective_flat_h @ _as_matrix(x), problem.codebook)
 
 
-def round_gains(problem: EstimationProblem, t: int, x: np.ndarray) -> np.ndarray:
-    if not 0 <= t < problem.T:
-        raise IndexError(f"round index {t} out of range")
-    k = problem.n_codewords * problem.codebook.r
-    rows = problem.effective_flat_h[t * k : (t + 1) * k]
-    return _gains_from_proj(rows @ _as_matrix(x), problem.codebook)[0]
-
-
-def gain(problem: EstimationProblem, t: int, i: int, x: np.ndarray) -> float:
-    """||V_i^H Q_t^H X||_F^2; reduces to |a_{t,i}^H x|^2 for one stream."""
-    if not 0 <= i < problem.n_codewords:
-        raise IndexError(f"codeword index {i} out of range")
-    return float(round_gains(problem, t, x)[i])
-
-
 def _softmax(scores: np.ndarray) -> np.ndarray:
     """Row-wise softmax with max subtraction; safe for large scores."""
     shifted = scores - scores.max(axis=-1, keepdims=True)
@@ -354,34 +319,13 @@ def _softmax(scores: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def softmax_pmf(problem: EstimationProblem, t: int, x: np.ndarray) -> np.ndarray:
-    """Selection probabilities: entry i proportional to exp(gain(t,i,x)/tau)."""
-    return _softmax(round_gains(problem, t, x) / problem.tau)
+def softmax_pmf(problem: EstimationProblem, x: np.ndarray) -> np.ndarray:
+    """Selection probabilities of every round, shape (T, N).
 
-
-def sample_pmi(
-    problem: EstimationProblem, t: int, x: np.ndarray, rng: np.random.Generator
-) -> int:
-    """Draw a feedback index from the softmax distribution of round t.
-
-    Inverse-CDF sampling over the pmf; in law this matches perturbing each
-    gain with independent Gumbel noise and taking the argmax.
+    Row t is the temperature-tau softmax of round t's gains at x: entry
+    (t, i) is proportional to exp(||V_i^H Q_t^H X||_F^2 / tau).
     """
-    pmf = softmax_pmf(problem, t, x)
-    u = rng.random()
-    idx = int(np.searchsorted(np.cumsum(pmf), u, side="right"))
-    return min(idx, pmf.shape[0] - 1)
-
-
-def hard_pmi(problem: EstimationProblem, t: int, x: np.ndarray) -> int:
-    """Argmax-gain index for round t; ties broken by the smallest index."""
-    return int(np.argmax(round_gains(problem, t, x)))
-
-
-def cqi_value(problem: EstimationProblem, t: int, x: np.ndarray) -> float:
-    """Gain at the round's reported PMI, rounded to the nearest 32-bit float."""
-    g = gain(problem, t, problem.pmi_array[t], x)
-    return float(np.float32(g))
+    return _softmax(all_gains(problem, x) / problem.tau)
 
 
 def simulate_problem(

@@ -14,6 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .designs import haar_stiefel_stack
 from .metrics import dist
 from .model import Codebook
 
@@ -289,11 +290,7 @@ def secant_expectation_check(
     batch = min(samples, 20_000)
     while done < samples:
         n = min(batch, samples - done)
-        g = rng.standard_normal((n, d, p))
-        Q, Rf = np.linalg.qr(g)
-        signs = np.sign(np.einsum("sii->si", Rf))
-        signs[signs == 0] = 1.0
-        Q = Q * signs[:, None, :]
+        Q = haar_stiefel_stack(n, d, p, rng, real=True)
         quad = _codeword_coords(Q, V, basis)
         nn = quad.shape[1]
         vals = 2.0 * nn * np.sum(quad**2, axis=1) - 2.0 * np.sum(quad, axis=1) ** 2

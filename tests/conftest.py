@@ -32,6 +32,25 @@ def random_problem(
     return problem, x
 
 
+def oracle_gains(problem, X):
+    """(T, N) gains ||V_i^H Q_t^H X||_F^2 from q_stack[t] @ codebook.codeword(i), one entry at a time."""
+    X = np.asarray(X).reshape(problem.d, -1)
+    return np.array(
+        [
+            [
+                np.linalg.norm((problem.q_stack[t] @ problem.codebook.codeword(i)).conj().T @ X) ** 2
+                for i in range(problem.n_codewords)
+            ]
+            for t in range(problem.T)
+        ]
+    )
+
+
+def lifted(problem, t, i):
+    """Single-stream codeword i lifted through round t's design, Q_t v_i, from the raw arrays."""
+    return problem.q_stack[t] @ problem.codebook.codeword(i)[:, 0]
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

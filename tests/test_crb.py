@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pmichannel import crb, designs, model
-from conftest import random_problem
+from conftest import lifted, random_problem
 
 
 class TestRealify:
@@ -62,11 +62,10 @@ class TestFisher:
         F = crb.fisher(prob, h)
         theta = crb.realify_vector(h)
         expected = np.zeros((6, 6))
-        for t in range(prob.T):
-            pmf = model.softmax_pmf(prob, t, h)
+        for t, pmf in enumerate(model.softmax_pmf(prob, h)):
             gs = []
             for i in range(prob.n_codewords):
-                a = model.effective_codeword(prob, t, i)
+                a = lifted(prob, t, i)
                 gs.append(crb.realify(np.outer(a, a.conj())) @ theta)
             gs = np.stack(gs)
             mean = pmf @ gs

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -226,3 +228,65 @@ class TestCli:
         assert (tmp_path / "o" / "results.csv").read_bytes() == (
             tmp_path / "direct.csv"
         ).read_bytes()
+
+    @pytest.mark.parametrize(
+        "command, config, flags",
+        [
+            (
+                "fdd-experiment",
+                {"methods": ["spectral"], "samples": 1, "rounds": [1, 2]},
+                ["--methods", "spectral", "--samples", "1", "--rounds", "1,2"],
+            ),
+            (
+                "fdd-experiment",
+                {"methods": "spectral, mle", "samples": 1, "rounds": "1,2"},
+                ["--methods", "spectral,mle", "--samples", "1", "--rounds", "1,2"],
+            ),
+            (
+                "ablate-tau",
+                {"grid": [0.5, 1.0], "samples": 1, "rounds": [2]},
+                ["--grid", "0.5,1.0", "--samples", "1", "--rounds", "2"],
+            ),
+            (
+                "ablate-init",
+                {"grid": "identity,spectral", "samples": 1, "rounds": [2]},
+                ["--grid", "identity,spectral", "--samples", "1", "--rounds", "2"],
+            ),
+        ],
+    )
+    def test_config_lists_and_comma_strings_match_flags(self, tmp_path, command, config, flags):
+        # A list-valued option reads the same from a JSON list, a comma string or the flag.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "cfg")]) == 0
+        assert cli.main([command, *flags, "--out", str(tmp_path / "flags")]) == 0
+        for name in ("results.csv", "summary.csv"):
+            assert (tmp_path / "cfg" / name).read_bytes() == (tmp_path / "flags" / name).read_bytes()
+
+    @pytest.mark.parametrize(
+        "config",
+        [{"rounds": [1.5]}, {"rounds": 3}, {"grid": ["a"]}, {"rounds": "1,x"}, {"grid": []}, {"grid": " , "}],
+    )
+    def test_bad_list_option_in_config_is_a_usage_error(self, tmp_path, capsys, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["ablate-tau", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert "in " + str(cfg) in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fdd-experiment", "--methods", ""],
+            ["fdd-experiment", "--rounds", ","],
+            ["ablate-tau", "--grid", ""],
+            ["ablate-init", "--grid", " "],
+        ],
+    )
+    def test_empty_list_flag_is_a_usage_error(self, tmp_path, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "o").exists()

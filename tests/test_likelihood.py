@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pmichannel import designs, likelihood, metrics, model, theory
-from conftest import random_problem
+from conftest import lifted, oracle_gains, random_problem
 
 
 def fd_gradient(problem, x, h=1e-6):
@@ -79,12 +79,11 @@ class TestGradient:
         prob, x = random_problem(rng, complex_mode=False, d=3, p=3, n=3, T=2)
         x = rng.standard_normal(3)
         expected = np.zeros(3)
-        for t in range(prob.T):
-            pmf = model.softmax_pmf(prob, t, x)
+        for t, pmf in enumerate(model.softmax_pmf(prob, x)):
             i_sel = prob.rounds[t].pmi
-            a_sel = model.effective_codeword(prob, t, i_sel)
+            a_sel = lifted(prob, t, i_sel)
             for j in range(prob.n_codewords):
-                a = model.effective_codeword(prob, t, j)
+                a = lifted(prob, t, j)
                 A_diff = np.outer(a, a) - np.outer(a_sel, a_sel)
                 expected += (2 / prob.tau) * pmf[j] * (A_diff @ x)
         expected /= prob.T
@@ -166,12 +165,11 @@ class TestHessianReal:
         # on the observed indices).
         H_sample = likelihood.nll_hessian_real(prob, h)
         corr = np.zeros((d, d))
-        for t in range(T):
-            pmf = model.softmax_pmf(prob, t, h)
-            a_sel = model.effective_codeword(prob, t, prob.rounds[t].pmi)
+        for t, pmf in enumerate(model.softmax_pmf(prob, h)):
+            a_sel = lifted(prob, t, prob.rounds[t].pmi)
             corr += np.outer(a_sel, a_sel)
             for i in range(n):
-                a = model.effective_codeword(prob, t, i)
+                a = lifted(prob, t, i)
                 corr -= pmf[i] * np.outer(a, a)
         H_pop = H_sample + (2.0 / (tau * T)) * corr
         lam_min = np.linalg.eigvalsh(H_pop)[0]
@@ -184,7 +182,7 @@ class TestSolveMle:
         x, rep = likelihood.solve_mle(
             prob, likelihood.MleConfig(init="spectral", max_iters=100)
         )
-        a = model.effective_codeword(prob, 0, prob.rounds[0].pmi)
+        a = lifted(prob, 0, prob.rounds[0].pmi)
         corr = abs(np.vdot(a, x[:, 0])) / np.linalg.norm(x)
         assert corr > 0.99
 
@@ -265,17 +263,17 @@ class TestPopulationExcessRisk:
         assert likelihood.population_excess_risk(prob, h, np.exp(0.9j) * h) < 1e-12
 
     def test_enumeration_oracle(self, rng):
-        from scipy.special import logsumexp
+        from scipy.special import logsumexp, softmax
 
         for _ in range(10):
             prob, h = random_problem(rng, d=4, p=3, n=3, T=3)
             x = rng.standard_normal(4) + 1j * rng.standard_normal(4)
             risk = likelihood.population_excess_risk(prob, h, x)
             enum = 0.0
+            gains_x = oracle_gains(prob, x) / prob.tau
+            gains_h = oracle_gains(prob, h) / prob.tau
             for t in range(prob.T):
-                pmf = model.softmax_pmf(prob, t, h)
-                gx = np.array([model.gain(prob, t, i, x) for i in range(3)]) / prob.tau
-                gh = np.array([model.gain(prob, t, i, h) for i in range(3)]) / prob.tau
+                pmf, gx, gh = softmax(gains_h[t]), gains_x[t], gains_h[t]
                 for i in range(3):
                     ell_x = logsumexp(gx - gx[i])
                     ell_h = logsumexp(gh - gh[i])

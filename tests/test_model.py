@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from scipy.special import softmax
 from scipy.stats import chisquare
 
 from pmichannel import designs, model
-from conftest import random_problem
+from conftest import lifted, oracle_gains, random_problem
 
 
 def make_problem(qs, cb, pmis, tau=1.0, cqis=None):
@@ -119,175 +120,198 @@ class TestEffectiveCodeword:
         cb = model.Codebook(V=np.eye(2))
         q = np.eye(4)[:, :2]
         prob = make_problem([q], cb, [0])
-        a = model.effective_codeword(prob, 0, 0)
-        np.testing.assert_allclose(a, np.eye(4)[:, 0])
+        np.testing.assert_allclose(prob.effective_stack[0, :, 0], np.eye(4)[:, 0])
 
     def test_isometry_preserves_norm(self, rng):
         prob, _ = random_problem(rng)
-        for i in range(prob.n_codewords):
-            a = model.effective_codeword(prob, 0, i)
-            assert abs(np.linalg.norm(a) - 1.0) < 1e-12
+        np.testing.assert_allclose(np.linalg.norm(prob.effective_stack, axis=1), 1.0, atol=1e-12)
 
     def test_matches_direct_product(self):
         rng = np.random.default_rng(7)
         q = designs.haar_stiefel(4, 2, rng)
         cb = model.Codebook(V=np.eye(2))
         prob = make_problem([q], cb, [0])
-        np.testing.assert_allclose(model.effective_codeword(prob, 0, 0), q @ np.eye(2)[:, 0], atol=1e-14)
-
-    def test_index_errors(self, rng):
-        prob, _ = random_problem(rng)
-        with pytest.raises(IndexError):
-            model.effective_codeword(prob, prob.T, 0)
-        with pytest.raises(IndexError):
-            model.effective_codeword(prob, 0, prob.n_codewords)
+        np.testing.assert_allclose(prob.effective_stack[0, :, 0], q @ np.eye(2)[:, 0], atol=1e-14)
 
 
 class TestGain:
     def test_zero_input(self, rng):
         prob, _ = random_problem(rng)
-        assert model.gain(prob, 0, 0, np.zeros(prob.d)) == 0.0
+        assert np.all(model.all_gains(prob, np.zeros(prob.d)) == 0.0)
 
     def test_aligned_unit_vector(self, rng):
         prob, _ = random_problem(rng)
-        a = model.effective_codeword(prob, 0, 1)
-        assert abs(model.gain(prob, 0, 1, a) - 1.0) < 1e-12
+        assert abs(model.all_gains(prob, lifted(prob, 0, 1))[0, 1] - 1.0) < 1e-12
 
     def test_entrywise_oracle(self, rng):
         prob, _ = random_problem(rng, d=5, p=4, n=2, r=2)
         X = rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2))
+        gains = model.all_gains(prob, X)
+        assert gains.shape == (prob.T, prob.n_codewords)
         for t in range(prob.T):
             for i in range(prob.n_codewords):
-                proj = prob.codebook.codeword(i).conj().T @ prob.rounds[t].Q.conj().T @ X
+                proj = prob.codebook.codeword(i).conj().T @ prob.q_stack[t].conj().T @ X
                 brute = sum(
                     abs(proj[a, b]) ** 2 for a in range(proj.shape[0]) for b in range(proj.shape[1])
                 )
-                assert abs(model.gain(prob, t, i, X) - brute) < 1e-12
+                assert abs(gains[t, i] - brute) < 1e-12
 
     def test_shape_mismatch(self, rng):
         prob, _ = random_problem(rng)
         with pytest.raises(ValueError):
-            model.gain(prob, 0, 0, np.zeros(prob.d + 1))
+            model.all_gains(prob, np.zeros(prob.d + 1))
 
 
 class TestSoftmaxPmf:
     def test_zero_input_uniform(self, rng):
         prob, _ = random_problem(rng)
-        pmf = model.softmax_pmf(prob, 0, np.zeros(prob.d))
-        np.testing.assert_allclose(pmf, np.full(prob.n_codewords, 1 / prob.n_codewords))
+        pmf = model.softmax_pmf(prob, np.zeros(prob.d))
+        np.testing.assert_allclose(pmf, np.full((prob.T, prob.n_codewords), 1 / prob.n_codewords))
 
     def test_two_codeword_formula(self):
         # gains (1, 0), tau=1 -> (e/(1+e), 1/(1+e))
         cb = model.Codebook(V=np.eye(2))
         prob = make_problem([np.eye(2)], cb, [0], tau=1.0)
-        pmf = model.softmax_pmf(prob, 0, np.array([1.0, 0.0]))
-        np.testing.assert_allclose(pmf, [np.e / (1 + np.e), 1 / (1 + np.e)], rtol=1e-12)
+        pmf = model.softmax_pmf(prob, np.array([1.0, 0.0]))
+        np.testing.assert_allclose(pmf, [[np.e / (1 + np.e), 1 / (1 + np.e)]], rtol=1e-12)
 
     def test_sums_to_one_and_positive(self, rng):
         for _ in range(20):
             prob, x = random_problem(rng)
-            pmf = model.softmax_pmf(prob, 0, 3.0 * x)
-            assert abs(pmf.sum() - 1.0) < 1e-12
+            pmf = model.softmax_pmf(prob, 3.0 * x)
+            np.testing.assert_allclose(pmf.sum(axis=1), 1.0, atol=1e-12)
             assert np.all(pmf > 0)
+
+    def test_matches_scipy_softmax_of_oracle_gains(self, rng):
+        for r in (1, 2):
+            prob, _ = random_problem(rng, d=6, p=4, n=2, r=r, T=5, tau=0.4)
+            X = rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))
+            pmf = model.softmax_pmf(prob, X)
+            assert pmf.shape == (prob.T, prob.n_codewords)
+            np.testing.assert_allclose(pmf, softmax(oracle_gains(prob, X) / prob.tau, axis=1), atol=1e-12)
+
+    def test_per_round_call_is_a_type_error(self, rng):
+        prob, x = random_problem(rng)
+        with pytest.raises(TypeError):
+            model.softmax_pmf(prob, 0, x)
 
     def test_phase_invariance(self, rng):
         prob, x = random_problem(rng)
         for phi in (0.3, 1.2, 4.0):
             np.testing.assert_allclose(
-                model.softmax_pmf(prob, 0, x),
-                model.softmax_pmf(prob, 0, np.exp(1j * phi) * x),
+                model.softmax_pmf(prob, x),
+                model.softmax_pmf(prob, np.exp(1j * phi) * x),
                 atol=1e-12,
             )
 
     def test_overflow_safe(self, rng):
         prob, x = random_problem(rng, tau=1e-8)
-        pmf = model.softmax_pmf(prob, 0, 10.0 * x)
+        pmf = model.softmax_pmf(prob, 10.0 * x)
         assert np.isfinite(pmf).all()
+        np.testing.assert_allclose(pmf.sum(axis=1), 1.0, atol=1e-12)
 
     def test_mass_concentrates_as_tau_drops(self, rng):
         prob, x = random_problem(rng)
-        win = model.hard_pmi(prob, 0, x)
-        last = 0.0
+        win = np.argmax(oracle_gains(prob, x), axis=1)
+        last = np.zeros(prob.T)
         for tau in (2.0, 1.0, 0.5, 0.1, 0.02):
             prob_t = model.EstimationProblem(prob.rounds, prob.codebook, tau)
-            val = model.softmax_pmf(prob_t, 0, x)[win]
-            assert val >= last - 1e-12
+            val = model.softmax_pmf(prob_t, x)[np.arange(prob.T), win]
+            assert np.all(val >= last - 1e-12)
             last = val
-        assert last > 0.999
+        assert last[0] > 0.999
 
 
 class TestSamplePmi:
+    """The softmax rule of simulate_problem."""
+
     def test_single_codeword(self, rng):
-        prob, x = random_problem(rng, p=2, n=1)
-        assert model.sample_pmi(prob, 0, x, rng) == 0
+        prob, x = random_problem(rng, p=2, n=1, T=20)
+        sim = model.simulate_problem(prob.q_stack, prob.codebook, x, prob.tau, rng)
+        assert np.all(sim.pmi_array == 0)
 
     def test_degenerate_temperature_gives_argmax(self, rng):
         prob, x = random_problem(rng)
-        prob_cold = model.EstimationProblem(prob.rounds, prob.codebook, 1e-6)
-        win = model.hard_pmi(prob_cold, 0, x)
+        win = np.argmax(oracle_gains(prob, x), axis=1)
         for _ in range(20):
-            assert model.sample_pmi(prob_cold, 0, x, rng) == win
+            sim = model.simulate_problem(prob.q_stack, prob.codebook, x, 1e-6, rng)
+            np.testing.assert_array_equal(sim.pmi_array, win)
 
     def test_frequencies_match_pmf(self):
         rng = np.random.default_rng(5)
         prob, x = random_problem(rng, d=4, p=4, n=4, tau=0.8)
-        pmf = model.softmax_pmf(prob, 0, x)
+        pmf = model.softmax_pmf(prob, x)[0]
         draws = 20000
-        counts = np.zeros(4)
-        gen = np.random.default_rng(99)
-        for _ in range(draws):
-            counts[model.sample_pmi(prob, 0, x, gen)] += 1
+        # One design repeated: every round is an independent draw from round 0's pmf.
+        qs = np.broadcast_to(prob.q_stack[0], (draws, 4, 4))
+        sim = model.simulate_problem(qs, prob.codebook, x, prob.tau, np.random.default_rng(99))
+        counts = np.bincount(sim.pmi_array, minlength=4)
         stat = chisquare(counts, pmf * draws)
         assert stat.pvalue > 0.001
 
     def test_bit_reproducible(self, rng):
-        prob, x = random_problem(rng)
-        a = [model.sample_pmi(prob, 0, x, np.random.default_rng(3)) for _ in range(10)]
-        b = [model.sample_pmi(prob, 0, x, np.random.default_rng(3)) for _ in range(10)]
-        assert a == b
+        prob, x = random_problem(rng, T=10)
+        a, b = (
+            model.simulate_problem(prob.q_stack, prob.codebook, x, prob.tau, np.random.default_rng(3))
+            for _ in range(2)
+        )
+        np.testing.assert_array_equal(a.pmi_array, b.pmi_array)
 
 
 class TestHardPmiAndCqi:
+    """The hard rule and the CQI reports of simulate_problem."""
+
     def test_aligned_channel_selects_codeword(self, rng):
         prob, _ = random_problem(rng, n=3)
-        a = model.effective_codeword(prob, 0, 2)
-        assert model.hard_pmi(prob, 0, a) == 2
+        sim = model.simulate_problem(
+            prob.q_stack[:1], prob.codebook, lifted(prob, 0, 2), prob.tau, rule="hard"
+        )
+        assert sim.pmi_array[0] == 2
 
     def test_tie_breaks_to_smallest_index(self):
         # codewords e_1 and e_2; x has equal overlap with both
         cb = model.Codebook(V=np.eye(3)[:, 1:])
-        prob = make_problem([np.eye(3)], cb, [0])
         x = np.array([0.0, 1.0, 1.0]) / np.sqrt(2)
-        assert model.hard_pmi(prob, 0, x) == 0
+        sim = model.simulate_problem([np.eye(3)], cb, x, 1.0, rule="hard")
+        assert sim.pmi_array[0] == 0
 
     def test_exhaustive_scan_oracle(self, rng):
         for _ in range(10):
             prob, _ = random_problem(rng, d=5, p=4, n=4)
             x = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-            gains = [model.gain(prob, 0, i, x) for i in range(prob.n_codewords)]
-            assert model.hard_pmi(prob, 0, x) == int(np.argmax(gains))
+            sim = model.simulate_problem(prob.q_stack, prob.codebook, x, prob.tau, rule="hard")
+            np.testing.assert_array_equal(sim.pmi_array, np.argmax(oracle_gains(prob, x), axis=1))
 
     def test_cqi_zero_channel(self, rng):
         prob, _ = random_problem(rng)
-        assert model.cqi_value(prob, 0, np.zeros(prob.d)) == 0.0
+        sim = model.simulate_problem(
+            prob.q_stack, prob.codebook, np.zeros(prob.d), prob.tau, rule="hard", attach_cqi=True
+        )
+        assert np.all(sim.cqi_array == 0.0)
 
     def test_cqi_unit_at_selected_codeword(self, rng):
         prob, _ = random_problem(rng)
         i = prob.rounds[0].pmi
-        a = model.effective_codeword(prob, 0, i)
-        assert abs(model.cqi_value(prob, 0, a) - 1.0) < 1e-6
+        sim = model.simulate_problem(
+            prob.q_stack[:1], prob.codebook, lifted(prob, 0, i), prob.tau, rule="hard", attach_cqi=True
+        )
+        assert sim.pmi_array[0] == i
+        assert abs(sim.cqi_array[0] - 1.0) < 1e-6
 
     def test_cqi_is_float32_rounded_gain(self, rng):
-        prob, x = random_problem(rng)
-        g = model.gain(prob, 0, prob.rounds[0].pmi, 1.7 * x)
-        assert model.cqi_value(prob, 0, 1.7 * x) == float(np.float32(g))
+        prob, x = random_problem(rng, T=8)
+        for rule in ("hard", "softmax"):
+            sim = model.simulate_problem(
+                prob.q_stack, prob.codebook, 1.7 * x, prob.tau, rng, rule=rule, attach_cqi=True
+            )
+            g = model.all_gains(sim, 1.7 * x)[np.arange(sim.T), sim.pmi_array]
+            np.testing.assert_array_equal(sim.cqi_array, g.astype(np.float32).astype(float))
 
 
 class TestSimulate:
     def test_hard_rule_matches_hard_pmi(self, rng):
         prob, x = random_problem(rng, rule="hard")
-        for t in range(prob.T):
-            assert prob.rounds[t].pmi == model.hard_pmi(prob, t, x)
+        np.testing.assert_array_equal(prob.pmi_array, np.argmax(oracle_gains(prob, x), axis=1))
 
     def test_softmax_needs_rng(self, rng):
         cb = designs.dft_codebook(2)
@@ -295,13 +319,18 @@ class TestSimulate:
             model.simulate_rounds([np.eye(2)], cb, np.ones(2), 1.0, rule="softmax")
 
     def test_softmax_stream_matches_scalar_sampling(self, rng):
-        # One uniform per round in round order: the stream of sample_pmi.
+        # One uniform per round in round order, inverse-CDF over that round's pmf.
         prob, x = random_problem(rng, T=50, tau=0.3)
         sim = model.simulate_problem(prob.q_stack, prob.codebook, x, prob.tau, np.random.default_rng(8))
         gen = np.random.default_rng(8)
-        assert sim.pmi_array.tolist() == [model.sample_pmi(prob, t, x, gen) for t in range(prob.T)]
+        expected = []
+        for pmf in model.softmax_pmf(prob, x):
+            idx = int(np.searchsorted(np.cumsum(pmf), gen.random(), side="right"))
+            expected.append(min(idx, prob.n_codewords - 1))
+        assert sim.pmi_array.tolist() == expected
 
     def test_attach_cqi(self, rng):
         prob, x = random_problem(rng, rule="hard", attach_cqi=True)
-        for t in range(prob.T):
-            assert prob.rounds[t].cqi == model.cqi_value(prob, t, x)
+        g = oracle_gains(prob, x)[np.arange(prob.T), prob.pmi_array]
+        np.testing.assert_allclose(prob.cqi_array, g, rtol=1e-6)
+        assert all(float(np.float32(c)) == c for c in prob.cqi_array)

@@ -33,8 +33,7 @@ class TestPmin:
             floor = theory.p_min_value(n, R, 0.8)
             x = rng.standard_normal(d)
             x *= rng.uniform(0, R) / np.linalg.norm(x)
-            for t in range(prob.T):
-                assert model.softmax_pmf(prob, t, x).min() >= floor
+            assert model.softmax_pmf(prob, x).min() >= floor
 
 
 class TestKappa0:
