@@ -81,8 +81,9 @@ def _options(ap: argparse.ArgumentParser, args: argparse.Namespace) -> dict:
     return opts
 
 
-def _outdir(opts: dict) -> Path:
-    out = Path(opts.pop("out", "results"))
+def _outdir(dest: str) -> Path:
+    """The output directory, made once the driver has returned."""
+    out = Path(dest)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -143,8 +144,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_crb(opts: dict) -> int:
-    out = _outdir(opts)
+    dest = opts.pop("out", "results")
     rows = experiments.run_crb_experiment(**opts)
+    out = _outdir(dest)
     experiments.write_results_csv(rows, out / "results.csv")
     experiments.write_timings_csv(rows, out / "timings.csv")
     summary = experiments.summarize_crb(rows)
@@ -158,8 +160,9 @@ def _cmd_crb(opts: dict) -> int:
 
 
 def _cmd_fdd(opts: dict) -> int:
-    out = _outdir(opts)
+    dest = opts.pop("out", "results")
     rows = experiments.run_fdd_experiment(**opts)
+    out = _outdir(dest)
     experiments.write_results_csv(rows, out / "results.csv")
     experiments.write_timings_csv(rows, out / "timings.csv")
     experiments.write_summary_csv(experiments.summarize_fdd(rows), out / "summary.csv")
@@ -168,8 +171,9 @@ def _cmd_fdd(opts: dict) -> int:
 
 
 def _cmd_ablate(opts: dict, kind: str) -> int:
-    out = _outdir(opts)
+    dest = opts.pop("out", "results")
     rows = experiments.run_ablation(kind, **opts)
+    out = _outdir(dest)
     experiments.write_results_csv(rows, out / "results.csv")
     experiments.write_summary_csv(experiments.summarize_ablation(rows), out / "summary.csv")
     print(f"wrote {out}/results.csv and summary.csv")
@@ -177,9 +181,10 @@ def _cmd_ablate(opts: dict, kind: str) -> int:
 
 
 def _cmd_verify(opts: dict) -> int:
-    out = _outdir(opts)
+    dest = opts.pop("out", "results")
     opts["include_slope"] = not opts.pop("skip_slope", False)
     records = experiments.run_theory_verification(**opts)
+    out = _outdir(dest)
     experiments.write_summary_csv(records, out / "report.csv")
     for rec in records:
         status = "pass" if rec["passed"] else "FAIL"
@@ -222,7 +227,10 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.command == "dataset-inspect":
         return _cmd_dataset_inspect(args.path)
-    return _COMMANDS[args.command](_options(ap, args))
+    try:
+        return _COMMANDS[args.command](_options(ap, args))
+    except experiments.InvalidOptionError as exc:
+        ap.error(f"{args.command}: {exc}")
 
 
 if __name__ == "__main__":

@@ -25,6 +25,7 @@ __all__ = [
 ]
 
 _HERM_TOL = 1e-10
+TYPE1_PORTS = 8  # columns of the first-round reduction ``type1_q1``
 
 
 @dataclass(frozen=True)
@@ -140,11 +141,11 @@ def type1_q1(sigma_ul: UplinkCovariance | np.ndarray) -> np.ndarray:
     inner 8 x 8 factor is unitary, so Q1 spans the top-8 uplink subspace.
     """
     S = sigma_ul.Sigma if isinstance(sigma_ul, UplinkCovariance) else np.asarray(sigma_ul)
-    if S.shape[0] < 8:
-        raise ValueError("need at least 8 antenna ports")
+    if S.shape[0] < TYPE1_PORTS:
+        raise ValueError(f"need at least {TYPE1_PORTS} antenna ports")
     f2 = np.array([[1.0, 1.0], [1.0, -1.0]])
     inner = np.kron(np.eye(2), np.kron(f2, f2) / 2.0)
-    return eigvecs_descending(S, 8) @ inner
+    return eigvecs_descending(S, TYPE1_PORTS) @ inner
 
 
 def _ula_steering(d: int, angle: float) -> np.ndarray:

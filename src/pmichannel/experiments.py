@@ -7,7 +7,11 @@ depend on worker count or execution order.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import math
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -23,6 +27,7 @@ from .dataset import ChannelDataset, read_dataset
 __all__ = [
     "ExperimentResult",
     "FDD_METHODS",
+    "InvalidOptionError",
     "run_crb_experiment",
     "run_fdd_experiment",
     "run_ablation",
@@ -39,6 +44,10 @@ __all__ = [
 
 FDD_METHODS = ("two-stage", "spectral", "am", "subspace-pr", "mle", "subspace-mle")
 _CQI_METHODS = {"am", "subspace-pr"}
+
+
+class InvalidOptionError(ValueError):
+    """A driver option out of range, refused before any work starts."""
 
 
 @dataclass(frozen=True)
@@ -80,11 +89,66 @@ def write_timings_csv(rows: Iterable[ExperimentResult], path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+@functools.lru_cache(maxsize=None)
+def _openblas_threads() -> Optional[tuple]:
+    """(get, set) thread-count functions of numpy's bundled OpenBLAS, or None if not found."""
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas64_*.so")):
+        try:
+            lib = ctypes.CDLL(str(path))
+            get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+# The BLAS thread count is process-wide: the first holder saves it and sets
+# one thread, the last one to leave restores it.
+_BLAS_LOCK = threading.Lock()
+_blas_hold = {"holders": 0, "saved": 1}
+
+
+@contextlib.contextmanager
+def _single_threaded_blas():
+    """Hold numpy's OpenBLAS at one thread, restoring its count on exit.
+
+    Without the library or its symbols this does nothing.
+    """
+    funcs = _openblas_threads()
+    if funcs is None:
+        yield
+        return
+    get, set_ = funcs
+    with _BLAS_LOCK:
+        if _blas_hold["holders"] == 0:
+            _blas_hold["saved"] = get()
+            set_(1)
+        _blas_hold["holders"] += 1
+    try:
+        yield
+    finally:
+        with _BLAS_LOCK:
+            _blas_hold["holders"] -= 1
+            if _blas_hold["holders"] == 0:
+                set_(_blas_hold["saved"])
+
+
 def _run_tasks(tasks: Sequence, fn: Callable, workers: int) -> list:
-    if workers <= 1:
-        return [fn(t) for t in tasks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks))
+    """``[fn(t) for t in tasks]`` on ``workers`` threads, with BLAS at one thread.
+
+    Worker threads each run their own GEMMs, so BLAS threads on top of them
+    only oversubscribe the cores.  The cap holds for one worker too: some
+    GEMMs (the Fisher matrix at T=500, d=16) round differently with two BLAS
+    threads, and output bytes must not depend on the worker count.
+    """
+    with _single_threaded_blas():
+        if workers <= 1:
+            return [fn(t) for t in tasks]
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, tasks))
 
 
 def fit_inverse_t(t_values: np.ndarray, y_values: np.ndarray) -> float:
@@ -288,8 +352,13 @@ def run_fdd_experiment(
     attached (32-bit rounded) for the magnitude-based baselines.  Designs
     start from the codebook-compatible first round and are nested, so every
     T-round problem is a prefix of one simulated max(rounds)-round history.
-    The DFT codebook has the first round's dimension (8 ports).
+    The DFT codebook has the first round's dimension (8 ports), so r must
+    divide 8.
     """
+    if not rounds or min(rounds) < 1:
+        raise InvalidOptionError(f"every round count must be at least 1, got {list(rounds)}")
+    if r < 1 or designs.TYPE1_PORTS % r:
+        raise InvalidOptionError(f"r must divide {designs.TYPE1_PORTS}, got {r}")
     channels = _load_channels(dataset, n_samples, d, n_rx, paths, seed)
     t_max = max(rounds)
 

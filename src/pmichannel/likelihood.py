@@ -19,6 +19,7 @@ from .model import (
     EstimationProblem,
     _as_matrix,
     _gains_from_proj,
+    _row_lse,
     _softmax,
     all_gains,
     pmi_covariance,
@@ -88,19 +89,25 @@ class MleConfig:
 
 @dataclass
 class MleReport:
+    """Outcome of ``solve_mle``.
+
+    ``n_obj_evals`` counts the objective values of the line search and
+    ``n_grad_evals`` the fused value-and-gradient calls (one at the start
+    and one per iteration); the spectral start's scale scan is in neither.
+    """
+
     iterations: int
     nll: float
     rel_change: float
     stop_reason: str
     radius: float
+    n_obj_evals: int
+    n_grad_evals: int
     coefficients: Optional[np.ndarray] = None
 
 
 def _nll_from_scores(problem: EstimationProblem, scores: np.ndarray) -> float:
-    mx = scores.max(axis=1, keepdims=True)
-    z = np.exp(scores - mx).sum(axis=1)
-    sel = scores[np.arange(problem.T), problem.pmi_array]
-    return float(np.mean(np.log(z) + mx[:, 0] - sel))
+    return float(np.mean(_row_lse(scores, problem.pmi_flat)[2]))
 
 
 def nll(problem: EstimationProblem, x: np.ndarray) -> float:
@@ -137,22 +144,14 @@ def _value_and_grad(problem: EstimationProblem, X: np.ndarray) -> tuple[float, n
     with Hermitian A, which is the conjugate-coordinate (Wirtinger) gradient
     scaled so finite differences of the realified coordinates match.
     """
-    T, r = problem.T, problem.codebook.r
     C = problem.effective_flat_h @ X  # (T*N*r, m) projections
-    gains = _gains_from_proj(C, problem.codebook)
-    scores = gains / problem.tau
-    mx = scores.max(axis=1, keepdims=True)
-    ex = np.exp(scores - mx)
-    z = ex.sum(axis=1)
-    sel = scores[np.arange(T), problem.pmi_array]
-    value = float(np.mean(np.log(z) + mx[:, 0] - sel))
-    P = ex / z[:, None]
-    weights = np.repeat(P, r, axis=1)
-    cols = problem.pmi_array[:, None] * r + np.arange(r)[None, :]
-    weights[np.arange(T)[:, None], cols] -= 1.0
-    D = weights.reshape(-1, 1) * C
-    G = (2.0 / (problem.tau * T)) * (problem.effective_flat @ D)
-    return value, G
+    ex, z, terms = _row_lse(_gains_from_proj(C, problem.codebook) / problem.tau, problem.pmi_flat)
+    # Softmax weights minus the one-hot of the reported codeword.
+    W = ex / z[:, None]
+    W.reshape(-1)[problem.pmi_flat] -= 1.0
+    D = np.repeat(W, problem.codebook.r, axis=1).reshape(-1, 1) * C
+    G = (2.0 / (problem.tau * problem.T)) * (problem.effective_flat @ D)
+    return float(np.mean(terms)), G
 
 
 def nll_gradient(problem: EstimationProblem, x: np.ndarray) -> np.ndarray:
@@ -228,15 +227,18 @@ def _initial_point(
         # coefficient space under a subspace prior.
         X = eigvecs_descending(pmi_covariance(problem, basis), m)
         # Scan the scale along the spectral direction; the likelihood is not
-        # scale invariant, so a decent starting norm matters.
+        # scale invariant, so a decent starting norm matters.  Gains are
+        # quadratic, gains(aX) = a^2 gains(X), so one projection serves the
+        # whole scan.  The first minimum wins; if no candidate has a finite
+        # objective, the unscaled direction is returned.
         hi = radius_hint if radius_hint is not None else 10.0
-        best, best_f = X, np.inf
+        scores = all_gains(problem, X if basis is None else basis @ X) / problem.tau
+        best, best_f = None, np.inf
         for alpha in np.geomspace(0.05, hi, 41):
-            cand = alpha * X
-            f = nll(problem, cand if basis is None else basis @ cand)
+            f = _nll_from_scores(problem, (alpha * alpha) * scores)
             if f < best_f:
-                best, best_f = cand, f
-        return best
+                best, best_f = alpha, f
+        return X if best is None else best * X
     raise ValueError(f"unknown initialization {config.init!r}")
 
 
@@ -261,13 +263,17 @@ def solve_mle(
     if radius <= 0:
         raise ValueError("radius must be positive")
 
+    evals = {"obj": 0, "grad": 0}
+
     def lift(Z: np.ndarray) -> np.ndarray:
         return Z if basis is None else basis @ Z
 
     def objective(Z: np.ndarray) -> float:
+        evals["obj"] += 1
         return nll(problem, lift(Z))
 
     def value_grad(Z: np.ndarray) -> tuple[float, np.ndarray]:
+        evals["grad"] += 1
         f, G = _value_and_grad(problem, lift(Z))
         return f, (G if basis is None else basis.conj().T @ G)
 
@@ -316,6 +322,8 @@ def solve_mle(
         rel_change=float(rel),
         stop_reason=stop,
         radius=radius,
+        n_obj_evals=evals["obj"],
+        n_grad_evals=evals["grad"],
         coefficients=S if basis is not None else None,
     )
     return X, report

@@ -280,6 +280,11 @@ class EstimationProblem:
         return np.ascontiguousarray(self.effective_flat.conj().T)
 
     @cached_property
+    def pmi_flat(self) -> np.ndarray:
+        """Flat indices t*N + I_t of the reported entries of a C-ordered (T, N) array."""
+        return np.arange(self.T) * self.n_codewords + self.pmi_array
+
+    @cached_property
     def selected(self) -> np.ndarray:
         """Lifted reported codewords Q_t V_{I_t}, shape (T, d, r).
 
@@ -312,11 +317,31 @@ def all_gains(problem: EstimationProblem, x: np.ndarray) -> np.ndarray:
     return _gains_from_proj(problem.effective_flat_h @ _as_matrix(x), problem.codebook)
 
 
+def _row_lse(
+    scores: np.ndarray, pmi_flat: Optional[np.ndarray] = None
+) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """The one log-sum-exp reduction of a (T, N) score matrix.
+
+    Returns ``ex = exp(scores - m)`` with m the row max, its row sums z and,
+    given the flat indices ``pmi_flat`` of the reported entries, the
+    per-round NLL terms log z + m - scores[t, I_t] (else None).
+
+    The max runs over a codeword-major copy: a max is exact in any order, and
+    N long rows reduce far faster than T short ones.  exp and the sum stay in
+    the (T, N) layout, because NumPy adds a short row in sequence but rows of
+    8 or more pairwise, so a codeword-major sum would move the last bit of z.
+    """
+    mx = np.ascontiguousarray(scores.T).max(axis=0)
+    ex = np.exp(scores - mx[:, None])
+    z = ex.sum(axis=1)
+    terms = None if pmi_flat is None else np.log(z) + mx - scores.take(pmi_flat)
+    return ex, z, terms
+
+
 def _softmax(scores: np.ndarray) -> np.ndarray:
-    """Row-wise softmax with max subtraction; safe for large scores."""
-    shifted = scores - scores.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Row-wise softmax of a (T, N) score matrix; safe for large scores."""
+    ex, z, _ = _row_lse(scores)
+    return ex / z[:, None]
 
 
 def softmax_pmf(problem: EstimationProblem, x: np.ndarray) -> np.ndarray:

@@ -57,6 +57,17 @@ class TestFddDriver:
         # sample count comes from the file, not the argument
         assert {r.trial for r in rows} == {0, 1, 2}
 
+    @pytest.mark.parametrize(
+        "kw", [{"rounds": (0,)}, {"rounds": (3, -1)}, {"rounds": ()}, {"r": 3}, {"r": 0}]
+    )
+    def test_bad_rounds_or_r_refused_before_loading(self, monkeypatch, kw):
+        def no_load(*args, **kwargs):
+            raise AssertionError("channels loaded before the options were checked")
+
+        monkeypatch.setattr(experiments, "_load_channels", no_load)
+        with pytest.raises(experiments.InvalidOptionError):
+            experiments.run_fdd_experiment(n_samples=1, **kw)
+
 
 class TestAblationDriver:
     def test_single_grid_point_matches_fdd(self):
@@ -104,6 +115,23 @@ class TestAblationDriver:
 
 
 class TestDeterminism:
+    def test_tasks_run_with_one_blas_thread(self):
+        funcs = experiments._openblas_threads()
+        if funcs is None:
+            pytest.skip("this numpy has no bundled OpenBLAS")
+        get, set_ = funcs
+        old = get()
+        set_(3)
+        try:
+            for workers in (1, 2):
+                assert experiments._run_tasks(range(4), lambda _: get(), workers) == [1] * 4
+                assert get() == 3
+            with pytest.raises(ZeroDivisionError):
+                experiments._run_tasks([0], lambda t: 1 / t, 2)
+            assert get() == 3
+        finally:
+            set_(old)
+
     def test_crb_rows_identical_across_workers(self):
         kw = dict(d=5, p=2, tau=0.3, rounds=(30, 60), trials=3, seed=7,
                   radius=1.5, max_iters=30, rel_tol=1e-4)
@@ -289,4 +317,20 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             cli.main([*argv, "--out", str(tmp_path / "o")])
         assert exc.value.code == 2
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fdd-experiment", "--rounds", "0"],
+            ["fdd-experiment", "--r", "3"],
+            ["ablate-tau", "--rounds", "1,0"],
+            ["ablate-init", "--r", "3"],
+        ],
+    )
+    def test_bad_rounds_or_r_is_a_usage_error(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--samples", "1", "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert f"{argv[0]}: " in capsys.readouterr().err
         assert not (tmp_path / "o").exists()

@@ -252,6 +252,18 @@ class TestSolveMle:
         assert rep.radius == 2.0
         assert np.isfinite(rep.nll)
 
+    @pytest.mark.parametrize("init, prior", [("spectral", False), ("identity", True)])
+    def test_evaluation_counts(self, rng, init, prior):
+        prob, _ = random_problem(rng, d=6, p=4, n=4, T=40, radius=3.0)
+        B = likelihood.SubspacePrior(designs.haar_stiefel(6, 4, rng)) if prior else None
+        cfg = likelihood.MleConfig(init=init, max_iters=60)
+        _, rep = likelihood.solve_mle(prob, cfg, B)
+        assert rep.n_grad_evals == rep.iterations + 1
+        # Every iteration evaluates at least one trial step.
+        assert rep.n_obj_evals >= rep.iterations
+        _, again = likelihood.solve_mle(prob, cfg, B)
+        assert (again.n_obj_evals, again.n_grad_evals) == (rep.n_obj_evals, rep.n_grad_evals)
+
 
 class TestPopulationExcessRisk:
     def test_zero_at_truth(self, rng):
@@ -306,3 +318,113 @@ class TestPopulationExcessRisk:
             risk = likelihood.population_excess_risk(prob, h, x)
             lifted = np.linalg.norm(np.outer(x, x) - np.outer(h, h)) ** 2
             assert risk >= kappa_eff * p_min**2 / (4 * tau**2) * lifted - 1e-12
+
+
+# The reduction formulas used before the shared ``model._row_lse`` kernel:
+# row max along the short codeword axis, 2-D fancy-index selection.
+def _ref_scores(problem, X):
+    return model.all_gains(problem, X) / problem.tau
+
+
+def _ref_nll(problem, X):
+    scores = _ref_scores(problem, X)
+    mx = scores.max(axis=1, keepdims=True)
+    z = np.exp(scores - mx).sum(axis=1)
+    sel = scores[np.arange(problem.T), problem.pmi_array]
+    return float(np.mean(np.log(z) + mx[:, 0] - sel))
+
+
+def _ref_gradient(problem, X):
+    T, r = problem.T, problem.codebook.r
+    C = problem.effective_flat_h @ X
+    scores = model._gains_from_proj(C, problem.codebook) / problem.tau
+    ex = np.exp(scores - scores.max(axis=1, keepdims=True))
+    weights = np.repeat(ex / ex.sum(axis=1)[:, None], r, axis=1)
+    cols = problem.pmi_array[:, None] * r + np.arange(r)[None, :]
+    weights[np.arange(T)[:, None], cols] -= 1.0
+    return (2.0 / (problem.tau * T)) * (problem.effective_flat @ (weights.reshape(-1, 1) * C))
+
+
+def _ref_pmf(problem, X):
+    scores = _ref_scores(problem, X)
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+class TestReductionKernel:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 9])
+    @pytest.mark.parametrize("r", [1, 2])
+    @pytest.mark.parametrize("complex_mode", [False, True])
+    def test_bitwise_equal_to_reference_formulas(self, n, r, complex_mode):
+        rng = np.random.default_rng([n, r, complex_mode])
+        p = n * r + 1
+        prob, _ = random_problem(
+            rng, d=p + 2, p=p, n=n, r=r, T=60, tau=0.3, complex_mode=complex_mode
+        )
+        for scale in (0.1, 1.0, 4.0):
+            X = rng.standard_normal((prob.d, r))
+            if complex_mode:
+                X = X + 1j * rng.standard_normal((prob.d, r))
+            X *= scale
+            assert likelihood.nll(prob, X) == _ref_nll(prob, X)
+            np.testing.assert_array_equal(likelihood.nll_gradient(prob, X), _ref_gradient(prob, X))
+            np.testing.assert_array_equal(model.softmax_pmf(prob, X), _ref_pmf(prob, X))
+
+    def test_value_and_gradient_share_the_nll_value(self, rng):
+        prob, x = random_problem(rng, d=5, p=4, n=4, T=30)
+        f, _ = likelihood._value_and_grad(prob, 2.0 * x[:, None])
+        assert f == likelihood.nll(prob, 2.0 * x)
+
+
+def _spectral(prob, basis=None, hi=10.0):
+    cfg = likelihood.MleConfig(init="spectral")
+    return likelihood._initial_point(prob, cfg, basis, prob.codebook.r, hi)
+
+
+def _scan_reference(prob, basis, hi):
+    """The 41 full ``nll`` calls along the spectral direction; first minimum wins."""
+    X = designs.eigvecs_descending(model.pmi_covariance(prob, basis), prob.codebook.r)
+    best, best_f = X, np.inf
+    for alpha in np.geomspace(0.05, hi, 41):
+        f = likelihood.nll(prob, alpha * X if basis is None else basis @ (alpha * X))
+        if f < best_f:
+            best, best_f = alpha * X, f
+    return best
+
+
+class TestSpectralScan:
+    @pytest.mark.parametrize("prior", [False, True])
+    @pytest.mark.parametrize("complex_mode", [False, True])
+    def test_matches_full_nll_scan(self, prior, complex_mode):
+        rng = np.random.default_rng([7, prior, complex_mode])
+        for _ in range(10):
+            prob, _ = random_problem(rng, d=6, p=3, n=3, T=80, complex_mode=complex_mode)
+            basis = designs.haar_stiefel(6, 4, rng, real=not complex_mode) if prior else None
+            for hi in (0.5, 10.0):
+                np.testing.assert_array_equal(
+                    _spectral(prob, basis, hi), _scan_reference(prob, basis, hi)
+                )
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_candidates_are_never_chosen(self, rng):
+        # alpha^2 overflows for alpha > 1e154, so the top of this grid gives NaN objectives.
+        prob, _ = random_problem(rng, d=5, p=3, n=3, T=40)
+        x0 = _spectral(prob, hi=1e300)
+        assert np.all(np.isfinite(x0))
+        np.testing.assert_array_equal(x0, _scan_reference(prob, None, 1e300))
+
+    def _scripted(self, monkeypatch, values):
+        calls = iter(values)
+        monkeypatch.setattr(likelihood, "_nll_from_scores", lambda problem, scores: next(calls))
+
+    def test_first_minimum_wins(self, rng, monkeypatch):
+        prob, _ = random_problem(rng, d=5, p=3, n=3, T=20)
+        X = designs.eigvecs_descending(model.pmi_covariance(prob), 1)
+        self._scripted(monkeypatch, [5.0, np.nan, 2.0, np.inf, 1.0, 1.0] + [3.0] * 35)
+        np.testing.assert_array_equal(_spectral(prob), np.geomspace(0.05, 10.0, 41)[4] * X)
+
+    def test_all_non_finite_returns_unscaled_direction(self, rng, monkeypatch):
+        prob, _ = random_problem(rng, d=5, p=3, n=3, T=20)
+        X = designs.eigvecs_descending(model.pmi_covariance(prob), 1)
+        self._scripted(monkeypatch, [np.nan, np.inf] * 20 + [np.nan])
+        np.testing.assert_array_equal(_spectral(prob), X)

@@ -74,3 +74,16 @@ def test_prefix_matches_rebuilt_problem(seed, d, T, data):
         likelihood.nll_gradient(pre, 2 * x), likelihood.nll_gradient(rebuilt, 2 * x)
     )
     np.testing.assert_array_equal(crb.fisher(pre, x).F, crb.fisher(rebuilt, x).F)
+
+
+@SETTINGS
+@given(seed=seeds, d=dims, T=rounds, scale=st.floats(0.1, 3.0))
+def test_fisher_psd_and_gauge_null(seed, d, T, scale):
+    prob, x, _ = _problem(seed, d, T)
+    fm = crb.fisher(prob, scale * x)
+    lam = np.linalg.eigvalsh(fm.F)
+    # F sums T rounds, so its roundoff is T times the per-round noise floor.
+    tol = 1e-10 * lam[-1] + T * fm.noise_floor
+    assert lam[0] >= -tol
+    u = fm.gauge
+    assert abs(u @ fm.F @ u) <= tol * (u @ u)
