@@ -85,6 +85,10 @@ def fisher(problem: EstimationProblem, h: np.ndarray, tau: float | None = None) 
                           - (sum_i p_t(i) g_{t,i})(sum_i p_t(i) g_{t,i})^T ]
     with g_{t,i} = M(a_{t,i} a_{t,i}^H) theta, i.e. the realification of
     a_{t,i} (a_{t,i}^H h).  Only the single-stream model is supported.
+
+    The drivers call this with numpy's OpenBLAS held at one thread.  Called
+    outside them, the last bits of F (and of the CRB) follow the BLAS thread
+    count, because the (2d, T*N) GEMM splits its sum differently per thread.
     """
     if problem.codebook.r != 1:
         raise ValueError("Fisher matrix is defined for the single-stream model")

@@ -70,8 +70,10 @@ class MleConfig:
     "random" (a Haar Stiefel draw from ``default_rng(0)``), "spectral"
     (dominant eigenvectors of the PMI sample covariance, with a 1-D
     objective scan over the scale) or "explicit" (use ``x0``).  The step
-    starts at tau/(4 R^2) and is halved whenever a step would increase the
-    objective.
+    starts at tau/(4 R^2).  Each iteration first tries the previous
+    iteration's step; if that would increase the objective, the step is
+    halved until it does not, otherwise it is doubled while the objective
+    strictly improves.
     """
 
     max_iters: int = 100
@@ -91,9 +93,11 @@ class MleConfig:
 class MleReport:
     """Outcome of ``solve_mle``.
 
-    ``n_obj_evals`` counts the objective values of the line search and
-    ``n_grad_evals`` the fused value-and-gradient calls (one at the start
-    and one per iteration); the spectral start's scale scan is in neither.
+    ``n_obj_evals`` counts the line-search trial objectives, each computed
+    from cached projections without a GEMV, and ``n_grad_evals`` the
+    gradients (one at the start and one per iteration, each one GEMM); the
+    spectral start's scale scan is in neither.  ``nll`` is the objective at
+    the returned estimate, taken from the carried projections.
     """
 
     iterations: int
@@ -106,8 +110,42 @@ class MleReport:
     coefficients: Optional[np.ndarray] = None
 
 
+# The objective kernel in two steps, so the solver can carry projections:
+# the projection step C = A^H X, shape (T*N*r, m), is one GEMV (a thin GEMM
+# for m > 1) over ``effective_flat_h``; from C come the value and, through
+# the same softmax, the weights-and-GEMM step of the gradient.
+
+
+def _value_from_scores(
+    problem: EstimationProblem, scores: np.ndarray
+) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
+    """NLL of a (T, N) score matrix, and the ``(ex, z)`` its gradient needs."""
+    ex, z, lse = _row_lse(scores)
+    return float(np.mean(lse - scores.take(problem.pmi_flat))), (ex, z)
+
+
 def _nll_from_scores(problem: EstimationProblem, scores: np.ndarray) -> float:
-    return float(np.mean(_row_lse(scores, problem.pmi_flat)[2]))
+    return _value_from_scores(problem, scores)[0]
+
+
+def _value_from_proj(
+    problem: EstimationProblem, C: np.ndarray
+) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
+    """NLL at the projections C, and the ``(ex, z)`` of ``_grad_from_proj``."""
+    return _value_from_scores(problem, _gains_from_proj(C, problem.codebook) / problem.tau)
+
+
+def _grad_from_proj(
+    problem: EstimationProblem, C: np.ndarray, ex: np.ndarray, z: np.ndarray
+) -> np.ndarray:
+    """Gradient at the projections C from their ``_row_lse`` output: one GEMM."""
+    # Softmax weights minus the one-hot of the reported codeword.  ex may be
+    # a transposed view; the flat in-place subtraction needs a C-ordered W.
+    W = np.ascontiguousarray(ex / z[:, None])
+    W.reshape(-1)[problem.pmi_flat] -= 1.0
+    # Row (t, i, k) of C takes the weight W[t, i].
+    D = (W[:, :, None] * C.reshape(*W.shape, -1)).reshape(C.shape)
+    return (2.0 / (problem.tau * problem.T)) * (problem.effective_flat @ D)
 
 
 def nll(problem: EstimationProblem, x: np.ndarray) -> float:
@@ -144,14 +182,9 @@ def _value_and_grad(problem: EstimationProblem, X: np.ndarray) -> tuple[float, n
     with Hermitian A, which is the conjugate-coordinate (Wirtinger) gradient
     scaled so finite differences of the realified coordinates match.
     """
-    C = problem.effective_flat_h @ X  # (T*N*r, m) projections
-    ex, z, terms = _row_lse(_gains_from_proj(C, problem.codebook) / problem.tau, problem.pmi_flat)
-    # Softmax weights minus the one-hot of the reported codeword.
-    W = ex / z[:, None]
-    W.reshape(-1)[problem.pmi_flat] -= 1.0
-    D = np.repeat(W, problem.codebook.r, axis=1).reshape(-1, 1) * C
-    G = (2.0 / (problem.tau * problem.T)) * (problem.effective_flat @ D)
-    return float(np.mean(terms)), G
+    C = problem.effective_flat_h @ X
+    f, (ex, z) = _value_from_proj(problem, C)
+    return f, _grad_from_proj(problem, C, ex, z)
 
 
 def nll_gradient(problem: EstimationProblem, x: np.ndarray) -> np.ndarray:
@@ -193,13 +226,39 @@ def population_excess_risk(
     Equals the average over rounds of KL(p_t(.; h) || p_t(.; x)), computed
     exactly as a finite sum over the N outcomes; zero iff the pmfs agree.
     """
-    tau = problem.tau
-    Gh = all_gains(problem, h) / tau
-    Gx = all_gains(problem, x) / tau
-    lp_h = Gh - logsumexp(Gh, axis=1, keepdims=True)
-    lp_x = Gx - logsumexp(Gx, axis=1, keepdims=True)
-    kl = np.sum(np.exp(lp_h) * (lp_h - lp_x), axis=1)
+    sh = all_gains(problem, h) / problem.tau
+    sx = all_gains(problem, x) / problem.tau
+    ex_h, z_h, lse_h = _row_lse(sh)
+    lse_x = _row_lse(sx)[2]
+    # log p = scores - lse, so log p_h - log p_x = (sh - sx) - (lse_h - lse_x).
+    kl = np.sum((ex_h / z_h[:, None]) * ((sh - lse_h[:, None]) - (sx - lse_x[:, None])), axis=1)
     return max(float(np.mean(kl)), 0.0)
+
+
+def _line_search_point(
+    problem: EstimationProblem,
+    S: np.ndarray,
+    C: np.ndarray,
+    G: np.ndarray,
+    P: np.ndarray,
+    s: float,
+    radius: float,
+) -> tuple[float, np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """One line-search trial: S - s G projected onto the ball, without a GEMV.
+
+    C = A^H lift(S) and P = A^H lift(G) are the projections of the iterate
+    and of the gradient.  Lift and projection are linear and the ball
+    projection is a rescale by c(s) = min(1, radius / ||S - s G||), so the
+    trial point Z has the projections c(s) (C - s P).  Returns the NLL at
+    Z, Z, its projections and the ``(ex, z)`` that ``_grad_from_proj``
+    needs there.
+    """
+    Z, CZ = S - s * G, C - s * P
+    nrm = float(np.linalg.norm(Z))
+    if nrm > radius:
+        Z, CZ = Z * (radius / nrm), CZ * (radius / nrm)
+    f, softmax_state = _value_from_proj(problem, CZ)
+    return f, Z, CZ, softmax_state
 
 
 def _initial_point(
@@ -254,6 +313,12 @@ def solve_mle(
     onto the ball if needed.  Stops at ``max_iters`` or when the phase- or
     Procrustes-aligned relative change drops below ``rel_tol``.  With a
     subspace prior the coefficient matrix S is optimized and B @ S returned.
+
+    Each iteration costs one projection GEMV, P = A^H G for the gradient G,
+    and one gradient GEMM, however many line-search trials it takes: the
+    projections C = A^H S of the iterate are carried along, every trial
+    point's projections are a rescaled C - s P (``_line_search_point``), and
+    the value and gradient at the accepted point come from its projections.
     """
     config = config or MleConfig()
     basis = prior.B if prior is not None else None
@@ -268,50 +333,51 @@ def solve_mle(
     def lift(Z: np.ndarray) -> np.ndarray:
         return Z if basis is None else basis @ Z
 
-    def objective(Z: np.ndarray) -> float:
-        evals["obj"] += 1
-        return nll(problem, lift(Z))
-
-    def value_grad(Z: np.ndarray) -> tuple[float, np.ndarray]:
+    def gradient(C: np.ndarray, softmax_state: tuple) -> np.ndarray:
         evals["grad"] += 1
-        f, G = _value_and_grad(problem, lift(Z))
-        return f, (G if basis is None else basis.conj().T @ G)
+        G = _grad_from_proj(problem, C, *softmax_state)
+        return G if basis is None else basis.conj().T @ G
 
     def project(Z: np.ndarray) -> np.ndarray:
         nrm = float(np.linalg.norm(Z))
         return Z * (radius / nrm) if nrm > radius else Z
 
+    def trial(s: float) -> tuple:
+        evals["obj"] += 1
+        return _line_search_point(problem, S, C, G, P, s, radius)
+
     S = project(S)
-    f, G = value_grad(S)
+    C = problem.effective_flat_h @ lift(S)
+    f, softmax_state = _value_from_proj(problem, C)
+    G = gradient(C, softmax_state)
     step0 = problem.tau / (4.0 * radius**2)
     step = step0
     rel = np.inf
     stop = "max-iters"
     it = 0
     for it in range(1, config.max_iters + 1):
-        trial = step
-        S_new = project(S - trial * G)
-        f_new = objective(S_new)
-        if f_new > f:
-            while f_new > f and trial > 1e-20 * step0:
-                trial /= 2.0
-                S_new = project(S - trial * G)
-                f_new = objective(S_new)
+        P = problem.effective_flat_h @ lift(G)
+        s = step
+        new = trial(s)
+        if new[0] > f:
+            while new[0] > f and s > 1e-20 * step0:
+                s /= 2.0
+                new = trial(s)
         else:
             # Two-way search: the crude initial scale can be far too small,
             # so keep doubling while the objective strictly improves.
-            while trial < 1e9 * step0:
-                S_big = project(S - 2.0 * trial * G)
-                f_big = objective(S_big)
-                if not f_big < f_new:
+            while s < 1e9 * step0:
+                big = trial(2.0 * s)
+                if not big[0] < new[0]:
                     break
-                trial, S_new, f_new = 2.0 * trial, S_big, f_big
+                s, new = 2.0 * s, big
+        f_new, S_new, C, softmax_state = new
         if not np.isfinite(f_new):
             raise NumericalFailureError(f"non-finite objective at iteration {it}")
         rel = procrustes_rel_change(S_new, S)
-        step = trial
-        S = S_new
-        f, G = value_grad(S)
+        step = s
+        S, f = S_new, f_new
+        G = gradient(C, softmax_state)
         if rel < config.rel_tol:
             stop = "converged"
             break

@@ -317,31 +317,36 @@ def all_gains(problem: EstimationProblem, x: np.ndarray) -> np.ndarray:
     return _gains_from_proj(problem.effective_flat_h @ _as_matrix(x), problem.codebook)
 
 
-def _row_lse(
-    scores: np.ndarray, pmi_flat: Optional[np.ndarray] = None
-) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+def _row_lse(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The one log-sum-exp reduction of a (T, N) score matrix.
 
-    Returns ``ex = exp(scores - m)`` with m the row max, its row sums z and,
-    given the flat indices ``pmi_flat`` of the reported entries, the
-    per-round NLL terms log z + m - scores[t, I_t] (else None).
+    Returns ``ex = exp(scores - m)`` with m the row max, its row sums z and
+    the row log-sum-exp ``lse = log z + m``.
 
-    The max runs over a codeword-major copy: a max is exact in any order, and
-    N long rows reduce far faster than T short ones.  exp and the sum stay in
-    the (T, N) layout, because NumPy adds a short row in sequence but rows of
-    8 or more pairwise, so a codeword-major sum would move the last bit of z.
+    The max runs over a codeword-major (N, T) copy: a max is exact in any
+    order, and N long rows reduce far faster than T short ones.  For short
+    codebooks (N < 8) exp and the sum run over that copy too, and ``ex``
+    comes back as its transposed (T, N) view, which is not C-contiguous:
+    NumPy adds a row shorter than 8 in sequence, so the codeword-major sum
+    e_0 + e_1 + ... has the bits of the row-wise ``sum(axis=1)``.  From
+    N = 8 on NumPy adds each row pairwise, so exp and the sum stay in the
+    (T, N) layout and ``ex`` is C-contiguous.
     """
-    mx = np.ascontiguousarray(scores.T).max(axis=0)
-    ex = np.exp(scores - mx[:, None])
-    z = ex.sum(axis=1)
-    terms = None if pmi_flat is None else np.log(z) + mx - scores.take(pmi_flat)
-    return ex, z, terms
+    by_codeword = np.ascontiguousarray(scores.T)
+    mx = by_codeword.max(axis=0)
+    if scores.shape[1] < 8:
+        ex_by_codeword = np.exp(by_codeword - mx)
+        ex, z = ex_by_codeword.T, ex_by_codeword.sum(axis=0)
+    else:
+        ex = np.exp(scores - mx[:, None])
+        z = ex.sum(axis=1)
+    return ex, z, np.log(z) + mx
 
 
 def _softmax(scores: np.ndarray) -> np.ndarray:
-    """Row-wise softmax of a (T, N) score matrix; safe for large scores."""
+    """Row-wise softmax of a (T, N) score matrix, C-contiguous; safe for large scores."""
     ex, z, _ = _row_lse(scores)
-    return ex / z[:, None]
+    return np.ascontiguousarray(ex / z[:, None])
 
 
 def softmax_pmf(problem: EstimationProblem, x: np.ndarray) -> np.ndarray:

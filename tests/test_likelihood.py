@@ -214,19 +214,20 @@ class TestSolveMle:
         prob, _ = random_problem(rng, d=5, p=3, n=3, T=20, radius=3.0)
         vals = []
 
-        orig = likelihood._value_and_grad
+        orig = likelihood._grad_from_proj
 
-        def spy(problem, X):
-            out = orig(problem, X)
-            vals.append(out[0])
-            return out
+        # The solver takes one gradient at the start and one at each accepted point.
+        def spy(problem, C, ex, z):
+            vals.append(likelihood._value_from_proj(problem, C)[0])
+            return orig(problem, C, ex, z)
 
-        likelihood._value_and_grad = spy
+        likelihood._grad_from_proj = spy
         try:
             likelihood.solve_mle(prob, likelihood.MleConfig(init="identity", max_iters=40))
         finally:
-            likelihood._value_and_grad = orig
+            likelihood._grad_from_proj = orig
         accepted = np.array(vals)
+        assert accepted.size > 2
         assert np.all(np.diff(accepted) <= 1e-12)
 
     def test_norm_constraint_respected(self, rng):
@@ -263,6 +264,65 @@ class TestSolveMle:
         assert rep.n_obj_evals >= rep.iterations
         _, again = likelihood.solve_mle(prob, cfg, B)
         assert (again.n_obj_evals, again.n_grad_evals) == (rep.n_obj_evals, rep.n_grad_evals)
+
+
+def _grid_problem(complex_mode, r, prior, T):
+    """A problem, optional subspace basis and lift map for the line-search tests."""
+    rng = np.random.default_rng([11, complex_mode, r, prior, T])
+    prob, _ = random_problem(
+        rng, d=6, p=5, n=2, r=r, T=T, tau=0.4, complex_mode=complex_mode, radius=2.0
+    )
+    B = designs.haar_stiefel(6, 4, rng, real=not complex_mode) if prior else None
+    lift = (lambda Z: Z) if B is None else (lambda Z: B @ Z)
+    return rng, prob, B, lift
+
+
+_LINE_SEARCH_GRID = pytest.mark.parametrize(
+    "complex_mode, r, prior",
+    [(c, r, p) for c in (False, True) for r in (1, 2) for p in (False, True)],
+)
+
+
+class TestLineSearchAlgebra:
+    """Trial objectives from carried projections against full ``nll`` calls."""
+
+    @_LINE_SEARCH_GRID
+    def test_trial_objective_matches_nll_of_projected_point(self, complex_mode, r, prior):
+        rng, prob, B, lift = _grid_problem(complex_mode, r, prior, T=50)
+        k = prob.d if B is None else B.shape[1]
+        S = rng.standard_normal((k, r))
+        if complex_mode:
+            S = S + 1j * rng.standard_normal((k, r))
+        S *= 1.5 / np.linalg.norm(S)
+        G = likelihood.nll_gradient(prob, lift(S))
+        G = G if B is None else B.conj().T @ G
+        C, P = prob.effective_flat_h @ lift(S), prob.effective_flat_h @ lift(G)
+        inside = outside = 0
+        for s in np.geomspace(1e-3, 1e3, 13) * (np.linalg.norm(S) / np.linalg.norm(G)):
+            f, Z, CZ, state = likelihood._line_search_point(prob, S, C, G, P, s, prob.radius)
+            ref = S - s * G
+            nrm = np.linalg.norm(ref)
+            if nrm > prob.radius:
+                ref, outside = ref * (prob.radius / nrm), outside + 1
+            else:
+                inside += 1
+            np.testing.assert_array_equal(Z, ref)
+            np.testing.assert_allclose(f, likelihood.nll(prob, lift(ref)), rtol=1e-12)
+            np.testing.assert_allclose(
+                likelihood._grad_from_proj(prob, CZ, *state),
+                likelihood.nll_gradient(prob, lift(ref)),
+                rtol=1e-10, atol=1e-12,
+            )
+        assert inside and outside
+
+    @_LINE_SEARCH_GRID
+    def test_reported_nll_matches_estimate(self, complex_mode, r, prior):
+        _, prob, B, _ = _grid_problem(complex_mode, r, prior, T=200)
+        cfg = likelihood.MleConfig(init="spectral", max_iters=400, rel_tol=1e-9)
+        X, rep = likelihood.solve_mle(prob, cfg, likelihood.SubspacePrior(B) if prior else None)
+        # Long enough for the carried projections to drift, if they did.
+        assert rep.iterations >= 20
+        np.testing.assert_allclose(rep.nll, likelihood.nll(prob, X), rtol=1e-12)
 
 
 class TestPopulationExcessRisk:
@@ -374,6 +434,27 @@ class TestReductionKernel:
         prob, x = random_problem(rng, d=5, p=4, n=4, T=30)
         f, _ = likelihood._value_and_grad(prob, 2.0 * x[:, None])
         assert f == likelihood.nll(prob, 2.0 * x)
+
+
+class TestShortRowSum:
+    """The codeword-major sum of short rows has the bits of the row-wise sum.
+
+    This rests on NumPy adding rows shorter than 8 in sequence, which it
+    does not promise; a NumPy that sums them otherwise fails here.
+    """
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_z_equals_rowwise_sum(self, n):
+        rng = np.random.default_rng([23, n])
+        T = 5000
+        scores = rng.standard_normal((T, n)) * 10.0 ** rng.uniform(-3, 3, (T, n))
+        ex, z, lse = model._row_lse(scores)
+        ref = np.exp(scores - scores.max(axis=1, keepdims=True))
+        # Below N = 8 ex is the transposed view of the codeword-major copy.
+        assert ex.flags.owndata == (n >= 8)
+        np.testing.assert_array_equal(ex, ref)
+        assert np.all(z == ref.sum(axis=1))
+        assert np.all(lse == np.log(z) + scores.max(axis=1))
 
 
 def _spectral(prob, basis=None, hi=10.0):
