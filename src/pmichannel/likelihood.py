@@ -69,11 +69,13 @@ class MleConfig:
     ``init`` is one of "identity" (first columns of an identity matrix),
     "random" (a Haar Stiefel draw from ``default_rng(0)``), "spectral"
     (dominant eigenvectors of the PMI sample covariance, with a 1-D
-    objective scan over the scale) or "explicit" (use ``x0``).  The step
-    starts at tau/(4 R^2).  Each iteration first tries the previous
-    iteration's step; if that would increase the objective, the step is
-    halved until it does not, otherwise it is doubled while the objective
-    strictly improves.
+    objective scan over the scale) or "explicit" (use ``x0``).  The first
+    iteration searches from the step tau/(4 R^2) both ways: it halves while
+    the objective rises, otherwise it doubles while the objective strictly
+    improves.  Every later iteration first tries the Barzilai-Borwein step
+    <s, s>/Re<s, y> of the last move s and gradient change y (twice the last
+    accepted step when Re<s, y> <= 0), clamped to [1e-20, 1e9] tau/(4 R^2),
+    and halves it while the objective rises.
     """
 
     max_iters: int = 100
@@ -94,9 +96,11 @@ class MleReport:
     """Outcome of ``solve_mle``.
 
     ``n_obj_evals`` counts the line-search trial objectives, each computed
-    from cached projections without a GEMV, and ``n_grad_evals`` the
-    gradients (one at the start and one per iteration, each one GEMM); the
-    spectral start's scale scan is in neither.  ``nll`` is the objective at
+    from cached projections without a GEMV: the first iteration's two-way
+    search may take many, a later iteration takes one plus one per halving
+    of its Barzilai-Borwein step.  ``n_grad_evals`` counts the gradients
+    (one at the start and one per iteration, each one GEMM); the spectral
+    start's scale scan is in neither.  ``nll`` is the objective at
     the returned estimate, taken from the carried projections.
     """
 
@@ -314,6 +318,12 @@ def solve_mle(
     Procrustes-aligned relative change drops below ``rel_tol``.  With a
     subspace prior the coefficient matrix S is optimized and B @ S returned.
 
+    The step rule is in ``MleConfig``.  It is monotone: no accepted step
+    raises the objective, except one halved down to the lower clamp.  The
+    Barzilai-Borwein step's s and y are the last changes of the iterate and
+    of the gradient in the solver's own coordinates (coefficients under a
+    subspace prior), so it costs no evaluation beyond those the solver holds.
+
     Each iteration costs one projection GEMV, P = A^H G for the gradient G,
     and one gradient GEMM, however many line-search trials it takes: the
     projections C = A^H S of the iterate are carried along, every trial
@@ -351,22 +361,22 @@ def solve_mle(
     f, softmax_state = _value_from_proj(problem, C)
     G = gradient(C, softmax_state)
     step0 = problem.tau / (4.0 * radius**2)
-    step = step0
+    s_min, s_max = 1e-20 * step0, 1e9 * step0
+    s = step0
     rel = np.inf
     stop = "max-iters"
     it = 0
     for it in range(1, config.max_iters + 1):
         P = problem.effective_flat_h @ lift(G)
-        s = step
         new = trial(s)
         if new[0] > f:
-            while new[0] > f and s > 1e-20 * step0:
+            while new[0] > f and s > s_min:
                 s /= 2.0
                 new = trial(s)
-        else:
+        elif it == 1:
             # Two-way search: the crude initial scale can be far too small,
             # so keep doubling while the objective strictly improves.
-            while s < 1e9 * step0:
+            while s < s_max:
                 big = trial(2.0 * s)
                 if not big[0] < new[0]:
                     break
@@ -375,12 +385,19 @@ def solve_mle(
         if not np.isfinite(f_new):
             raise NumericalFailureError(f"non-finite objective at iteration {it}")
         rel = procrustes_rel_change(S_new, S)
-        step = s
-        S, f = S_new, f_new
-        G = gradient(C, softmax_state)
+        G_new = gradient(C, softmax_state)
+        dS, dG = S_new - S, G_new - G
+        S, f, G = S_new, f_new, G_new
         if rel < config.rel_tol:
             stop = "converged"
             break
+        # The next first trial is the Barzilai-Borwein (BB1) step of this
+        # move; without positive curvature along it, double the accepted step.
+        curv = float(np.vdot(dS, dG).real)
+        if curv > 0:
+            s = float(np.clip(np.vdot(dS, dS).real / curv, s_min, s_max))
+        else:
+            s = min(2.0 * s, s_max)
     X = lift(S)
     report = MleReport(
         iterations=it,

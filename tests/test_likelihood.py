@@ -318,11 +318,98 @@ class TestLineSearchAlgebra:
     @_LINE_SEARCH_GRID
     def test_reported_nll_matches_estimate(self, complex_mode, r, prior):
         _, prob, B, _ = _grid_problem(complex_mode, r, prior, T=200)
-        cfg = likelihood.MleConfig(init="spectral", max_iters=400, rel_tol=1e-9)
+        # A tolerance below machine epsilon keeps the solve going past
+        # convergence, long enough for the carried projections to drift, if
+        # they did.
+        cfg = likelihood.MleConfig(init="spectral", max_iters=60, rel_tol=1e-16)
         X, rep = likelihood.solve_mle(prob, cfg, likelihood.SubspacePrior(B) if prior else None)
-        # Long enough for the carried projections to drift, if they did.
         assert rep.iterations >= 20
         np.testing.assert_allclose(rep.nll, likelihood.nll(prob, X), rtol=1e-12)
+
+
+def _fdd_shaped_problem(sample, r, T=5):
+    """A T-round problem at `run_fdd_experiment`'s shapes (d=32, 8 ports, hard rule)."""
+    rng = np.random.default_rng([0, 3, sample])
+    ch, ul = designs.synthetic_channel(32, 4, 4, rng)
+    rng = np.random.default_rng([0, 4, sample])
+    qs = [designs.type1_q1(ul.Sigma)]
+    qs += [designs.structured_q(ul.Sigma, 8, rng) for _ in range(T - 1)]
+    cb = designs.dft_codebook(8, r)
+    return model.simulate_problem(qs, cb, ch.H, 1.0, rule="hard", radius=4.0)
+
+
+def _first_trial_branches(monkeypatch, prob, cfg, prior=None):
+    """Check every iteration's trial steps against the step rule, from a spy.
+
+    Returns how many iterations after the first took the BB1 step and how
+    many took the doubled step for want of positive curvature.
+    """
+    calls = []
+    orig = likelihood._line_search_point
+
+    def spy(problem, S, C, G, P, s, radius):
+        out = orig(problem, S, C, G, P, s, radius)
+        calls.append((S, G, s, out[1]))
+        return out
+
+    monkeypatch.setattr(likelihood, "_line_search_point", spy)
+    _, rep = likelihood.solve_mle(prob, cfg, prior)
+    # Trials of one iteration share the iterate; the accepted trial's point
+    # is the next iteration's iterate.
+    iters = []
+    for S, G, s, Z in calls:
+        if not iters or S is not iters[-1][0]:
+            iters.append((S, G, []))
+        iters[-1][2].append((s, Z))
+    assert len(iters) == rep.iterations >= 3
+    step0 = prob.tau / (4.0 * prob.radius**2)
+    bb = doubled = 0
+    for (S0, G0, trials0), (S1, G1, trials1) in zip(iters, iters[1:]):
+        dS, dG = S1 - S0, G1 - G0
+        curv = np.sum(dS.conj() * dG).real
+        if curv > 0:
+            bb += 1
+            want = np.clip(np.sum(np.abs(dS) ** 2) / curv, 1e-20 * step0, 1e9 * step0)
+        else:
+            doubled += 1
+            accepted = next(s for s, Z in trials0 if Z is S1)
+            want = min(2.0 * accepted, 1e9 * step0)
+        steps = [s for s, _ in trials1]
+        np.testing.assert_allclose(steps[0], want, rtol=1e-12)
+        # Later trials only halve.
+        assert all(b == a / 2.0 for a, b in zip(steps, steps[1:]))
+    return bb, doubled
+
+
+class TestStepRule:
+    """After the first iteration, the first trial is the clamped BB1 step."""
+
+    @_LINE_SEARCH_GRID
+    def test_first_trial_is_clamped_bb1_step(self, complex_mode, r, prior, monkeypatch):
+        _, prob, B, _ = _grid_problem(complex_mode, r, prior, T=200)
+        cfg = likelihood.MleConfig(init="spectral", max_iters=60, rel_tol=1e-9)
+        bb, _ = _first_trial_branches(
+            monkeypatch, prob, cfg, likelihood.SubspacePrior(B) if prior else None
+        )
+        assert bb > 0
+
+    def test_non_positive_curvature_doubles_the_accepted_step(self, monkeypatch):
+        prob = _fdd_shaped_problem(1, 1)
+        cfg = likelihood.MleConfig(init="spectral", max_iters=200, rel_tol=1e-9)
+        bb, doubled = _first_trial_branches(monkeypatch, prob, cfg)
+        assert bb > 0 and doubled > 0
+
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_loose_tolerance_does_not_stop_after_one_step(self, r):
+        # At `run_fdd_experiment`'s rel_tol of 1e-3, a first step as small as
+        # tau/(4 R^2) barely moves the spectral start and would end the solve.
+        prob = _fdd_shaped_problem(0, r)
+        _, loose = likelihood.solve_mle(prob, likelihood.MleConfig(init="spectral", n_streams=r))
+        tight_cfg = likelihood.MleConfig(init="spectral", n_streams=r, rel_tol=1e-9, max_iters=2000)
+        _, tight = likelihood.solve_mle(prob, tight_cfg)
+        assert tight.stop_reason == "converged"
+        assert loose.iterations > 1
+        assert abs(loose.nll - tight.nll) <= 1e-3
 
 
 class TestPopulationExcessRisk:
