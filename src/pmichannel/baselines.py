@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 
 from .designs import eigvecs_descending, haar_stiefel
-from .likelihood import NumericalFailureError
+from .likelihood import NumericalFailureError, SubspacePrior
 from .metrics import procrustes_rel_change
 from .model import EstimationProblem, pmi_covariance
 
@@ -38,7 +38,8 @@ class BaselineConfig:
     """Knobs shared by the iterative baselines.
 
     ``lambda_am`` defaults to 1 for single-stream AM and 100 for the
-    multi-stream variant when left unset.
+    multi-stream variant when left unset.  ``init`` starts single-stream AM
+    from the spectral estimate ("spectral") or a Haar draw ("random").
     """
 
     lambda_am: Optional[float] = None
@@ -117,14 +118,11 @@ def _am_phase_ls_loop(
         mag = np.abs(z)
         phases = np.where(mag > 0, z / np.where(mag > 0, mag, 1.0), 1.0)
         rhs = rows.T @ (phases * targets)  # sum_t b_t e^{-j phi_t} y_t
-        if lam > 0:
+        try:
             x_new = np.linalg.solve(gram, rhs)
-        else:
-            try:
-                x_new = np.linalg.solve(gram, rhs)
-            except np.linalg.LinAlgError:
-                singular = True
-                x_new = np.linalg.pinv(gram) @ rhs
+        except np.linalg.LinAlgError:
+            singular = True
+            x_new = np.linalg.pinv(gram) @ rhs
         obj = float(np.sum((np.abs(rows.conj() @ x_new) - targets) ** 2) + lam * np.linalg.norm(x_new) ** 2)
         if np.linalg.norm(x_new) == 0 and np.linalg.norm(x) == 0:
             rel = 0.0
@@ -156,8 +154,6 @@ def am_estimate_single(
     rows = problem.selected[:, :, 0]
     if config.init == "spectral":
         x0 = spectral_estimate(problem, 1)[:, 0]
-    elif config.init == "identity":
-        x0 = np.eye(problem.d, 1, dtype=rows.dtype)[:, 0]
     elif config.init == "random":
         rng = rng or np.random.default_rng(config.seed)
         x0 = haar_stiefel(problem.d, 1, rng, real=not np.iscomplexobj(rows))[:, 0]
@@ -185,12 +181,11 @@ def am_estimate_multi(
     eta = _require_cqi(problem)
     lam = config.lambda_am if config.lambda_am is not None else (1.0 if r == 1 else 100.0)
     d = problem.d
-    if r > d:
-        raise ValueError("stream count exceeds the ambient dimension")
+    if not 1 <= r <= d:
+        raise ValueError(f"stream count must be in 1..{d}, got {r}")
     dtype = problem.dtype
     cols = []
     total_iters = 0
-    last = None
     for k in range(r):
         if cols:
             prev = np.stack(cols, axis=1)
@@ -198,8 +193,6 @@ def am_estimate_multi(
             P = Qc[:, len(cols) :]
         else:
             P = np.eye(d, dtype=dtype)
-        if P.shape[1] < 1:
-            raise ValueError("no orthogonal complement left for the next stream")
         # rows[t] = P^H Q_t V_{I_t} e_k, the stream-k column of the codeword.
         rows = problem.selected[:, :, min(k, problem.codebook.r - 1)] @ P.conj()
         u0 = haar_stiefel(P.shape[1], 1, rng, real=dtype is float)[:, 0]
@@ -207,7 +200,6 @@ def am_estimate_multi(
             rows, np.sqrt(eta / r), lam, u0.astype(rows.dtype), config.max_iters, config.rel_tol
         )
         total_iters += rep.iterations
-        last = rep
         nrm = np.linalg.norm(u)
         if nrm == 0:
             warnings.warn("AM stream collapsed to zero; using a complement basis vector", DegenerateEstimateWarning)
@@ -215,13 +207,7 @@ def am_estimate_multi(
             nrm = 1.0
         cols.append(P @ (u / nrm))
     H = np.stack(cols, axis=1)
-    report = BaselineReport(
-        iterations=total_iters,
-        objective=last.objective if last else 0.0,
-        stop_reason=last.stop_reason if last else "converged",
-        degenerate=last.degenerate if last else False,
-    )
-    return H, report
+    return H, BaselineReport(total_iters, rep.objective, rep.stop_reason, rep.degenerate)
 
 
 def _pr_data(problem: EstimationProblem, basis: np.ndarray) -> np.ndarray:
@@ -229,29 +215,28 @@ def _pr_data(problem: EstimationProblem, basis: np.ndarray) -> np.ndarray:
     return np.matmul(basis.conj().T, problem.selected)
 
 
-def _intensities(Ms: np.ndarray, S: np.ndarray) -> np.ndarray:
+def _intensities(Ms: np.ndarray, S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Intensities y_t = ||M_t^H S||_F^2 and the projections M_t^H S, shape (T, r, m)."""
     proj = np.einsum("tkr,km->trm", Ms.conj(), S)
-    return np.einsum("trm,trm->t", proj, proj.conj()).real
+    return np.einsum("trm,trm->t", proj, proj.conj()).real, proj
 
 
 def _wf_loss_grad(Ms: np.ndarray, eta: np.ndarray, S: np.ndarray) -> tuple[float, np.ndarray]:
     """Intensity loss mean((y_t - eta_t)^2) and its gradient in S."""
-    y = _intensities(Ms, S)
+    y, MhS = _intensities(Ms, S)
     resid = y - eta
     loss = float(np.mean(resid**2))
-    MhS = np.einsum("tkr,km->trm", Ms.conj(), S)
     grad = (4.0 / Ms.shape[0]) * np.einsum("t,tkr,trm->km", resid, Ms, MhS)
     return loss, grad
 
 
 def _af_loss_grad(Ms: np.ndarray, eta: np.ndarray, S: np.ndarray) -> tuple[float, np.ndarray]:
     """Amplitude loss mean((sqrt(y_t) - sqrt(eta_t))^2) and its gradient."""
-    y = _intensities(Ms, S)
+    y, MhS = _intensities(Ms, S)
     amp = np.sqrt(y)
     loss = float(np.mean((amp - np.sqrt(eta)) ** 2))
     safe = np.where(amp > 1e-15, amp, 1.0)
     factor = np.where(amp > 1e-15, 1.0 - np.sqrt(eta) / safe, 0.0)
-    MhS = np.einsum("tkr,km->trm", Ms.conj(), S)
     grad = (2.0 / Ms.shape[0]) * np.einsum("t,tkr,trm->km", factor, Ms, MhS)
     return loss, grad
 
@@ -291,7 +276,7 @@ def _pr_descent(
 
 def subspace_pr_estimate(
     problem: EstimationProblem,
-    prior,
+    prior: SubspacePrior,
     r: Optional[int] = None,
     config: Optional[BaselineConfig] = None,
 ) -> tuple[np.ndarray, BaselineReport]:
@@ -303,7 +288,7 @@ def subspace_pr_estimate(
     amplitude residual.
     """
     config = config or BaselineConfig()
-    B = prior.B if hasattr(prior, "B") else np.asarray(prior)
+    B = prior.B
     r = r if r is not None else problem.codebook.r
     eta = _require_cqi(problem)
     Ms = _pr_data(problem, B)
@@ -314,7 +299,7 @@ def subspace_pr_estimate(
     cov = pmi_covariance(problem, B)
     lam_max = float(np.linalg.eigvalsh(cov)[-1].real)
     S0 = eigvecs_descending(cov, r).astype(Ms.dtype)
-    y0 = _intensities(Ms, S0)
+    y0 = _intensities(Ms, S0)[0]
     scale = np.sqrt(np.sum(eta) / np.sum(y0)) if np.sum(y0) > 0 else 1.0
     S0 = scale * S0
     step0 = 1.0 / lam_max if lam_max > 0 else 1.0
@@ -331,9 +316,6 @@ def subspace_pr_estimate(
     if not runs:
         raise ValueError(f"unknown phase-retrieval variant {config.pr_variant!r}")
     # Compare candidates on the common amplitude residual.
-    def amp_loss(S):
-        return _af_loss_grad(Ms, eta, S)[0]
-
-    name = min(runs, key=lambda k: amp_loss(runs[k][0]))
+    name = min(runs, key=lambda k: _af_loss_grad(Ms, eta, runs[k][0])[0])
     S, loss, iters, stop = runs[name]
     return B @ S, BaselineReport(iterations=iters, objective=loss, stop_reason=stop, variant=name)

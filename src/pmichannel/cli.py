@@ -106,8 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--tau", type=float, default=None)
     sp.add_argument("--rounds", type=_int_list, default=None)
     sp.add_argument("--samples", type=int, default=None)
-    sp.add_argument("--scheme", type=str, default=None,
-                    choices=["haar-random", "structured-outer-inner"])
+    sp.add_argument("--scheme", type=str, default=None, choices=experiments._DESIGN_SCHEMES)
     sp.add_argument("--methods", type=_str_list, default=None, help="comma-separated method names")
     sp.add_argument("--dataset", type=str, default=None)
 
@@ -175,6 +174,7 @@ def _cmd_ablate(opts: dict, kind: str) -> int:
     rows = experiments.run_ablation(kind, **opts)
     out = _outdir(dest)
     experiments.write_results_csv(rows, out / "results.csv")
+    experiments.write_timings_csv(rows, out / "timings.csv")
     experiments.write_summary_csv(experiments.summarize_ablation(rows), out / "summary.csv")
     print(f"wrote {out}/results.csv and summary.csv")
     return 0

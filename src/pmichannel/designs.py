@@ -118,34 +118,30 @@ def haar_stiefel_stack(
     return Q * phases.conj()[:, None, :]
 
 
-def structured_q(
-    sigma_ul: UplinkCovariance | np.ndarray, p: int, rng: np.random.Generator
-) -> np.ndarray:
+def structured_q(sigma_ul: np.ndarray, p: int, rng: np.random.Generator) -> np.ndarray:
     """Fixed covariance-aware outer transform times a random inner unitary.
 
     Q = Q_out @ U with Q_out the top-p eigenvectors of the uplink covariance
     and U a Haar-random p x p unitary; the column space is the dominant
     uplink subspace while the inner layer injects per-round diversity.
+    ``sigma_ul`` is the covariance array (an ``UplinkCovariance.Sigma``).
     """
-    S = sigma_ul.Sigma if isinstance(sigma_ul, UplinkCovariance) else np.asarray(sigma_ul)
-    if not np.allclose(S, S.conj().T, atol=_HERM_TOL):
-        raise ValueError("uplink covariance must be Hermitian")
-    q_out = eigvecs_descending(S, p)
+    q_out = eigvecs_descending(sigma_ul, p)
     return q_out @ haar_stiefel(p, p, rng)
 
 
-def type1_q1(sigma_ul: UplinkCovariance | np.ndarray) -> np.ndarray:
+def type1_q1(sigma_ul: np.ndarray) -> np.ndarray:
     """First-round reduction matrix compatible with a dual-polarized codebook.
 
     Q1 = eigvecs(Sigma_ul, 8) @ (I_2 kron (DFT(2) kron DFT(2)) / 2); the
     inner 8 x 8 factor is unitary, so Q1 spans the top-8 uplink subspace.
+    ``sigma_ul`` is the covariance array (an ``UplinkCovariance.Sigma``).
     """
-    S = sigma_ul.Sigma if isinstance(sigma_ul, UplinkCovariance) else np.asarray(sigma_ul)
-    if S.shape[0] < TYPE1_PORTS:
+    if sigma_ul.shape[0] < TYPE1_PORTS:
         raise ValueError(f"need at least {TYPE1_PORTS} antenna ports")
     f2 = np.array([[1.0, 1.0], [1.0, -1.0]])
     inner = np.kron(np.eye(2), np.kron(f2, f2) / 2.0)
-    return eigvecs_descending(S, TYPE1_PORTS) @ inner
+    return eigvecs_descending(sigma_ul, TYPE1_PORTS) @ inner
 
 
 def _ula_steering(d: int, angle: float) -> np.ndarray:

@@ -44,10 +44,30 @@ __all__ = [
 
 FDD_METHODS = ("two-stage", "spectral", "am", "subspace-pr", "mle", "subspace-mle")
 _CQI_METHODS = {"am", "subspace-pr"}
+_DESIGN_SCHEMES = ("haar-random", "structured-outer-inner")
+_MLE_INITS = ("identity", "random", "spectral")
 
 
 class InvalidOptionError(ValueError):
     """A driver option out of range, refused before any work starts."""
+
+
+def _check_rounds(rounds: Sequence[int]) -> None:
+    if not rounds or min(rounds) < 1:
+        raise InvalidOptionError(f"every round count must be at least 1, got {list(rounds)}")
+
+
+def _check_tau(taus: Sequence[float]) -> None:
+    bad = [t for t in taus if not 0 < t < math.inf]
+    if bad:
+        raise InvalidOptionError(f"tau must be positive and finite, got {bad[0]}")
+
+
+def _check_choice(name: str, values: Sequence[str], choices: Sequence[str]) -> None:
+    if not values or not set(values) <= set(choices):
+        raise InvalidOptionError(
+            f"{name} must be chosen from {', '.join(choices)}, got {list(values)}"
+        )
 
 
 @dataclass(frozen=True)
@@ -183,6 +203,10 @@ def _mle_trials(
     (method, metric, value) triples; every row carries the whole trial's
     wall time.
     """
+    _check_rounds(rounds)
+    _check_tau([tau])
+    if trials < 1:
+        raise InvalidOptionError(f"need at least one trial, got {trials}")
     d, p = h.shape[0], codebook.p
     real = not np.iscomplexobj(h)
     cfg = likelihood.MleConfig(init="spectral", max_iters=max_iters, rel_tol=rel_tol)
@@ -220,6 +244,8 @@ def run_crb_experiment(
     softmax-sampled PMI feedback over fresh Haar designs in every trial;
     the CRB is the trace pseudoinverse of the per-trial Fisher matrix.
     """
+    if not 1 <= p <= d:
+        raise InvalidOptionError(f"need 1 <= p <= d, got d={d}, p={p}")
     rng_h = np.random.default_rng([seed, 7])
     g = rng_h.standard_normal(d) + 1j * rng_h.standard_normal(d)
     h = g / np.linalg.norm(g)
@@ -284,10 +310,8 @@ def _build_design(Sigma: np.ndarray, T: int, scheme: str, rng: np.random.Generat
     for _ in range(1, T):
         if scheme == "haar-random":
             qs.append(designs.haar_stiefel(Sigma.shape[0], p, rng))
-        elif scheme == "structured-outer-inner":
-            qs.append(designs.structured_q(Sigma, p, rng))
         else:
-            raise ValueError(f"unknown design scheme {scheme!r}")
+            qs.append(designs.structured_q(Sigma, p, rng))
     return qs
 
 
@@ -355,10 +379,16 @@ def run_fdd_experiment(
     The DFT codebook has the first round's dimension (8 ports), so r must
     divide 8.
     """
-    if not rounds or min(rounds) < 1:
-        raise InvalidOptionError(f"every round count must be at least 1, got {list(rounds)}")
+    _check_rounds(rounds)
+    _check_tau([tau])
+    if n_samples < 1:
+        raise InvalidOptionError(f"need at least one sample, got {n_samples}")
     if r < 1 or designs.TYPE1_PORTS % r:
         raise InvalidOptionError(f"r must divide {designs.TYPE1_PORTS}, got {r}")
+    _check_choice("design scheme", [scheme], _DESIGN_SCHEMES)
+    _check_choice("method", methods, FDD_METHODS)
+    if mle_init is not None:
+        _check_choice("initialization", [mle_init], _MLE_INITS)
     channels = _load_channels(dataset, n_samples, d, n_rx, paths, seed)
     t_max = max(rounds)
 
@@ -449,12 +479,16 @@ def run_ablation(
     and spectral starts.  Each grid point is one ``run_fdd_experiment`` with
     the same seed, so all of them see the same channels and feedback (the
     hard PMI rule does not depend on tau); ``fdd_kwargs`` go to that driver.
+    The grid is checked here and every other option by the first run, so a
+    bad option is refused before any channel loads.
     """
     if kind == "tau":
         grid = tuple(grid) if grid is not None else (0.1, 0.5, 1.0, 5.0, 10.0, 100.0)
+        _check_tau([float(g) for g in grid])
         variants = [(f"tau={g}", {**fdd_kwargs, "tau": float(g)}) for g in grid]
     elif kind == "init":
-        grid = tuple(grid) if grid is not None else ("identity", "random", "spectral")
+        grid = tuple(grid) if grid is not None else _MLE_INITS
+        _check_choice("initialization", [str(g) for g in grid], _MLE_INITS)
         variants = [(f"init={g}", {**fdd_kwargs, "mle_init": str(g)}) for g in grid]
     else:
         raise ValueError(f"unknown ablation kind {kind!r}")
@@ -513,12 +547,7 @@ def _fd_gradient_realified(problem, x, h=1e-6):
 
 
 def _random_problem(rng, d, p, n, T, tau, complex_mode, r=1):
-    if complex_mode:
-        V = designs.haar_stiefel(p, min(p, n * r), rng)
-        if n * r > p:
-            raise ValueError("need n*r <= p for orthonormal codewords")
-    else:
-        V = designs.haar_stiefel(p, n * r, rng, real=True)
+    V = designs.haar_stiefel(p, n * r, rng, real=not complex_mode)
     cb = model.Codebook(V=V, r=r)
     qs = designs.haar_stiefel_stack(T, d, p, rng, real=not complex_mode)
     if complex_mode:

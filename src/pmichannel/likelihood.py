@@ -177,8 +177,8 @@ def relaxed_loss(problem: EstimationProblem, x: np.ndarray) -> float:
     return float(np.mean(per_round) - tau * np.log(problem.n_codewords))
 
 
-def _value_and_grad(problem: EstimationProblem, X: np.ndarray) -> tuple[float, np.ndarray]:
-    """Fused NLL value and gradient in the convention d nll = Re<G, dX>_F.
+def nll_gradient(problem: EstimationProblem, x: np.ndarray) -> np.ndarray:
+    """Gradient of ``nll`` at x, shaped like x, in the convention d nll = Re<G, dX>_F.
 
     For real inputs the gradient is exactly
     (2 / (tau T)) sum_t (sum_j p_t(j) A_{t,j} - A_{t,I_t}) x
@@ -186,14 +186,8 @@ def _value_and_grad(problem: EstimationProblem, X: np.ndarray) -> tuple[float, n
     with Hermitian A, which is the conjugate-coordinate (Wirtinger) gradient
     scaled so finite differences of the realified coordinates match.
     """
-    C = problem.effective_flat_h @ X
-    f, (ex, z) = _value_from_proj(problem, C)
-    return f, _grad_from_proj(problem, C, ex, z)
-
-
-def nll_gradient(problem: EstimationProblem, x: np.ndarray) -> np.ndarray:
-    """Gradient of ``nll`` at x, with the same shape as x."""
-    G = _value_and_grad(problem, _as_matrix(x))[1]
+    C = problem.effective_flat_h @ _as_matrix(x)
+    G = _grad_from_proj(problem, C, *_value_from_proj(problem, C)[1])
     return G[:, 0] if np.asarray(x).ndim == 1 else G
 
 

@@ -224,7 +224,6 @@ class EstimationProblem:
             codebook=self.codebook,
             tau=self.tau,
             radius=self.radius,
-            effective_stack=self.effective_stack[:T],
             effective_flat=self.effective_flat[:, :k],
             effective_flat_h=self.effective_flat_h[:k],
         )
@@ -264,14 +263,9 @@ class EstimationProblem:
         )
 
     @cached_property
-    def effective_stack(self) -> np.ndarray:
-        """Lifted codebook Q_t @ V for every round, shape (T, d, N*r)."""
-        return np.matmul(self.q_stack, self.codebook.V)
-
-    @cached_property
     def effective_flat(self) -> np.ndarray:
-        """Effective codeword columns flattened to (d, T*N*r) for fast GEMMs."""
-        A = self.effective_stack
+        """Lifted codebook Q_t @ V of every round as (d, T*N*r) columns, for fast GEMMs."""
+        A = np.matmul(self.q_stack, self.codebook.V)
         return np.ascontiguousarray(A.transpose(1, 0, 2).reshape(A.shape[1], -1))
 
     @cached_property

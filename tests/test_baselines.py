@@ -140,6 +140,11 @@ class TestAmMulti:
         with pytest.raises(ValueError):
             baselines.am_estimate_multi(prob, 4, rng=rng)
 
+    def test_zero_streams(self, rng):
+        prob, _ = random_problem(rng, d=3, p=2, n=2, T=4, rule="hard", attach_cqi=True)
+        with pytest.raises(ValueError, match="stream count"):
+            baselines.am_estimate_multi(prob, 0, rng=rng)
+
 
 class TestSubspacePr:
     def test_zero_cqi_degenerate(self, rng):

@@ -57,16 +57,50 @@ class TestFddDriver:
         # sample count comes from the file, not the argument
         assert {r.trial for r in rows} == {0, 1, 2}
 
+    # Each kw is (driver, options).
     @pytest.mark.parametrize(
-        "kw", [{"rounds": (0,)}, {"rounds": (3, -1)}, {"rounds": ()}, {"r": 3}, {"r": 0}]
+        "kw",
+        [
+            ("fdd", {"rounds": (0,)}),
+            ("fdd", {"rounds": (3, -1)}),
+            ("fdd", {"rounds": ()}),
+            ("fdd", {"r": 3}),
+            ("fdd", {"r": 0}),
+            ("fdd", {"methods": ("spectral", "bogus")}),
+            ("fdd", {"methods": ()}),
+            ("fdd", {"scheme": "bogus"}),
+            ("fdd", {"rounds": (1,), "scheme": "bogus"}),
+            ("fdd", {"tau": 0.0}),
+            ("fdd", {"tau": -1.0}),
+            ("fdd", {"tau": float("inf")}),
+            ("fdd", {"n_samples": 0}),
+            ("fdd", {"mle_init": "bogus"}),
+            ("ablate-tau", {"grid": (0.0,)}),
+            ("ablate-tau", {"grid": (1.0, -2.0)}),
+            ("ablate-init", {"grid": ("identity", "bogus")}),
+            ("ablate-init", {"n_samples": 0}),
+            ("crb", {"trials": 0}),
+            ("crb", {"d": 2, "p": 4}),
+            ("crb", {"p": 0}),
+            ("crb", {"tau": 0.0}),
+            ("crb", {"rounds": (0,)}),
+        ],
     )
     def test_bad_rounds_or_r_refused_before_loading(self, monkeypatch, kw):
-        def no_load(*args, **kwargs):
-            raise AssertionError("channels loaded before the options were checked")
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the options were checked")
 
-        monkeypatch.setattr(experiments, "_load_channels", no_load)
+        monkeypatch.setattr(experiments, "_load_channels", no_work)
+        monkeypatch.setattr(experiments, "_run_tasks", no_work)
+        driver, options = kw
+        run = {
+            "fdd": lambda **o: experiments.run_fdd_experiment(**{"n_samples": 1, **o}),
+            "ablate-tau": lambda **o: experiments.run_ablation("tau", **{"n_samples": 1, **o}),
+            "ablate-init": lambda **o: experiments.run_ablation("init", **{"n_samples": 1, **o}),
+            "crb": lambda **o: experiments.run_crb_experiment(**{"trials": 1, **o}),
+        }[driver]
         with pytest.raises(experiments.InvalidOptionError):
-            experiments.run_fdd_experiment(n_samples=1, **kw)
+            run(**options)
 
 
 class TestAblationDriver:
@@ -214,6 +248,12 @@ class TestCli:
         )
         assert rc == 0
         assert (tmp_path / "ab" / "summary.csv").exists()
+        results = (tmp_path / "ab" / "results.csv").read_text().splitlines()
+        timings = (tmp_path / "ab" / "timings.csv").read_text().splitlines()
+        assert timings[0] == "method,T,trial,metric,wall_time"
+        # One wall time per result row, in the same order.
+        assert len(timings) == len(results)
+        assert [t.split(",")[:3] for t in timings[1:]] == [r.split(",")[:3] for r in results[1:]]
 
     def test_unknown_config_key_is_an_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -319,18 +359,42 @@ class TestCli:
         assert exc.value.code == 2
         assert not (tmp_path / "o").exists()
 
+    # Each argv is (arguments, config file contents or None).
     @pytest.mark.parametrize(
         "argv",
         [
-            ["fdd-experiment", "--rounds", "0"],
-            ["fdd-experiment", "--r", "3"],
-            ["ablate-tau", "--rounds", "1,0"],
-            ["ablate-init", "--r", "3"],
+            (["fdd-experiment", "--rounds", "0", "--samples", "1"], None),
+            (["fdd-experiment", "--r", "3", "--samples", "1"], None),
+            (["ablate-tau", "--rounds", "1,0", "--samples", "1"], None),
+            (["ablate-init", "--r", "3", "--samples", "1"], None),
+            (["fdd-experiment", "--methods", "spectral,bogus", "--samples", "1"], None),
+            (["fdd-experiment", "--samples", "1"], {"scheme": "bogus"}),
+            (["fdd-experiment", "--samples", "1"], {"rounds": [1], "scheme": "bogus"}),
+            (["ablate-init", "--grid", "identity,bogus", "--samples", "1"], None),
+            (["fdd-experiment", "--tau", "0", "--samples", "1"], None),
+            (["fdd-experiment", "--tau", "-0.5", "--samples", "1"], None),
+            (["ablate-tau", "--grid", "0", "--samples", "1"], None),
+            (["crb-experiment", "--tau", "0"], None),
+            (["fdd-experiment", "--samples", "0"], None),
+            (["ablate-tau", "--samples", "0"], None),
+            (["crb-experiment", "--trials", "0"], None),
+            (["crb-experiment", "--d", "2", "--p", "4"], None),
         ],
     )
-    def test_bad_rounds_or_r_is_a_usage_error(self, tmp_path, capsys, argv):
+    def test_bad_rounds_or_r_is_a_usage_error(self, tmp_path, capsys, monkeypatch, argv):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the options were checked")
+
+        monkeypatch.setattr(experiments, "_load_channels", no_work)
+        monkeypatch.setattr(experiments, "_run_tasks", no_work)
+        args, config = argv
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            args = [*args, "--config", str(cfg)]
         with pytest.raises(SystemExit) as exc:
-            cli.main([*argv, "--samples", "1", "--out", str(tmp_path / "o")])
+            cli.main([*args, "--out", str(tmp_path / "o")])
         assert exc.value.code == 2
-        assert f"{argv[0]}: " in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ") and f"{args[0]}: " in err
         assert not (tmp_path / "o").exists()

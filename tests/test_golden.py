@@ -38,6 +38,12 @@ def _ablate_tau_rows():
     return experiments.run_ablation("tau", grid=(0.5, 1.0, 5.0), rounds=(3, 6), n_samples=2, seed=2)
 
 
+def _ablate_init_rows():
+    return experiments.run_ablation(
+        "init", grid=("identity", "random", "spectral"), rounds=(3, 6), n_samples=2, seed=2
+    )
+
+
 def _excess_risk_rows():
     return experiments.excess_risk_slope(t_grid=(100, 200), trials=2, seed=3)[1]
 
@@ -82,6 +88,7 @@ DRIVERS = {
     "fdd_r1": lambda: _fdd_rows(1),
     "fdd_r2": lambda: _fdd_rows(2),
     "ablate_tau": _ablate_tau_rows,
+    "ablate_init": _ablate_init_rows,
     "excess_risk": _excess_risk_rows,
 }
 

@@ -518,8 +518,9 @@ class TestReductionKernel:
             np.testing.assert_array_equal(model.softmax_pmf(prob, X), _ref_pmf(prob, X))
 
     def test_value_and_gradient_share_the_nll_value(self, rng):
+        # The solver's value path: projections, then _value_from_proj.
         prob, x = random_problem(rng, d=5, p=4, n=4, T=30)
-        f, _ = likelihood._value_and_grad(prob, 2.0 * x[:, None])
+        f, _ = likelihood._value_from_proj(prob, prob.effective_flat_h @ (2.0 * x[:, None]))
         assert f == likelihood.nll(prob, 2.0 * x)
 
 

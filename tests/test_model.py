@@ -3,7 +3,7 @@ import pytest
 from scipy.special import softmax
 from scipy.stats import chisquare
 
-from pmichannel import designs, model
+from pmichannel import designs, likelihood, model
 from conftest import lifted, oracle_gains, random_problem
 
 
@@ -108,6 +108,23 @@ class TestPrefix:
         for name in ("q_stack", "pmi_array", "cqi_array", "effective_flat", "effective_flat_h"):
             assert np.shares_memory(getattr(pre, name), getattr(prob, name))
 
+    def test_two_lift_caches_shared_by_prefix(self, rng):
+        # p = 3 differs from N*r = 2, so only the lifted codebook has d*T*N*r entries.
+        prob, x = random_problem(rng, d=5, p=3, n=2, T=6)
+        likelihood.nll_gradient(prob, x)
+        lift_size = prob.d * prob.T * prob.n_codewords
+
+        def lifts(problem, size):
+            return sorted(
+                k for k, v in vars(problem).items() if isinstance(v, np.ndarray) and v.size == size
+            )
+
+        assert lifts(prob, lift_size) == ["effective_flat", "effective_flat_h"]
+        pre = prob.prefix(4)
+        assert lifts(pre, 4 * lift_size // prob.T) == ["effective_flat", "effective_flat_h"]
+        for name in ("effective_flat", "effective_flat_h"):
+            assert np.shares_memory(getattr(pre, name), getattr(prob, name))
+
     @pytest.mark.parametrize("T", [0, 6])
     def test_range(self, rng, T):
         prob, _ = random_problem(rng, T=5)
@@ -120,18 +137,18 @@ class TestEffectiveCodeword:
         cb = model.Codebook(V=np.eye(2))
         q = np.eye(4)[:, :2]
         prob = make_problem([q], cb, [0])
-        np.testing.assert_allclose(prob.effective_stack[0, :, 0], np.eye(4)[:, 0])
+        np.testing.assert_allclose(prob.effective_flat[:, 0], np.eye(4)[:, 0])
 
     def test_isometry_preserves_norm(self, rng):
         prob, _ = random_problem(rng)
-        np.testing.assert_allclose(np.linalg.norm(prob.effective_stack, axis=1), 1.0, atol=1e-12)
+        np.testing.assert_allclose(np.linalg.norm(prob.effective_flat, axis=0), 1.0, atol=1e-12)
 
     def test_matches_direct_product(self):
         rng = np.random.default_rng(7)
         q = designs.haar_stiefel(4, 2, rng)
         cb = model.Codebook(V=np.eye(2))
         prob = make_problem([q], cb, [0])
-        np.testing.assert_allclose(prob.effective_stack[0, :, 0], q @ np.eye(2)[:, 0], atol=1e-14)
+        np.testing.assert_allclose(prob.effective_flat[:, 0], q @ np.eye(2)[:, 0], atol=1e-14)
 
 
 class TestGain:
