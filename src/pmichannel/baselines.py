@@ -8,13 +8,14 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
 from .designs import eigvecs_descending, haar_stiefel
 from .likelihood import NumericalFailureError, SubspacePrior
-from .metrics import procrustes_rel_change
+from .metrics import _fro_norm, procrustes_rel_change
 from .model import EstimationProblem, pmi_covariance
 
 __all__ = [
@@ -107,14 +108,16 @@ def _am_phase_ls_loop(
     objective sum_t (|b_t^H x| - targets_t)^2 + lam ||x||^2 never increases.
     """
     T, dim = rows.shape
-    gram = rows.T @ rows.conj() + lam * np.eye(dim)
+    rows_h = rows.conj()
+    gram = rows.T @ rows_h + lam * np.eye(dim)
     singular = False
     x = x0
+    nrm = _fro_norm(x)
     obj = np.inf
     stop = "max-iters"
     it = 0
     for it in range(1, max_iters + 1):
-        z = rows.conj() @ x  # b_t^H x
+        z = rows_h @ x  # b_t^H x
         mag = np.abs(z)
         phases = np.where(mag > 0, z / np.where(mag > 0, mag, 1.0), 1.0)
         rhs = rows.T @ (phases * targets)  # sum_t b_t e^{-j phi_t} y_t
@@ -123,12 +126,13 @@ def _am_phase_ls_loop(
         except np.linalg.LinAlgError:
             singular = True
             x_new = np.linalg.pinv(gram) @ rhs
-        obj = float(np.sum((np.abs(rows.conj() @ x_new) - targets) ** 2) + lam * np.linalg.norm(x_new) ** 2)
-        if np.linalg.norm(x_new) == 0 and np.linalg.norm(x) == 0:
+        nrm_new = _fro_norm(x_new)
+        obj = float(np.sum((np.abs(rows_h @ x_new) - targets) ** 2) + lam * nrm_new**2)
+        if nrm_new == 0 and nrm == 0:
             rel = 0.0
         else:
             rel = procrustes_rel_change(x_new, x)
-        x = x_new
+        x, nrm = x_new, nrm_new
         if rel < rel_tol:
             stop = "converged"
             break
@@ -215,57 +219,68 @@ def _pr_data(problem: EstimationProblem, basis: np.ndarray) -> np.ndarray:
     return np.matmul(basis.conj().T, problem.selected)
 
 
-def _intensities(Ms: np.ndarray, S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Intensities y_t = ||M_t^H S||_F^2 and the projections M_t^H S, shape (T, r, m)."""
-    proj = np.einsum("tkr,km->trm", Ms.conj(), S)
+def _intensities(Ms_h: np.ndarray, S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Intensities y_t = ||M_t^H S||_F^2 and the projections M_t^H S, shape (T, r, m).
+
+    ``Ms_h`` is ``Ms.conj()``.
+    """
+    proj = np.einsum("tkr,km->trm", Ms_h, S)
     return np.einsum("trm,trm->t", proj, proj.conj()).real, proj
 
 
-def _wf_loss_grad(Ms: np.ndarray, eta: np.ndarray, S: np.ndarray) -> tuple[float, np.ndarray]:
-    """Intensity loss mean((y_t - eta_t)^2) and its gradient in S."""
-    y, MhS = _intensities(Ms, S)
+def _wf_loss_grad(
+    Ms: np.ndarray, Ms_h: np.ndarray, eta: np.ndarray, S: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """Intensity loss mean((y_t - eta_t)^2) and its gradient in S; ``Ms_h`` is ``Ms.conj()``."""
+    y, MhS = _intensities(Ms_h, S)
     resid = y - eta
-    loss = float(np.mean(resid**2))
+    loss = float((resid**2).sum() / resid.size)
     grad = (4.0 / Ms.shape[0]) * np.einsum("t,tkr,trm->km", resid, Ms, MhS)
     return loss, grad
 
 
-def _af_loss_grad(Ms: np.ndarray, eta: np.ndarray, S: np.ndarray) -> tuple[float, np.ndarray]:
-    """Amplitude loss mean((sqrt(y_t) - sqrt(eta_t))^2) and its gradient."""
-    y, MhS = _intensities(Ms, S)
+def _af_loss_grad(
+    Ms: np.ndarray, Ms_h: np.ndarray, root_eta: np.ndarray, S: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """Amplitude loss mean((sqrt(y_t) - root_eta_t)^2) and its gradient in S.
+
+    ``Ms_h`` is ``Ms.conj()`` and ``root_eta`` is ``sqrt(eta)``.
+    """
+    y, MhS = _intensities(Ms_h, S)
     amp = np.sqrt(y)
-    loss = float(np.mean((amp - np.sqrt(eta)) ** 2))
-    safe = np.where(amp > 1e-15, amp, 1.0)
-    factor = np.where(amp > 1e-15, 1.0 - np.sqrt(eta) / safe, 0.0)
+    sq_err = (amp - root_eta) ** 2
+    loss = float(sq_err.sum() / sq_err.size)
+    live = amp > 1e-15
+    safe = np.where(live, amp, 1.0)
+    factor = np.where(live, 1.0 - root_eta / safe, 0.0)
     grad = (2.0 / Ms.shape[0]) * np.einsum("t,tkr,trm->km", factor, Ms, MhS)
     return loss, grad
 
 
 def _pr_descent(
-    Ms: np.ndarray,
-    eta: np.ndarray,
     S0: np.ndarray,
     step0: float,
     loss_grad,
     max_iters: int,
     rel_tol: float,
 ) -> tuple[np.ndarray, float, int, str]:
+    """Backtracking gradient descent on ``loss_grad(S) -> (loss, grad)`` from S0."""
     S = S0
-    loss, grad = loss_grad(Ms, eta, S)
+    loss, grad = loss_grad(S)
     step = step0
     stop = "max-iters"
     it = 0
     for it in range(1, max_iters + 1):
         trial = step
         S_new = S - trial * grad
-        loss_new, grad_new = loss_grad(Ms, eta, S_new)
+        loss_new, grad_new = loss_grad(S_new)
         while loss_new > loss and trial > 1e-20 * step0:
             trial /= 2.0
             S_new = S - trial * grad
-            loss_new, grad_new = loss_grad(Ms, eta, S_new)
+            loss_new, grad_new = loss_grad(S_new)
         if not np.isfinite(loss_new):
             raise NumericalFailureError(f"non-finite phase-retrieval loss at iteration {it}")
-        rel = procrustes_rel_change(S_new, S) if np.linalg.norm(S) > 0 else 0.0
+        rel = procrustes_rel_change(S_new, S) if _fro_norm(S) > 0 else 0.0
         S, loss, grad = S_new, loss_new, grad_new
         step = trial if trial < step else min(2.0 * trial, step0)
         if rel < rel_tol:
@@ -299,23 +314,22 @@ def subspace_pr_estimate(
     cov = pmi_covariance(problem, B)
     lam_max = float(np.linalg.eigvalsh(cov)[-1].real)
     S0 = eigvecs_descending(cov, r).astype(Ms.dtype)
-    y0 = _intensities(Ms, S0)[0]
+    Ms_h = Ms.conj()
+    y0 = _intensities(Ms_h, S0)[0]
     scale = np.sqrt(np.sum(eta) / np.sum(y0)) if np.sum(y0) > 0 else 1.0
     S0 = scale * S0
     step0 = 1.0 / lam_max if lam_max > 0 else 1.0
+    wf_loss = partial(_wf_loss_grad, Ms, Ms_h, eta)
+    af_loss = partial(_af_loss_grad, Ms, Ms_h, np.sqrt(eta))
 
     runs = {}
     if config.pr_variant in ("wirtinger", "best-of-both"):
-        runs["wirtinger"] = _pr_descent(
-            Ms, eta, S0, step0, _wf_loss_grad, config.max_iters, config.rel_tol
-        )
+        runs["wirtinger"] = _pr_descent(S0, step0, wf_loss, config.max_iters, config.rel_tol)
     if config.pr_variant in ("amplitude", "best-of-both"):
-        runs["amplitude"] = _pr_descent(
-            Ms, eta, S0, step0, _af_loss_grad, config.max_iters, config.rel_tol
-        )
+        runs["amplitude"] = _pr_descent(S0, step0, af_loss, config.max_iters, config.rel_tol)
     if not runs:
         raise ValueError(f"unknown phase-retrieval variant {config.pr_variant!r}")
     # Compare candidates on the common amplitude residual.
-    name = min(runs, key=lambda k: _af_loss_grad(Ms, eta, runs[k][0])[0])
+    name = min(runs, key=lambda k: af_loss(runs[k][0])[0])
     S, loss, iters, stop = runs[name]
     return B @ S, BaselineReport(iterations=iters, objective=loss, stop_reason=stop, variant=name)

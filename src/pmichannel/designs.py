@@ -26,6 +26,9 @@ __all__ = [
 
 _HERM_TOL = 1e-10
 TYPE1_PORTS = 8  # columns of the first-round reduction ``type1_q1``
+# The unitary inner factor of ``type1_q1``: I_2 kron (DFT(2) kron DFT(2)) / 2.
+_F2 = np.array([[1.0, 1.0], [1.0, -1.0]])
+_TYPE1_INNER = np.kron(np.eye(2), np.kron(_F2, _F2) / 2.0)
 
 
 @dataclass(frozen=True)
@@ -112,6 +115,11 @@ def haar_stiefel_stack(
         G = rng.standard_normal((n, d, p))
     else:
         G = rng.standard_normal((n, d, p)) + 1j * rng.standard_normal((n, d, p))
+    return _haar_from_gaussian(G)
+
+
+def _haar_from_gaussian(G: np.ndarray) -> np.ndarray:
+    """Batched QR of an (n, d, p) Gaussian stack, R's diagonal phases absorbed into Q."""
     Q, R = np.linalg.qr(G)
     diag = np.einsum("nii->ni", R)
     phases = diag / np.abs(diag)
@@ -139,9 +147,27 @@ def type1_q1(sigma_ul: np.ndarray) -> np.ndarray:
     """
     if sigma_ul.shape[0] < TYPE1_PORTS:
         raise ValueError(f"need at least {TYPE1_PORTS} antenna ports")
-    f2 = np.array([[1.0, 1.0], [1.0, -1.0]])
-    inner = np.kron(np.eye(2), np.kron(f2, f2) / 2.0)
-    return eigvecs_descending(sigma_ul, TYPE1_PORTS) @ inner
+    return eigvecs_descending(sigma_ul, TYPE1_PORTS) @ _TYPE1_INNER
+
+
+def _fdd_design(basis: np.ndarray, T: int, haar: bool, rng: np.random.Generator) -> list:
+    """T reduction matrices: ``type1_q1`` then T - 1 random rounds, from one basis.
+
+    ``basis`` is ``eigvecs_descending(Sigma, 8)``.  The list equals
+    ``[type1_q1(Sigma)]`` followed by T - 1 calls of ``structured_q(Sigma, 8,
+    rng)``, or of ``haar_stiefel(d, 8, rng)`` when ``haar``, bit for bit and
+    leaving ``rng`` at the same point: each of those calls draws its real
+    part and then its imaginary part, so the T - 1 draws are one
+    (T - 1, 2, 8, 8) Gaussian draw, or (T - 1, 2, d, 8) when ``haar``.
+    """
+    d, p = basis.shape[0], TYPE1_PORTS
+    if basis.shape[1] < p:
+        raise ValueError(f"need at least {p} antenna ports")
+    g = rng.standard_normal((T - 1, 2, d if haar else p, p))
+    rest = _haar_from_gaussian(g[:, 0] + 1j * g[:, 1])
+    if not haar:
+        rest = basis @ rest
+    return [basis @ _TYPE1_INNER, *rest]
 
 
 def _ula_steering(d: int, angle: float) -> np.ndarray:

@@ -300,21 +300,6 @@ def _load_channels(
     return out
 
 
-def _build_design(Sigma: np.ndarray, T: int, scheme: str, rng: np.random.Generator) -> list:
-    """Round 1 is the codebook-compatible reduction; later rounds follow the scheme.
-
-    Every round has the first round's column count p.
-    """
-    qs = [designs.type1_q1(Sigma)]
-    p = qs[0].shape[1]
-    for _ in range(1, T):
-        if scheme == "haar-random":
-            qs.append(designs.haar_stiefel(Sigma.shape[0], p, rng))
-        else:
-            qs.append(designs.structured_q(Sigma, p, rng))
-    return qs
-
-
 def _fdd_estimate(
     method: str,
     problem: model.EstimationProblem,
@@ -395,8 +380,10 @@ def run_fdd_experiment(
     def task(sample_index: int) -> list:
         H, Sigma = channels[sample_index]
         rng = np.random.default_rng([seed, 4, sample_index])
-        prior = likelihood.SubspacePrior(designs.eigvecs_descending(Sigma, k))
-        qs = _build_design(Sigma, t_max, scheme, rng)
+        # One eigendecomposition serves the prior and every design round.
+        U = designs.eigvecs_descending(Sigma, max(k, designs.TYPE1_PORTS))
+        prior = likelihood.SubspacePrior(U[:, :k])
+        qs = designs._fdd_design(U[:, : designs.TYPE1_PORTS], t_max, scheme == "haar-random", rng)
         cb = designs.dft_codebook(qs[0].shape[1], r)
         history = model.simulate_problem(
             qs, cb, H, tau, rule="hard", attach_cqi=attach_cqi, radius=radius
@@ -603,8 +590,18 @@ def run_theory_verification(
     """Execute every analytic-identity check and report measured values.
 
     Returns records {check, value, threshold, passed}; the CLI maps any
-    failure to a nonzero exit code.
+    failure to a nonzero exit code.  A sample or trial count below 1 is
+    refused before any check runs: with no samples a moment check has no
+    deviation to report.
     """
+    counts = {
+        "moment_samples": moment_samples,
+        "secant_samples": secant_samples,
+        "slope_trials": slope_trials,
+    }
+    for name, count in counts.items():
+        if count < 1:
+            raise InvalidOptionError(f"{name} must be at least 1, got {count}")
     rng = np.random.default_rng([seed, 13])
     records = []
 

@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 from scipy.special import logsumexp
 
-from .metrics import procrustes_rel_change
+from .metrics import _fro_norm, procrustes_rel_change
 from .model import (
     EstimationProblem,
     _as_matrix,
@@ -125,7 +125,7 @@ def _value_from_scores(
 ) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
     """NLL of a (T, N) score matrix, and the ``(ex, z)`` its gradient needs."""
     ex, z, lse = _row_lse(scores)
-    return float(np.mean(lse - scores.take(problem.pmi_flat))), (ex, z)
+    return float((lse - scores.take(problem.pmi_flat)).sum() / lse.size), (ex, z)
 
 
 def _nll_from_scores(problem: EstimationProblem, scores: np.ndarray) -> float:
@@ -252,7 +252,7 @@ def _line_search_point(
     needs there.
     """
     Z, CZ = S - s * G, C - s * P
-    nrm = float(np.linalg.norm(Z))
+    nrm = float(_fro_norm(Z))
     if nrm > radius:
         Z, CZ = Z * (radius / nrm), CZ * (radius / nrm)
     f, softmax_state = _value_from_proj(problem, CZ)
@@ -328,7 +328,7 @@ def solve_mle(
     basis = prior.B if prior is not None else None
     m = config.n_streams or problem.codebook.r
     S = _initial_point(problem, config, basis, m, problem.radius)
-    radius = problem.radius if problem.radius is not None else 10.0 * float(np.linalg.norm(S))
+    radius = problem.radius if problem.radius is not None else 10.0 * float(_fro_norm(S))
     if radius <= 0:
         raise ValueError("radius must be positive")
 
@@ -343,7 +343,7 @@ def solve_mle(
         return G if basis is None else basis.conj().T @ G
 
     def project(Z: np.ndarray) -> np.ndarray:
-        nrm = float(np.linalg.norm(Z))
+        nrm = float(_fro_norm(Z))
         return Z * (radius / nrm) if nrm > radius else Z
 
     def trial(s: float) -> tuple:
@@ -389,7 +389,7 @@ def solve_mle(
         # move; without positive curvature along it, double the accepted step.
         curv = float(np.vdot(dS, dG).real)
         if curv > 0:
-            s = float(np.clip(np.vdot(dS, dS).real / curv, s_min, s_max))
+            s = min(max(float(np.vdot(dS, dS).real) / curv, s_min), s_max)
         else:
             s = min(2.0 * s, s_max)
     X = lift(S)

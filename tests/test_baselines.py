@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -189,15 +191,17 @@ class TestSubspacePr:
         eta = prob.cqi_array
         S = rng.standard_normal((3, 1)) + 1j * rng.standard_normal((3, 1))
         eps = 1e-6
-        for loss_grad in (baselines._wf_loss_grad, baselines._af_loss_grad):
-            _, g = loss_grad(Ms, eta, S)
+        wf = partial(baselines._wf_loss_grad, Ms, Ms.conj(), eta)
+        af = partial(baselines._af_loss_grad, Ms, Ms.conj(), np.sqrt(eta))
+        for loss_grad in (wf, af):
+            _, g = loss_grad(S)
             fd = np.zeros_like(S)
             for i in range(3):
                 for unit in (1.0, 1j):
                     e = np.zeros_like(S)
                     e[i, 0] = unit
-                    fp = loss_grad(Ms, eta, S + eps * e)[0]
-                    fm = loss_grad(Ms, eta, S - eps * e)[0]
+                    fp = loss_grad(S + eps * e)[0]
+                    fm = loss_grad(S - eps * e)[0]
                     fd[i, 0] += (fp - fm) / (2 * eps) * unit
             assert np.linalg.norm(g - fd) / np.linalg.norm(fd) < 1e-6
 
@@ -213,7 +217,8 @@ class TestSubspacePr:
         est_b, rep_b = baselines.subspace_pr_estimate(prob, prior, 1, cfg_b)
         Ms = baselines._pr_data(prob, B)
         eta = prob.cqi_array
-        loss_w = baselines._af_loss_grad(Ms, eta, B.conj().T @ est_w)[0]
-        loss_a = baselines._af_loss_grad(Ms, eta, B.conj().T @ est_a)[0]
+        af = partial(baselines._af_loss_grad, Ms, Ms.conj(), np.sqrt(eta))
+        loss_w = af(B.conj().T @ est_w)[0]
+        loss_a = af(B.conj().T @ est_a)[0]
         chosen = est_w if loss_w <= loss_a else est_a
         np.testing.assert_allclose(est_b, chosen, atol=1e-12)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pmichannel import designs
+from pmichannel import designs, experiments
 from pmichannel.designs import UplinkCovariance
 
 
@@ -125,6 +125,58 @@ class TestType1Q1:
     def test_small_dimension_rejected(self):
         with pytest.raises(ValueError):
             designs.type1_q1(np.eye(4))
+
+
+class TestFddDesign:
+    """``designs._fdd_design`` against the round-by-round construction."""
+
+    @staticmethod
+    def _round_by_round(Sigma, T, scheme, rng):
+        rest = [
+            designs.haar_stiefel(Sigma.shape[0], 8, rng)
+            if scheme == "haar-random"
+            else designs.structured_q(Sigma, 8, rng)
+            for _ in range(T - 1)
+        ]
+        return [designs.type1_q1(Sigma), *rest]
+
+    @pytest.mark.parametrize("scheme", ["structured-outer-inner", "haar-random"])
+    @pytest.mark.parametrize("T", [1, 2, 20])
+    @pytest.mark.parametrize("kind", ["ray", "real"])
+    def test_bit_identical_to_round_by_round(self, rng, scheme, T, kind):
+        if kind == "ray":
+            Sigma = designs.synthetic_channel(12, 2, 3, rng)[1].Sigma
+        else:
+            G = rng.standard_normal((10, 10))
+            Sigma = G @ G.T
+        want_rng, got_rng = np.random.default_rng(5), np.random.default_rng(5)
+        want = self._round_by_round(Sigma, T, scheme, want_rng)
+        basis = designs.eigvecs_descending(Sigma, 8)
+        got = designs._fdd_design(basis, T, scheme == "haar-random", got_rng)
+        assert len(got) == len(want) == T
+        for g, w in zip(got, want):
+            assert (g.dtype, g.shape) == (w.dtype, w.shape)
+            assert g.tobytes() == w.tobytes()
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        # Both leave the stream at the same point.
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    @pytest.mark.parametrize("scheme", ["structured-outer-inner", "haar-random"])
+    def test_fewer_than_8_ports_refused(self, rng, scheme):
+        basis = designs.eigvecs_descending(np.eye(6), 8)
+        with pytest.raises(ValueError, match="at least 8 antenna ports"):
+            designs._fdd_design(basis, 3, scheme == "haar-random", rng)
+        with pytest.raises(ValueError, match="at least 8 antenna ports"):
+            experiments.run_fdd_experiment(d=6, n_samples=1, rounds=(3,), scheme=scheme)
+
+    @pytest.mark.parametrize("k", [1, 4, 8, 12])
+    def test_prior_basis_is_a_prefix_of_the_shared_basis(self, k):
+        # The fdd driver slices the prior's k columns from one decomposition.
+        Sigma = designs.synthetic_channel(16, 2, 4, np.random.default_rng(k))[1].Sigma
+        want = designs.eigvecs_descending(Sigma, k)
+        got = designs.eigvecs_descending(Sigma, max(k, 8))[:, :k]
+        assert (got.shape, got.strides) == (want.shape, want.strides)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestSyntheticChannel:

@@ -201,6 +201,23 @@ class TestTheoryVerification:
         names = {r["check"] for r in records}
         assert "gauge_nullity" in names and "kl_identity" in names
 
+    @pytest.mark.parametrize("option", ["moment_samples", "secant_samples", "slope_trials"])
+    @pytest.mark.parametrize("count", [0, -1])
+    @pytest.mark.parametrize("include_slope", [True, False])
+    def test_count_below_one_refused_before_any_check(self, monkeypatch, option, count, include_slope):
+        def no_check(*args, **kwargs):
+            raise AssertionError("a check ran before the options were checked")
+
+        monkeypatch.setattr(experiments, "_random_problem", no_check)
+        monkeypatch.setattr(experiments, "excess_risk_slope", no_check)
+        for name in (
+            "sphere_fourth_moment_check", "secant_expectation_check", "certify_secant",
+            "rank1_distance_bound_check", "p_min_value",
+        ):
+            monkeypatch.setattr(experiments.theory, name, no_check)
+        with pytest.raises(experiments.InvalidOptionError, match=option):
+            experiments.run_theory_verification(**{option: count, "include_slope": include_slope})
+
 
 class TestCli:
     def test_crb_command_and_outputs(self, tmp_path, capsys):
@@ -397,4 +414,19 @@ class TestCli:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith("usage: ") and f"{args[0]}: " in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "flag", ["--moment-samples", "--secant-samples", "--slope-trials"]
+    )
+    def test_verify_theory_zero_count_is_a_usage_error(self, tmp_path, capsys, monkeypatch, flag):
+        def no_check(*args, **kwargs):
+            raise AssertionError("a check ran before the options were checked")
+
+        monkeypatch.setattr(experiments, "_random_problem", no_check)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify-theory", flag, "0", "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ") and "verify-theory: " in err and "at least 1" in err
         assert not (tmp_path / "o").exists()

@@ -30,8 +30,10 @@ def _crb_rows():
     )
 
 
-def _fdd_rows(r):
-    return experiments.run_fdd_experiment(r=r, rounds=(1, 3, 6), n_samples=2, seed=4)
+def _fdd_rows(r, scheme="structured-outer-inner"):
+    return experiments.run_fdd_experiment(
+        r=r, rounds=(1, 3, 6), n_samples=2, seed=4, scheme=scheme
+    )
 
 
 def _ablate_tau_rows():
@@ -87,6 +89,7 @@ DRIVERS = {
     "crb": _crb_rows,
     "fdd_r1": lambda: _fdd_rows(1),
     "fdd_r2": lambda: _fdd_rows(2),
+    "fdd_haar_r1": lambda: _fdd_rows(1, "haar-random"),
     "ablate_tau": _ablate_tau_rows,
     "ablate_init": _ablate_init_rows,
     "excess_risk": _excess_risk_rows,

@@ -164,3 +164,55 @@ class TestProcrustesRelChange:
 
     def test_zero_old_returns_inf(self):
         assert metrics.procrustes_rel_change(np.ones(3), np.zeros(3)) == math.inf
+
+
+def _procrustes_reference(X_new, X_old):
+    """``procrustes_rel_change`` written with ``np.linalg.norm``."""
+    denom = np.linalg.norm(X_old)
+    if denom == 0:
+        return math.inf
+    if X_new.ndim == 1 or X_new.shape[1] == 1:
+        inner = np.vdot(X_old, X_new)
+        phase = np.exp(-1j * np.angle(inner)) if inner != 0 else 1.0
+        if not np.iscomplexobj(X_new) and not np.iscomplexobj(X_old):
+            phase = np.sign(np.real(inner)) or 1.0
+        return float(np.linalg.norm(phase * X_new - X_old) / denom)
+    U, _, Vh = np.linalg.svd(X_new.conj().T @ X_old)
+    return float(np.linalg.norm(X_new @ (U @ Vh) - X_old) / denom)
+
+
+def _layouts(rng, cols, complex_mode):
+    """The same kind of matrix as 1-D (cols None), C-order, F-order and strided views."""
+    shape = (9,) if cols is None else (9, cols)
+
+    def draw(s):
+        return rng.standard_normal(s) + (1j * rng.standard_normal(s) if complex_mode else 0.0)
+
+    X = draw(shape)
+    yield X
+    if cols is not None:
+        yield np.asfortranarray(X)
+        yield draw((9, 2 * cols))[:, ::2]
+        yield draw((9, cols))[:, ::-1]
+    yield draw((18,) + shape[1:])[::2]
+    yield draw((18,) + shape[1:])[::-2]
+
+
+class TestFrobeniusNorm:
+    @pytest.mark.parametrize("complex_mode", [False, True])
+    @pytest.mark.parametrize("cols", [None, 1, 2])
+    def test_equals_numpy_norm(self, rng, cols, complex_mode):
+        for X in _layouts(rng, cols, complex_mode):
+            got, want = metrics._fro_norm(X), np.linalg.norm(X)
+            assert got == want and type(got) is type(want)
+
+    @pytest.mark.parametrize("complex_mode", [False, True])
+    @pytest.mark.parametrize("cols", [None, 1, 2])
+    def test_procrustes_rel_change_equals_norm_formula(self, rng, cols, complex_mode):
+        olds = list(_layouts(rng, cols, complex_mode))
+        news = list(_layouts(rng, cols, complex_mode))
+        for X_new, X_old in zip(news, olds):
+            assert metrics.procrustes_rel_change(X_new, X_old) == _procrustes_reference(X_new, X_old)
+            zero = np.zeros_like(X_old)
+            assert metrics.procrustes_rel_change(X_new, zero) == math.inf
+            assert _procrustes_reference(X_new, zero) == math.inf
