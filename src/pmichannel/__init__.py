@@ -44,7 +44,7 @@ from .likelihood import (
     relaxed_loss,
     solve_mle,
 )
-from .metrics import beam_precision, dist, phase_aligned_mse, procrustes_rel_change
+from .metrics import beam_precision, dist, phase_aligned_mse
 from .model import (
     Channel,
     Codebook,

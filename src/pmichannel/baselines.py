@@ -14,8 +14,8 @@ from typing import Optional
 import numpy as np
 
 from .designs import eigvecs_descending, haar_stiefel
-from .likelihood import NumericalFailureError, SubspacePrior
-from .metrics import _fro_norm, procrustes_rel_change
+from .likelihood import NumericalFailureError, SubspacePrior, _check_stop_rule
+from .metrics import _fro_norm
 from .model import EstimationProblem, pmi_covariance
 
 __all__ = [
@@ -41,6 +41,8 @@ class BaselineConfig:
     ``lambda_am`` defaults to 1 for single-stream AM and 100 for the
     multi-stream variant when left unset.  ``init`` starts single-stream AM
     from the spectral estimate ("spectral") or a Haar draw ("random").
+    ``pr_variant`` is "wirtinger", "amplitude" or "best-of-both".  Each solve
+    stops as ``MleConfig`` says, on the unaligned change of its own iterate.
     """
 
     lambda_am: Optional[float] = None
@@ -53,6 +55,11 @@ class BaselineConfig:
     def __post_init__(self):
         if self.lambda_am is not None and self.lambda_am < 0:
             raise ValueError("regularizer must be nonnegative")
+        _check_stop_rule(self.max_iters, self.rel_tol)
+        if self.pr_variant not in ("wirtinger", "amplitude", "best-of-both"):
+            raise ValueError(f"unknown phase-retrieval variant {self.pr_variant!r}")
+        if self.init not in ("spectral", "random"):
+            raise ValueError(f"unknown initialization {self.init!r}")
 
 
 @dataclass
@@ -106,6 +113,10 @@ def _am_phase_ls_loop(
     rows[t] is the sensing vector b_t, so the residual model is
     |b_t^H x| ~ targets[t].  Both block updates are exact minimizers, so the
     objective sum_t (|b_t^H x| - targets_t)^2 + lam ||x||^2 never increases.
+    Stops once min over phi of ||exp(-j phi) x_new - x|| / ||x|| < rel_tol.
+    Unlike a gradient step, x_new - x = -gram^{-1} grad / 2 has a first-order
+    component along the phase orbit, so the change needs this alignment.  Two
+    zero iterates read as 0.0, a zero old iterate alone as +inf.
     """
     T, dim = rows.shape
     rows_h = rows.conj()
@@ -128,10 +139,15 @@ def _am_phase_ls_loop(
             x_new = np.linalg.pinv(gram) @ rhs
         nrm_new = _fro_norm(x_new)
         obj = float(np.sum((np.abs(rows_h @ x_new) - targets) ** 2) + lam * nrm_new**2)
-        if nrm_new == 0 and nrm == 0:
-            rel = 0.0
+        if nrm == 0:
+            rel = 0.0 if nrm_new == 0 else np.inf
         else:
-            rel = procrustes_rel_change(x_new, x)
+            inner = np.vdot(x, x_new)
+            if np.iscomplexobj(x):
+                phase = np.exp(-1j * np.angle(inner)) if inner != 0 else 1.0
+            else:
+                phase = np.sign(inner) or 1.0
+            rel = _fro_norm(phase * x_new - x) / nrm
         x, nrm = x_new, nrm_new
         if rel < rel_tol:
             stop = "converged"
@@ -158,11 +174,9 @@ def am_estimate_single(
     rows = problem.selected[:, :, 0]
     if config.init == "spectral":
         x0 = spectral_estimate(problem, 1)[:, 0]
-    elif config.init == "random":
+    else:
         rng = rng or np.random.default_rng(config.seed)
         x0 = haar_stiefel(problem.d, 1, rng, real=not np.iscomplexobj(rows))[:, 0]
-    else:
-        raise ValueError(f"unknown initialization {config.init!r}")
     return _am_phase_ls_loop(
         rows, np.sqrt(eta), lam, x0.astype(rows.dtype), config.max_iters, config.rel_tol
     )
@@ -264,7 +278,12 @@ def _pr_descent(
     max_iters: int,
     rel_tol: float,
 ) -> tuple[np.ndarray, float, int, str]:
-    """Backtracking gradient descent on ``loss_grad(S) -> (loss, grad)`` from S0."""
+    """Backtracking gradient descent on ``loss_grad(S) -> (loss, grad)`` from S0.
+
+    Stops once ||S_new - S||_F / ||S||_F < rel_tol (0.0 from a zero S),
+    unaligned: both losses are invariant under S -> S U, so S^H grad is
+    Hermitian and a step does not drift along that orbit to first order.
+    """
     S = S0
     loss, grad = loss_grad(S)
     step = step0
@@ -280,7 +299,8 @@ def _pr_descent(
             loss_new, grad_new = loss_grad(S_new)
         if not np.isfinite(loss_new):
             raise NumericalFailureError(f"non-finite phase-retrieval loss at iteration {it}")
-        rel = procrustes_rel_change(S_new, S) if _fro_norm(S) > 0 else 0.0
+        nrm = _fro_norm(S)
+        rel = _fro_norm(S_new - S) / nrm if nrm > 0 else 0.0
         S, loss, grad = S_new, loss_new, grad_new
         step = trial if trial < step else min(2.0 * trial, step0)
         if rel < rel_tol:
@@ -327,8 +347,6 @@ def subspace_pr_estimate(
         runs["wirtinger"] = _pr_descent(S0, step0, wf_loss, config.max_iters, config.rel_tol)
     if config.pr_variant in ("amplitude", "best-of-both"):
         runs["amplitude"] = _pr_descent(S0, step0, af_loss, config.max_iters, config.rel_tol)
-    if not runs:
-        raise ValueError(f"unknown phase-retrieval variant {config.pr_variant!r}")
     # Compare candidates on the common amplitude residual.
     name = min(runs, key=lambda k: af_loss(runs[k][0])[0])
     S, loss, iters, stop = runs[name]

@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 from scipy.special import logsumexp
 
-from .metrics import _fro_norm, procrustes_rel_change
+from .metrics import _fro_norm
 from .model import (
     EstimationProblem,
     _as_matrix,
@@ -62,6 +62,13 @@ class SubspacePrior:
         return self.B.shape[1]
 
 
+def _check_stop_rule(max_iters: int, rel_tol: float) -> None:
+    if max_iters < 1:
+        raise ValueError("need at least one iteration")
+    if not 0.0 < rel_tol < np.inf:
+        raise ValueError(f"relative tolerance must be finite and positive, got {rel_tol}")
+
+
 @dataclass
 class MleConfig:
     """Solver knobs.
@@ -75,7 +82,9 @@ class MleConfig:
     improves.  Every later iteration first tries the Barzilai-Borwein step
     <s, s>/Re<s, y> of the last move s and gradient change y (twice the last
     accepted step when Re<s, y> <= 0), clamped to [1e-20, 1e9] tau/(4 R^2),
-    and halves it while the objective rises.
+    and halves it while the objective rises.  The solve stops after
+    ``max_iters`` >= 1 iterations, or at the first whose unaligned relative
+    change ||S_new - S||_F / ||S||_F is below the finite, positive ``rel_tol``.
     """
 
     max_iters: int = 100
@@ -85,10 +94,7 @@ class MleConfig:
     n_streams: Optional[int] = None
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError("need at least one iteration")
-        if self.rel_tol <= 0:
-            raise ValueError("relative tolerance must be positive")
+        _check_stop_rule(self.max_iters, self.rel_tol)
 
 
 @dataclass
@@ -102,6 +108,7 @@ class MleReport:
     (one at the start and one per iteration, each one GEMM); the spectral
     start's scale scan is in neither.  ``nll`` is the objective at
     the returned estimate, taken from the carried projections.
+    ``rel_change`` is the last iteration's unaligned ||S_new - S||_F / ||S||_F.
     """
 
     iterations: int
@@ -308,9 +315,12 @@ def solve_mle(
 
     Minimizes ``nll`` over the Frobenius ball of radius ``problem.radius``
     (default 10x the initial norm); after every step the iterate is rescaled
-    onto the ball if needed.  Stops at ``max_iters`` or when the phase- or
-    Procrustes-aligned relative change drops below ``rel_tol``.  With a
-    subspace prior the coefficient matrix S is optimized and B @ S returned.
+    onto the ball if needed.  Stops at ``max_iters`` or when the plain
+    relative change ||S_new - S||_F / ||S||_F drops below ``rel_tol`` (+inf
+    from a zero iterate).  With a subspace prior the coefficient matrix S is
+    optimized and B @ S returned.  The objective is invariant under S -> S U
+    for unitary U, so S^H G is Hermitian: a step does not drift along that
+    orbit to first order, and the change needs no alignment.
 
     The step rule is in ``MleConfig``.  It is monotone: no accepted step
     raises the objective, except one halved down to the lower clamp.  The
@@ -378,9 +388,11 @@ def solve_mle(
         f_new, S_new, C, softmax_state = new
         if not np.isfinite(f_new):
             raise NumericalFailureError(f"non-finite objective at iteration {it}")
-        rel = procrustes_rel_change(S_new, S)
+        dS = S_new - S
+        nrm = _fro_norm(S)
+        rel = _fro_norm(dS) / nrm if nrm > 0 else np.inf
         G_new = gradient(C, softmax_state)
-        dS, dG = S_new - S, G_new - G
+        dG = G_new - G
         S, f, G = S_new, f_new, G_new
         if rel < config.rel_tol:
             stop = "converged"

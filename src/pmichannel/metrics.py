@@ -2,15 +2,12 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 __all__ = [
     "dist",
     "phase_aligned_mse",
     "beam_precision",
-    "procrustes_rel_change",
 ]
 
 
@@ -82,31 +79,3 @@ def _fro_norm(x: np.ndarray) -> np.floating:
         re, im = x.real, x.imag
         return np.sqrt(re.dot(re) + im.dot(im))
     return np.sqrt(x.dot(x))
-
-
-def procrustes_rel_change(X_new: np.ndarray, X_old: np.ndarray) -> float:
-    """Relative change between iterates, minimized over a unitary alignment.
-
-    Single column: min over phases of ||exp(-j*phi) x_new - x_old|| divided
-    by ||x_old||, the phase being arg(x_old^H x_new).  Multi-column: min
-    over unitary R of ||X_new R - X_old||_F / ||X_old||_F via the polar
-    factor of X_new^H X_old.  A zero X_old returns +inf.
-    """
-    Xn = np.asarray(X_new)
-    Xo = np.asarray(X_old)
-    if Xn.shape != Xo.shape:
-        raise ValueError("iterates must have equal shape")
-    denom = _fro_norm(Xo)
-    if denom == 0:
-        return math.inf
-    if Xn.ndim == 1 or Xn.shape[1] == 1:
-        # Exact single-phase alignment: the new iterate is rotated onto the
-        # old one before differencing.
-        inner = np.vdot(Xo, Xn)
-        phase = np.exp(-1j * np.angle(inner)) if inner != 0 else 1.0
-        if not np.iscomplexobj(Xn) and not np.iscomplexobj(Xo):
-            phase = np.sign(np.real(inner)) or 1.0
-        return float(_fro_norm(phase * Xn - Xo) / denom)
-    U, _, Vh = np.linalg.svd(Xn.conj().T @ Xo)
-    R = U @ Vh
-    return float(_fro_norm(Xn @ R - Xo) / denom)

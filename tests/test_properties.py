@@ -1,9 +1,11 @@
 """Property tests for the projection kernel shared by gains, NLL, gradient and Fisher."""
 
+from functools import partial
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from pmichannel import crb, likelihood, model
+from pmichannel import baselines, crb, designs, likelihood, model
 from conftest import random_problem
 
 SETTINGS = settings(max_examples=25, deadline=None)
@@ -87,3 +89,31 @@ def test_fisher_psd_and_gauge_null(seed, d, T, scale):
     assert lam[0] >= -tol
     u = fm.gauge
     assert abs(u @ fm.F @ u) <= tol * (u @ u)
+
+
+def _draw(rng, shape, complex_mode):
+    return rng.standard_normal(shape) + (1j * rng.standard_normal(shape) if complex_mode else 0.0)
+
+
+def _assert_gauge_free(X, G):
+    """X^H G is Hermitian: the first-order change of X^H X along -G has no skew part."""
+    M = X.conj().T @ G
+    scale = np.linalg.norm(X) * np.linalg.norm(G)
+    np.testing.assert_allclose(M, M.conj().T, rtol=1e-10, atol=1e-10 * scale)
+
+
+@SETTINGS
+@given(seed=seeds, d=dims, T=rounds, r=st.integers(1, 2), complex_mode=st.booleans())
+def test_descent_gradients_are_gauge_free(seed, d, T, r, complex_mode):
+    prob, _, rng = _problem(seed, d, T, r=r, complex_mode=complex_mode, attach_cqi=True)
+    X = _draw(rng, (d, r), complex_mode)
+    _assert_gauge_free(X, likelihood.nll_gradient(prob, X))
+    # The phase-retrieval losses, bound as ``subspace_pr_estimate`` binds them.
+    B = designs.haar_stiefel(d, int(rng.integers(r, d + 1)), rng, real=not complex_mode)
+    Ms, eta = baselines._pr_data(prob, B), prob.cqi_array
+    S = _draw(rng, (B.shape[1], r), complex_mode)
+    for loss_grad in (
+        partial(baselines._wf_loss_grad, Ms, Ms.conj(), eta),
+        partial(baselines._af_loss_grad, Ms, Ms.conj(), np.sqrt(eta)),
+    ):
+        _assert_gauge_free(S, loss_grad(S)[1])
