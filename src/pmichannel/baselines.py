@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .designs import eigvecs_descending, haar_stiefel
-from .likelihood import NumericalFailureError, SubspacePrior, _check_stop_rule
+from .likelihood import NumericalFailureError, SubspacePrior, _bb_step, _check_stop_rule
 from .metrics import _fro_norm
 from .model import EstimationProblem, pmi_covariance
 
@@ -43,6 +43,8 @@ class BaselineConfig:
     from the spectral estimate ("spectral") or a Haar draw ("random").
     ``pr_variant`` is "wirtinger", "amplitude" or "best-of-both".  Each solve
     stops as ``MleConfig`` says, on the unaligned change of its own iterate.
+    Phase retrieval takes ``MleConfig``'s step rule, but its first iteration
+    only halves step0 = 1/lambda_max, and the clamps are [1e-20, 1e9] step0.
     """
 
     lambda_am: Optional[float] = None
@@ -280,32 +282,37 @@ def _pr_descent(
 ) -> tuple[np.ndarray, float, int, str]:
     """Backtracking gradient descent on ``loss_grad(S) -> (loss, grad)`` from S0.
 
-    Stops once ||S_new - S||_F / ||S||_F < rel_tol (0.0 from a zero S),
-    unaligned: both losses are invariant under S -> S U, so S^H grad is
-    Hermitian and a step does not drift along that orbit to first order.
+    The first iteration halves ``step0`` while the loss rises.  Every later
+    one first tries the Barzilai-Borwein step <s, s>/Re<s, y> of the last
+    move s and gradient change y (twice the last accepted step when
+    Re<s, y> <= 0), clamped to [1e-20, 1e9] step0, and halves it while the
+    loss rises.  Stops once ||S_new - S||_F / ||S||_F < rel_tol (0.0 from a
+    zero S), unaligned: both losses are invariant under S -> S U, so S^H grad
+    is Hermitian and a step does not drift along that orbit to first order.
     """
     S = S0
     loss, grad = loss_grad(S)
+    s_min, s_max = 1e-20 * step0, 1e9 * step0
     step = step0
     stop = "max-iters"
     it = 0
     for it in range(1, max_iters + 1):
-        trial = step
-        S_new = S - trial * grad
+        S_new = S - step * grad
         loss_new, grad_new = loss_grad(S_new)
-        while loss_new > loss and trial > 1e-20 * step0:
-            trial /= 2.0
-            S_new = S - trial * grad
+        while loss_new > loss and step > s_min:
+            step /= 2.0
+            S_new = S - step * grad
             loss_new, grad_new = loss_grad(S_new)
         if not np.isfinite(loss_new):
             raise NumericalFailureError(f"non-finite phase-retrieval loss at iteration {it}")
+        dS, dG = S_new - S, grad_new - grad
         nrm = _fro_norm(S)
-        rel = _fro_norm(S_new - S) / nrm if nrm > 0 else 0.0
+        rel = _fro_norm(dS) / nrm if nrm > 0 else 0.0
         S, loss, grad = S_new, loss_new, grad_new
-        step = trial if trial < step else min(2.0 * trial, step0)
         if rel < rel_tol:
             stop = "converged"
             break
+        step = _bb_step(dS, dG, step, s_min, s_max)
     return S, loss, it, stop
 
 
@@ -347,7 +354,7 @@ def subspace_pr_estimate(
         runs["wirtinger"] = _pr_descent(S0, step0, wf_loss, config.max_iters, config.rel_tol)
     if config.pr_variant in ("amplitude", "best-of-both"):
         runs["amplitude"] = _pr_descent(S0, step0, af_loss, config.max_iters, config.rel_tol)
-    # Compare candidates on the common amplitude residual.
-    name = min(runs, key=lambda k: af_loss(runs[k][0])[0])
+    # Compare candidates on the common amplitude residual, which amplitude flow returns.
+    name = min(runs, key=lambda k: runs[k][1] if k == "amplitude" else af_loss(runs[k][0])[0])
     S, loss, iters, stop = runs[name]
     return B @ S, BaselineReport(iterations=iters, objective=loss, stop_reason=stop, variant=name)

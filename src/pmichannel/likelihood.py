@@ -85,6 +85,7 @@ class MleConfig:
     and halves it while the objective rises.  The solve stops after
     ``max_iters`` >= 1 iterations, or at the first whose unaligned relative
     change ||S_new - S||_F / ||S||_F is below the finite, positive ``rel_tol``.
+    ``n_streams`` (default: the codebook's r) is in 1..d, or 1..k under a prior.
     """
 
     max_iters: int = 100
@@ -95,6 +96,10 @@ class MleConfig:
 
     def __post_init__(self):
         _check_stop_rule(self.max_iters, self.rel_tol)
+        if self.init not in ("identity", "random", "spectral", "explicit"):
+            raise ValueError(f"unknown initialization {self.init!r}")
+        if self.n_streams is not None and self.n_streams < 1:
+            raise ValueError(f"need at least one stream, got {self.n_streams}")
 
 
 @dataclass
@@ -240,6 +245,14 @@ def population_excess_risk(
     return max(float(np.mean(kl)), 0.0)
 
 
+def _bb_step(dS: np.ndarray, dG: np.ndarray, last: float, s_min: float, s_max: float) -> float:
+    """BB1 step <dS, dS>/Re<dS, dG> clamped to [s_min, s_max]; min(2 last, s_max) if Re <= 0."""
+    curv = float(np.vdot(dS, dG).real)
+    if curv > 0:
+        return min(max(float(np.vdot(dS, dS).real) / curv, s_min), s_max)
+    return min(2.0 * last, s_max)
+
+
 def _line_search_point(
     problem: EstimationProblem,
     S: np.ndarray,
@@ -303,7 +316,6 @@ def _initial_point(
             if f < best_f:
                 best, best_f = alpha, f
         return X if best is None else best * X
-    raise ValueError(f"unknown initialization {config.init!r}")
 
 
 def solve_mle(
@@ -337,6 +349,8 @@ def solve_mle(
     config = config or MleConfig()
     basis = prior.B if prior is not None else None
     m = config.n_streams or problem.codebook.r
+    if m > (problem.d if basis is None else basis.shape[1]):
+        raise ValueError(f"{m} streams exceed the dimension of the solve")
     S = _initial_point(problem, config, basis, m, problem.radius)
     radius = problem.radius if problem.radius is not None else 10.0 * float(_fro_norm(S))
     if radius <= 0:
@@ -397,13 +411,7 @@ def solve_mle(
         if rel < config.rel_tol:
             stop = "converged"
             break
-        # The next first trial is the Barzilai-Borwein (BB1) step of this
-        # move; without positive curvature along it, double the accepted step.
-        curv = float(np.vdot(dS, dG).real)
-        if curv > 0:
-            s = min(max(float(np.vdot(dS, dS).real) / curv, s_min), s_max)
-        else:
-            s = min(2.0 * s, s_max)
+        s = _bb_step(dS, dG, s, s_min, s_max)
     X = lift(S)
     report = MleReport(
         iterations=it,

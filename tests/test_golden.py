@@ -6,8 +6,11 @@ must match byte for byte; the MLE's CRB-experiment MSE and its excess risk
 are solver outputs run to a relative tolerance of 1e-9 and are compared at
 rtol 1e-6; every other value is compared at rtol 1e-12.
 
-Regenerate with ``PYTHONPATH=src python tests/test_golden.py`` only when a
-change of behaviour is intended and explained.
+``PYTHONPATH=src python tests/test_golden.py`` prints, per file and method,
+how many rows the current code changes and the largest |delta|, and writes
+nothing.  ``PYTHONPATH=src python tests/test_golden.py fdd_r1 crb`` rewrites
+only the named files; do that only when a change of behaviour is intended
+and explained.
 """
 
 from pathlib import Path
@@ -127,12 +130,43 @@ def test_feedback_stream_matches_golden(name):
     assert STREAMS[name]() == (GOLDEN / f"{name}.csv").read_text()
 
 
+def _changes(old: str, new: str) -> dict:
+    """Per method: (rows changed, rows, max |delta| of the value) from ``old`` to ``new``.
+
+    Streams have no method column and count as one method, "stream".  A row
+    whose key columns changed has delta inf; a changed row count is reported
+    as "(layout)": (new rows, old rows, inf).
+    """
+    old_rows = [line.split(",") for line in old.strip().split("\n")[1:]]
+    new_rows = [line.split(",") for line in new.strip().split("\n")[1:]]
+    if len(old_rows) != len(new_rows):
+        return {"(layout)": (len(new_rows), len(old_rows), float("inf"))}
+    out = {}
+    for o, n in zip(old_rows, new_rows):
+        method = o[0] if len(o) == 6 else "stream"
+        changed, rows, delta = out.get(method, (0, 0, 0.0))
+        if o != n:
+            changed += 1
+            moved = abs(float(n[-1]) - float(o[-1])) if o[:-1] == n[:-1] else float("inf")
+            delta = max(delta, moved)
+        out[method] = (changed, rows + 1, delta)
+    return out
+
+
 if __name__ == "__main__":
+    import sys
     import tempfile
 
-    GOLDEN.mkdir(exist_ok=True)
+    names = [Path(arg).stem for arg in sys.argv[1:]]
+    unknown = sorted(set(names) - set(DRIVERS) - set(STREAMS))
+    if unknown:
+        sys.exit(f"unknown golden files: {', '.join(unknown)}")
     with tempfile.TemporaryDirectory() as tmp:
-        for name, fn in DRIVERS.items():
-            (GOLDEN / f"{name}.csv").write_text(_csv_text(fn(), Path(tmp)))
-    for name, fn in STREAMS.items():
-        (GOLDEN / f"{name}.csv").write_text(fn())
+        for name in names or [*DRIVERS, *STREAMS]:
+            text = _csv_text(DRIVERS[name](), Path(tmp)) if name in DRIVERS else STREAMS[name]()
+            path = GOLDEN / f"{name}.csv"
+            old = path.read_text() if path.exists() else ""
+            for method, (changed, rows, delta) in _changes(old, text).items():
+                print(f"{name:24s} {method:28s} {changed:4d}/{rows:<4d} rows changed, max |delta| {delta:.2g}")
+            if names:
+                path.write_text(text)

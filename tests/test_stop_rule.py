@@ -1,11 +1,14 @@
-"""The descents' stop rule: parity with the aligned change, zero-iterate edges, config boundaries.
+"""The descents' stop and step rules: parity with the aligned change, zero-iterate edges,
+the phase-retrieval trial steps, config boundaries.
 
 ``solve_mle`` and ``_pr_descent`` stop on the plain relative change
 ||S_new - S||_F / ||S||_F.  Their objectives are invariant under S -> S U and
 each step is along a gradient G with S^H G Hermitian, so the plain change and
 the change minimized over the gauge cross ``rel_tol`` at the same iteration.
 The AM step is preconditioned by the inverse Gram matrix and drifts along the
-phase orbit, so the AM loop keeps the phase-aligned change.
+phase orbit, so the AM loop keeps the phase-aligned change.  ``_pr_descent``
+takes ``solve_mle``'s Barzilai-Borwein first trial step after a first
+iteration that only halves step0.
 """
 
 import math
@@ -14,6 +17,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+from conftest import random_problem
 from pmichannel import baselines, designs, experiments, likelihood, model
 
 
@@ -231,6 +235,97 @@ class TestAmStopRule:
         assert _first_below(iterates, cfg.rel_tol, _plain_rel_change) is None
 
 
+def _pr_step_trace(S0, step0, loss_grad, max_iters, rel_tol):
+    """Trial steps of one ``_pr_descent``, read off a spy on ``loss_grad``'s argument.
+
+    Each trial point is S - t grad for the iterate S and its gradient, so t is
+    recovered from the point.  Returns, per iteration, (dS, dG, steps): the
+    accepted move, the gradient change along it and the trial steps in order.
+    """
+    calls = []
+
+    def spy(S):
+        out = loss_grad(S)
+        calls.append((S, out))
+        return out
+
+    _, _, iterations, _ = baselines._pr_descent(S0, step0, spy, max_iters, rel_tol)
+    (S, (loss, grad)), *trials = calls
+    iters, steps = [], []
+    for Z, (loss_z, grad_z) in trials:
+        steps.append(float(np.vdot(grad, S - Z).real / np.vdot(grad, grad).real))
+        if not loss_z > loss:
+            iters.append((Z - S, grad_z - grad, steps))
+            S, loss, grad, steps = Z, loss_z, grad_z, []
+    assert not steps and len(iters) == iterations
+    return iters
+
+
+def _assert_halves(steps):
+    np.testing.assert_allclose(steps[1:], np.asarray(steps[:-1]) / 2.0, rtol=1e-9)
+
+
+def _captured_pr_runs(monkeypatch, sample, r, T):
+    problem, prior = _fdd_problem(sample, r, T)
+    run = partial(baselines.subspace_pr_estimate, problem, prior, r)
+    return _captured_calls(monkeypatch, "_pr_descent", run)[1]
+
+
+class TestPrStepRule:
+    """``_pr_descent`` halves step0 in its first iteration and then starts from the BB1 step."""
+
+    @pytest.mark.parametrize("scale", [1.0, 64.0])
+    @pytest.mark.parametrize("sample, r, T", _FDD_CASES)
+    def test_first_iteration_tries_step0_then_halves(self, monkeypatch, sample, r, T, scale):
+        # subspace_pr_estimate's step0, and one 64 times larger that must be halved.
+        for (S0, step0, loss_grad, max_iters, rel_tol), _ in _captured_pr_runs(monkeypatch, sample, r, T):
+            (_, _, steps), *_ = _pr_step_trace(S0, scale * step0, loss_grad, max_iters, rel_tol)
+            np.testing.assert_allclose(steps[0], scale * step0, rtol=1e-9)
+            _assert_halves(steps)
+            assert len(steps) > 1 or scale == 1.0
+
+    @pytest.mark.parametrize("sample, r, T", _FDD_CASES)
+    def test_later_first_trial_is_clamped_bb1_step(self, monkeypatch, sample, r, T):
+        for args, (_, _, iterations, _) in _captured_pr_runs(monkeypatch, sample, r, T):
+            step0 = args[1]
+            iters = _pr_step_trace(*args)
+            assert len(iters) == iterations >= 2
+            for (dS, dG, _), (_, _, steps) in zip(iters, iters[1:]):
+                curv = np.sum(dS.conj() * dG).real
+                assert curv > 0
+                want = np.clip(np.sum(np.abs(dS) ** 2) / curv, 1e-20 * step0, 1e9 * step0)
+                np.testing.assert_allclose(steps[0], want, rtol=1e-9)
+                _assert_halves(steps)
+
+    @pytest.mark.parametrize(
+        "loss_grad",
+        [
+            # Linear: the gradient never changes, Re<s, y> = 0.
+            lambda S: (-float(S.real.sum()), -np.ones_like(S)),
+            # Concave: Re<s, y> = -2 ||s||^2 < 0.
+            lambda S: (-float(np.vdot(S, S).real), -2.0 * S),
+        ],
+        ids=["zero-curvature", "negative-curvature"],
+    )
+    def test_non_positive_curvature_doubles_up_to_the_cap(self, loss_grad):
+        # A start small against the steps keeps the recovered steps exact to rounding.
+        step0 = 1e-6
+        S0 = np.full((3, 1), 1e-12, complex)
+        iters = _pr_step_trace(S0, step0, loss_grad, 40, 1e-300)
+        assert len(iters) == 40
+        firsts = [steps[0] for _, _, steps in iters]
+        want = [min(2.0**k, 1e9) * step0 for k in range(40)]
+        np.testing.assert_allclose(firsts, want, rtol=1e-9)
+        assert all(len(steps) == 1 for _, _, steps in iters)
+
+    @pytest.mark.parametrize("T", [5, 10])
+    def test_no_cap_hits_at_criterion_11_r1(self, monkeypatch, T):
+        for sample in range(10):
+            runs = _captured_pr_runs(monkeypatch, sample, 1, T)
+            assert [args[2].func.__name__ for args, _ in runs] == ["_wf_loss_grad", "_af_loss_grad"]
+            assert all(stop == "converged" for _, (_, _, _, stop) in runs)
+
+
 class TestZeroIterates:
     """A zero old iterate: 0.0 where the descent cannot move, +inf where it can."""
 
@@ -301,6 +396,39 @@ class TestConfigBoundaries:
     def test_baseline_config_refuses_unknown_init(self):
         with pytest.raises(ValueError, match="initialization"):
             baselines.BaselineConfig(init="identity")
+
+    @pytest.mark.parametrize("n_streams", [0, -1])
+    def test_mle_config_refuses_fewer_than_one_stream(self, n_streams):
+        with pytest.raises(ValueError, match="stream"):
+            likelihood.MleConfig(n_streams=n_streams)
+
+    def test_mle_config_refuses_unknown_init(self):
+        with pytest.raises(ValueError, match="initialization"):
+            likelihood.MleConfig(init="zeros")
+
+    @pytest.mark.parametrize("n_streams, k", [(5, None), (7, None), (3, 2)])
+    def test_solve_mle_refuses_more_streams_than_the_dimension(self, monkeypatch, n_streams, k):
+        rng = np.random.default_rng(4)
+        problem, _ = random_problem(rng, d=4, T=6)
+        prior = None if k is None else likelihood.SubspacePrior(designs.haar_stiefel(4, k, rng))
+
+        def no_work(*args):
+            raise AssertionError("the solve started")
+
+        monkeypatch.setattr(likelihood, "_initial_point", no_work)
+        with pytest.raises(ValueError, match="streams exceed"):
+            likelihood.solve_mle(problem, likelihood.MleConfig(n_streams=n_streams), prior)
+
+    def test_every_valid_stream_count_solves(self):
+        rng = np.random.default_rng(4)
+        problem, _ = random_problem(rng, d=4, T=6)
+        prior = likelihood.SubspacePrior(designs.haar_stiefel(4, 2, rng))
+        for n_streams in (None, 1, 2, 3, 4):
+            X, _ = likelihood.solve_mle(problem, likelihood.MleConfig(n_streams=n_streams, max_iters=2))
+            assert X.shape == (4, n_streams or 1)
+        for n_streams in (1, 2):
+            X, _ = likelihood.solve_mle(problem, likelihood.MleConfig(n_streams=n_streams, max_iters=2), prior)
+            assert X.shape == (4, n_streams)
 
     def test_defaults_and_every_named_choice_construct(self):
         likelihood.MleConfig()
