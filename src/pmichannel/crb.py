@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import EstimationProblem, _gains_from_proj, _softmax
+from .model import EstimationProblem, _gains_from_proj, _project, _softmax
 
 __all__ = [
     "FisherMatrix",
@@ -84,7 +84,7 @@ def fisher(problem: EstimationProblem, h: np.ndarray, tau: float | None = None) 
     F = (4/tau^2) sum_t [ sum_i p_t(i) g_{t,i} g_{t,i}^T
                           - (sum_i p_t(i) g_{t,i})(sum_i p_t(i) g_{t,i})^T ]
     with g_{t,i} = M(a_{t,i} a_{t,i}^H) theta, i.e. the realification of
-    a_{t,i} (a_{t,i}^H h).  Only the single-stream model is supported.
+    a_{t,i} (a_{t,i}^H h), with a_{t,i}^H h from ``model._project``.  Single stream only.
 
     The drivers call this with numpy's OpenBLAS held at one thread.  Called
     outside them, the last bits of F (and of the CRB) follow the BLAS thread
@@ -94,9 +94,9 @@ def fisher(problem: EstimationProblem, h: np.ndarray, tau: float | None = None) 
         raise ValueError("Fisher matrix is defined for the single-stream model")
     tau = problem.tau if tau is None else tau
     h = np.asarray(h).ravel().astype(complex)
-    inner = problem.effective_flat_h @ h  # a_{t,i}^H h, round-major
-    P = _softmax(_gains_from_proj(inner[:, None], problem.codebook) / tau)
-    W = problem.effective_flat * inner  # columns a_{t,i} (a_{t,i}^H h)
+    C = _project(problem, h[:, None])  # a_{t,i}^H h, round-major, (T*N, 1)
+    P = _softmax(_gains_from_proj(C, problem.codebook) / tau)
+    W = problem.effective_flat * C[:, 0]  # columns a_{t,i} (a_{t,i}^H h)
     G = np.concatenate([W.real, W.imag])  # (2d, T*N)
     GP = G * P.ravel()
     mean = GP.reshape(G.shape[0], problem.T, -1).sum(axis=2)  # (2d, T)

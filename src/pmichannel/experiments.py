@@ -285,11 +285,13 @@ def _load_channels(
     paths: int,
     seed: int,
 ) -> list:
-    """Per-sample (H, Sigma_ul) pairs from a dataset file or the ray model."""
+    """Per-sample (H, Sigma_ul) pairs from a dataset file or the ray model; needs >= 8 ports."""
     if dataset is not None:
         data = read_dataset(dataset)
     else:
         data = make_synthetic_dataset(n_samples, d, n_rx, paths, seed)
+    if data.d < designs.TYPE1_PORTS:
+        raise InvalidOptionError(f"need at least {designs.TYPE1_PORTS} antenna ports, got {data.d}")
     out = []
     for s, H in enumerate(data.channels):
         if data.covariances is not None:

@@ -19,6 +19,7 @@ from .model import (
     EstimationProblem,
     _as_matrix,
     _gains_from_proj,
+    _project,
     _row_lse,
     _softmax,
     all_gains,
@@ -107,7 +108,7 @@ class MleReport:
     """Outcome of ``solve_mle``.
 
     ``n_obj_evals`` counts the line-search trial objectives, each computed
-    from cached projections without a GEMV: the first iteration's two-way
+    from carried projections without a new one: the first iteration's two-way
     search may take many, a later iteration takes one plus one per halving
     of its Barzilai-Borwein step.  ``n_grad_evals`` counts the gradients
     (one at the start and one per iteration, each one GEMM); the spectral
@@ -127,9 +128,8 @@ class MleReport:
 
 
 # The objective kernel in two steps, so the solver can carry projections:
-# the projection step C = A^H X, shape (T*N*r, m), is one GEMV (a thin GEMM
-# for m > 1) over ``effective_flat_h``; from C come the value and, through
-# the same softmax, the weights-and-GEMM step of the gradient.
+# the projection step C = A^H X, shape (T*N*r, m), is ``model._project``; from
+# C come the value and, through the same softmax, the gradient's weights and GEMM.
 
 
 def _value_from_scores(
@@ -198,7 +198,7 @@ def nll_gradient(problem: EstimationProblem, x: np.ndarray) -> np.ndarray:
     with Hermitian A, which is the conjugate-coordinate (Wirtinger) gradient
     scaled so finite differences of the realified coordinates match.
     """
-    C = problem.effective_flat_h @ _as_matrix(x)
+    C = _project(problem, _as_matrix(x))
     G = _grad_from_proj(problem, C, *_value_from_proj(problem, C)[1])
     return G[:, 0] if np.asarray(x).ndim == 1 else G
 
@@ -217,13 +217,14 @@ def nll_hessian_real(problem: EstimationProblem, x: np.ndarray) -> np.ndarray:
         raise ValueError("real-mode Hessian requires a single stream")
     tau, T = problem.tau, problem.T
     A = problem.effective_flat  # column (t, n) is a_{t,n}
-    s = (problem.effective_flat_h @ x).reshape(T, -1)
-    P = _softmax(s**2 / tau)
+    proj = _project(problem, x[:, None])  # a_{t,n}^T x, round-major
+    gains = _gains_from_proj(proj, problem.codebook)
+    P = _softmax(gains / tau)
     a_sel = problem.selected[:, :, 0]
-    v = np.einsum("tn,dtn->td", P * s, A.reshape(A.shape[0], T, -1))
+    v = np.einsum("tn,dtn->td", P * proj.reshape(T, -1), A.reshape(A.shape[0], T, -1))
     c1, c2 = 2.0 / (tau * T), 4.0 / (tau**2 * T)
     # The C_t and S_t moments share one weighted GEMM over the columns of A.
-    w = (c1 + c2 * s**2) * P
+    w = (c1 + c2 * gains) * P
     H = (A * w.ravel()) @ A.T - c1 * (a_sel.T @ a_sel) - c2 * (v.T @ v)
     return 0.5 * (H + H.T)
 
@@ -340,8 +341,8 @@ def solve_mle(
     of the gradient in the solver's own coordinates (coefficients under a
     subspace prior), so it costs no evaluation beyond those the solver holds.
 
-    Each iteration costs one projection GEMV, P = A^H G for the gradient G,
-    and one gradient GEMM, however many line-search trials it takes: the
+    Each iteration costs one projection P = A^H G (``model._project``) and
+    one gradient GEMM, however many line-search trials it takes: the
     projections C = A^H S of the iterate are carried along, every trial
     point's projections are a rescaled C - s P (``_line_search_point``), and
     the value and gradient at the accepted point come from its projections.
@@ -375,7 +376,7 @@ def solve_mle(
         return _line_search_point(problem, S, C, G, P, s, radius)
 
     S = project(S)
-    C = problem.effective_flat_h @ lift(S)
+    C = _project(problem, lift(S))
     f, softmax_state = _value_from_proj(problem, C)
     G = gradient(C, softmax_state)
     step0 = problem.tau / (4.0 * radius**2)
@@ -385,7 +386,7 @@ def solve_mle(
     stop = "max-iters"
     it = 0
     for it in range(1, config.max_iters + 1):
-        P = problem.effective_flat_h @ lift(G)
+        P = _project(problem, lift(G))
         new = trial(s)
         if new[0] > f:
             while new[0] > f and s > s_min:

@@ -212,7 +212,7 @@ class EstimationProblem:
         raise AttributeError("EstimationProblem is immutable")
 
     def prefix(self, T: int) -> "EstimationProblem":
-        """The first T rounds as a problem sharing this one's arrays and lifts."""
+        """The first T rounds as a problem sharing this one's arrays and lift."""
         if not 1 <= T <= self.T:
             raise ValueError(f"prefix length {T} outside 1..{self.T}")
         k = T * self.n_codewords * self.codebook.r
@@ -225,7 +225,6 @@ class EstimationProblem:
             tau=self.tau,
             radius=self.radius,
             effective_flat=self.effective_flat[:, :k],
-            effective_flat_h=self.effective_flat_h[:k],
         )
         return out
 
@@ -269,11 +268,6 @@ class EstimationProblem:
         return np.ascontiguousarray(A.transpose(1, 0, 2).reshape(A.shape[1], -1))
 
     @cached_property
-    def effective_flat_h(self) -> np.ndarray:
-        """Conjugate transpose of ``effective_flat``, cached for hot loops."""
-        return np.ascontiguousarray(self.effective_flat.conj().T)
-
-    @cached_property
     def pmi_flat(self) -> np.ndarray:
         """Flat indices t*N + I_t of the reported entries of a C-ordered (T, N) array."""
         return np.arange(self.T) * self.n_codewords + self.pmi_array
@@ -306,9 +300,17 @@ def _gains_from_proj(C: np.ndarray, codebook: Codebook) -> np.ndarray:
     return sq.reshape(-1, codebook.n_codewords, codebook.r * C.shape[1]).sum(axis=2)
 
 
+def _project(problem: EstimationProblem, X: np.ndarray) -> np.ndarray:
+    """The one projection kernel: A^H X = (X^H A)^H, C-ordered (T*N*r, m), for a (d, m) X."""
+    C = X.conj().T @ problem.effective_flat
+    if C.dtype.kind == "c":
+        np.conjugate(C, out=C)
+    return np.ascontiguousarray(C.T)  # gain and gradient kernels view it as (T, N, r*m)
+
+
 def all_gains(problem: EstimationProblem, x: np.ndarray) -> np.ndarray:
     """Gain matrix of shape (T, N); entry (t, i) is ||V_i^H Q_t^H X||_F^2."""
-    return _gains_from_proj(problem.effective_flat_h @ _as_matrix(x), problem.codebook)
+    return _gains_from_proj(_project(problem, _as_matrix(x)), problem.codebook)
 
 
 def _row_lse(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -102,6 +102,22 @@ class TestFddDriver:
         with pytest.raises(experiments.InvalidOptionError):
             run(**options)
 
+    @pytest.mark.parametrize("command", ["fdd-experiment", "ablate-tau", "ablate-init"])
+    def test_dataset_with_too_few_ports_refused_before_any_task(
+        self, monkeypatch, tmp_path, capsys, command
+    ):
+        path = tmp_path / "d4.bin"
+        assert cli.main(["dataset-make", "--samples", "2", "--d", "4", str(path)]) == 0
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("a task ran before the dataset was checked")
+
+        monkeypatch.setattr(experiments, "_run_tasks", no_work)
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--dataset", str(path), "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert "need at least 8 antenna ports, got 4" in capsys.readouterr().err
+
 
 class TestAblationDriver:
     def test_single_grid_point_matches_fdd(self):

@@ -7,8 +7,8 @@ are solver outputs run to a relative tolerance of 1e-9 and are compared at
 rtol 1e-6; every other value is compared at rtol 1e-12.
 
 ``PYTHONPATH=src python tests/test_golden.py`` prints, per file and method,
-how many rows the current code changes and the largest |delta|, and writes
-nothing.  ``PYTHONPATH=src python tests/test_golden.py fdd_r1 crb`` rewrites
+how many rows the current code changes, the largest |delta| and the largest
+relative |delta| (to read against the rtols above), and writes nothing.  ``PYTHONPATH=src python tests/test_golden.py fdd_r1 crb`` rewrites
 only the named files; do that only when a change of behaviour is intended
 and explained.
 """
@@ -131,25 +131,30 @@ def test_feedback_stream_matches_golden(name):
 
 
 def _changes(old: str, new: str) -> dict:
-    """Per method: (rows changed, rows, max |delta| of the value) from ``old`` to ``new``.
+    """Per method: (rows changed, rows, max |delta|, max |delta| / |old|) of the value.
 
     Streams have no method column and count as one method, "stream".  A row
-    whose key columns changed has delta inf; a changed row count is reported
-    as "(layout)": (new rows, old rows, inf).
+    whose key columns changed has deltas inf, as has a moved value whose old
+    value is 0; a changed row count is reported as "(layout)":
+    (new rows, old rows, inf, inf).
     """
     old_rows = [line.split(",") for line in old.strip().split("\n")[1:]]
     new_rows = [line.split(",") for line in new.strip().split("\n")[1:]]
     if len(old_rows) != len(new_rows):
-        return {"(layout)": (len(new_rows), len(old_rows), float("inf"))}
+        return {"(layout)": (len(new_rows), len(old_rows), float("inf"), float("inf"))}
     out = {}
     for o, n in zip(old_rows, new_rows):
         method = o[0] if len(o) == 6 else "stream"
-        changed, rows, delta = out.get(method, (0, 0, 0.0))
+        changed, rows, delta, rel = out.get(method, (0, 0, 0.0, 0.0))
         if o != n:
             changed += 1
-            moved = abs(float(n[-1]) - float(o[-1])) if o[:-1] == n[:-1] else float("inf")
-            delta = max(delta, moved)
-        out[method] = (changed, rows + 1, delta)
+            moved = rel_moved = float("inf")
+            if o[:-1] == n[:-1]:
+                was = float(o[-1])
+                moved = abs(float(n[-1]) - was)
+                rel_moved = moved / abs(was) if was else float("inf")
+            delta, rel = max(delta, moved), max(rel, rel_moved)
+        out[method] = (changed, rows + 1, delta, rel)
     return out
 
 
@@ -166,7 +171,10 @@ if __name__ == "__main__":
             text = _csv_text(DRIVERS[name](), Path(tmp)) if name in DRIVERS else STREAMS[name]()
             path = GOLDEN / f"{name}.csv"
             old = path.read_text() if path.exists() else ""
-            for method, (changed, rows, delta) in _changes(old, text).items():
-                print(f"{name:24s} {method:28s} {changed:4d}/{rows:<4d} rows changed, max |delta| {delta:.2g}")
+            for method, (changed, rows, delta, rel) in _changes(old, text).items():
+                print(
+                    f"{name:24s} {method:28s} {changed:4d}/{rows:<4d} rows changed, "
+                    f"max |delta| {delta:.2g}, max relative |delta| {rel:.2g}"
+                )
             if names:
                 path.write_text(text)

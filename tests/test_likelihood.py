@@ -296,7 +296,7 @@ class TestLineSearchAlgebra:
         S *= 1.5 / np.linalg.norm(S)
         G = likelihood.nll_gradient(prob, lift(S))
         G = G if B is None else B.conj().T @ G
-        C, P = prob.effective_flat_h @ lift(S), prob.effective_flat_h @ lift(G)
+        C, P = model._project(prob, lift(S)), model._project(prob, lift(G))
         inside = outside = 0
         for s in np.geomspace(1e-3, 1e3, 13) * (np.linalg.norm(S) / np.linalg.norm(G)):
             f, Z, CZ, state = likelihood._line_search_point(prob, S, C, G, P, s, prob.radius)
@@ -483,7 +483,7 @@ def _ref_nll(problem, X):
 
 def _ref_gradient(problem, X):
     T, r = problem.T, problem.codebook.r
-    C = problem.effective_flat_h @ X
+    C = model._project(problem, X)
     scores = model._gains_from_proj(C, problem.codebook) / problem.tau
     ex = np.exp(scores - scores.max(axis=1, keepdims=True))
     weights = np.repeat(ex / ex.sum(axis=1)[:, None], r, axis=1)
@@ -520,7 +520,7 @@ class TestReductionKernel:
     def test_value_and_gradient_share_the_nll_value(self, rng):
         # The solver's value path: projections, then _value_from_proj.
         prob, x = random_problem(rng, d=5, p=4, n=4, T=30)
-        f, _ = likelihood._value_from_proj(prob, prob.effective_flat_h @ (2.0 * x[:, None]))
+        f, _ = likelihood._value_from_proj(prob, model._project(prob, 2.0 * x[:, None]))
         assert f == likelihood.nll(prob, 2.0 * x)
 
 

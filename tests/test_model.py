@@ -3,7 +3,7 @@ import pytest
 from scipy.special import softmax
 from scipy.stats import chisquare
 
-from pmichannel import designs, likelihood, model
+from pmichannel import crb, designs, likelihood, model
 from conftest import lifted, oracle_gains, random_problem
 
 
@@ -105,13 +105,14 @@ class TestPrefix:
         prob, _ = random_problem(rng, T=5, attach_cqi=True, rule="hard")
         pre = prob.prefix(3)
         assert pre.T == 3 and pre.radius == prob.radius and pre.has_cqi
-        for name in ("q_stack", "pmi_array", "cqi_array", "effective_flat", "effective_flat_h"):
+        for name in ("q_stack", "pmi_array", "cqi_array", "effective_flat"):
             assert np.shares_memory(getattr(pre, name), getattr(prob, name))
 
-    def test_two_lift_caches_shared_by_prefix(self, rng):
+    def test_one_lift_shared_by_prefix(self, rng):
         # p = 3 differs from N*r = 2, so only the lifted codebook has d*T*N*r entries.
         prob, x = random_problem(rng, d=5, p=3, n=2, T=6)
         likelihood.nll_gradient(prob, x)
+        crb.fisher(prob, x)
         lift_size = prob.d * prob.T * prob.n_codewords
 
         def lifts(problem, size):
@@ -119,11 +120,10 @@ class TestPrefix:
                 k for k, v in vars(problem).items() if isinstance(v, np.ndarray) and v.size == size
             )
 
-        assert lifts(prob, lift_size) == ["effective_flat", "effective_flat_h"]
+        assert lifts(prob, lift_size) == ["effective_flat"]
         pre = prob.prefix(4)
-        assert lifts(pre, 4 * lift_size // prob.T) == ["effective_flat", "effective_flat_h"]
-        for name in ("effective_flat", "effective_flat_h"):
-            assert np.shares_memory(getattr(pre, name), getattr(prob, name))
+        assert lifts(pre, 4 * lift_size // prob.T) == ["effective_flat"]
+        assert np.shares_memory(pre.effective_flat, prob.effective_flat)
 
     @pytest.mark.parametrize("T", [0, 6])
     def test_range(self, rng, T):
@@ -177,6 +177,19 @@ class TestGain:
         prob, _ = random_problem(rng)
         with pytest.raises(ValueError):
             model.all_gains(prob, np.zeros(prob.d + 1))
+
+    @pytest.mark.parametrize("complex_problem", [False, True])
+    @pytest.mark.parametrize("complex_x", [False, True])
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_projection_is_conjugate_transpose_product(self, rng, complex_problem, complex_x, m):
+        # Gains cannot see a missing conjugate; the projections themselves can.
+        prob, _ = random_problem(rng, d=5, p=4, n=3, T=7, complex_mode=complex_problem)
+        X = rng.standard_normal((prob.d, m))
+        if complex_x:
+            X = X + 1j * rng.standard_normal((prob.d, m))
+        C = model._project(prob, X)
+        assert C.shape == (prob.T * prob.n_codewords, m)
+        np.testing.assert_allclose(C, prob.effective_flat.conj().T @ X, rtol=1e-13)
 
 
 class TestSoftmaxPmf:
