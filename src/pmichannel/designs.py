@@ -105,9 +105,10 @@ def haar_stiefel_stack(
 ) -> np.ndarray:
     """n independent Haar Stiefel matrices as an (n, d, p) array.
 
-    Batched QR of i.i.d. Gaussian matrices, with each R factor's diagonal
-    phases absorbed into Q so every result is the unique Haar
-    representative.  Set ``real=True`` for the real Stiefel manifold.
+    Orthonormalizes i.i.d. Gaussian matrices with ``_haar_from_gaussian``,
+    whose Q factor has a positive real R diagonal, so every result is the
+    unique Haar representative (Mezzadri 2007).  Set ``real=True`` for the
+    real Stiefel manifold.
     """
     if p > d:
         raise ValueError("need p <= d")
@@ -118,12 +119,52 @@ def haar_stiefel_stack(
     return _haar_from_gaussian(G)
 
 
+def _sum_rows(x: np.ndarray) -> np.ndarray:
+    """Sum over axis 0 in place, pairwise in an order fixed by the row count alone.
+
+    Overwrites ``x`` and returns its first row.  ``x.sum(axis=0)`` adds a
+    contiguous row pairwise but sums across rows in sequence, so its bits
+    would depend on the trailing (batch) shape.
+    """
+    k = len(x)
+    while k > 1:
+        h = k // 2
+        np.add(x[:h], x[h : 2 * h], out=x[:h])
+        if k % 2:
+            x[0] += x[k - 1]
+        k = h
+    return x[0]
+
+
 def _haar_from_gaussian(G: np.ndarray) -> np.ndarray:
-    """Batched QR of an (n, d, p) Gaussian stack, R's diagonal phases absorbed into Q."""
-    Q, R = np.linalg.qr(G)
-    diag = np.einsum("nii->ni", R)
-    phases = diag / np.abs(diag)
-    return Q * phases.conj()[:, None, :]
+    """Q factor of an (n, d, p) Gaussian stack with R's diagonal real positive.
+
+    A complex stack goes through LAPACK's batched QR, with R's diagonal
+    phases absorbed into Q.  A real stack is orthonormalized by modified
+    Gram-Schmidt in two sweeps over the whole stack, with no per-matrix
+    LAPACK call: the second sweep re-orthogonalizes the first sweep's Q,
+    which keeps the columns orthonormal to working precision ("twice is
+    enough", Giraud, Langou & Rozloznik 2005), and R stays upper triangular
+    with a positive diagonal.  The (d, p, n) array keeps the batch on the
+    contiguous axis, and only elementwise operations and ``_sum_rows`` touch
+    it, so each matrix's bits do not depend on n.  Complex stacks keep LAPACK:
+    a realified form of this kernel was slower there.
+    """
+    if np.iscomplexobj(G):
+        Q, R = np.linalg.qr(G)
+        diag = np.einsum("nii->ni", R)
+        phases = diag / np.abs(diag)
+        return Q * phases.conj()[:, None, :]
+    p = G.shape[2]
+    X = G.transpose(1, 2, 0).copy()  # not ascontiguousarray: at n = 1 that would alias G
+    for _ in range(2):
+        for j in range(p):
+            q = X[:, j]
+            q *= 1.0 / np.sqrt(_sum_rows(q * q))
+            if j + 1 < p:
+                rest = X[:, j + 1 :]
+                rest -= q[:, None] * _sum_rows(q[:, None] * rest)
+    return np.ascontiguousarray(X.transpose(2, 0, 1))
 
 
 def structured_q(sigma_ul: np.ndarray, p: int, rng: np.random.Generator) -> np.ndarray:

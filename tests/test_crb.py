@@ -40,6 +40,19 @@ class TestRealify:
             crb.realify(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def _ref_fisher(problem, h):
+    """``crb.fisher``'s matrix with the per-round mean as one ``sum(axis=2)`` over codewords."""
+    h = np.asarray(h).ravel().astype(complex)
+    C = model._project(problem, h[:, None])
+    P = model._softmax(model._gains_from_proj(C, problem.codebook) / problem.tau)
+    W = problem.effective_flat * C[:, 0]
+    G = np.concatenate([W.real, W.imag])
+    GP = G * P.ravel()
+    mean = GP.reshape(G.shape[0], problem.T, -1).sum(axis=2)
+    F = (4.0 / problem.tau**2) * (GP @ G.T - mean @ mean.T)
+    return 0.5 * (F + F.T)
+
+
 class TestFisher:
     def test_identical_codewords_give_zero(self, rng):
         # two copies of the same codeword: the pmf carries no information
@@ -74,6 +87,18 @@ class TestFisher:
                 - np.outer(mean, mean)
             )
         np.testing.assert_allclose(F.F, expected, atol=1e-12)
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_matches_row_sum_formula(self, n):
+        # NumPy adds a row shorter than 8 in sequence, as fisher adds the
+        # codeword planes, so the bits agree there; from 8 on it sums pairwise.
+        rng = np.random.default_rng([31, n])
+        prob, h = random_problem(rng, d=n + 3, p=n + 1, n=n, T=40, tau=0.3)
+        F, ref = crb.fisher(prob, h).F, _ref_fisher(prob, h)
+        if n < 8:
+            np.testing.assert_array_equal(F, ref)
+        else:
+            np.testing.assert_allclose(F, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
 
     def test_psd(self, rng):
         for _ in range(10):

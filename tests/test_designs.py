@@ -77,6 +77,76 @@ class TestHaarStiefel:
             designs.haar_stiefel(2, 3, rng)
 
 
+def _qr_reference(G):
+    """LAPACK QR with R's diagonal phases absorbed into Q, the reference for real stacks."""
+    Q, R = np.linalg.qr(G)
+    diag = np.einsum("nii->ni", R)
+    return Q * (diag / np.abs(diag)).conj()[:, None, :]
+
+
+def _gaussian(rng, n, d, p, complex_):
+    """An (n, d, p) Gaussian stack, complex when ``complex_``."""
+    G = rng.standard_normal((n, d, p))
+    return G + 1j * rng.standard_normal((n, d, p)) if complex_ else G
+
+
+def _conditioned(kappa, rng, complex_):
+    """8 x 8 matrix with singular values log-spaced from 1 down to 1/kappa."""
+
+    def unitary():
+        Z = rng.standard_normal((8, 8))
+        return np.linalg.qr(Z + 1j * rng.standard_normal((8, 8)) if complex_ else Z)[0]
+
+    return unitary() @ np.diag(np.geomspace(1.0, 1.0 / kappa, 8)) @ unitary()
+
+
+class TestHaarKernel:
+    """``designs._haar_from_gaussian``: two-sweep Gram-Schmidt on real stacks, LAPACK on complex."""
+
+    @pytest.mark.parametrize("n", [1, 2, 19, 1000])
+    @pytest.mark.parametrize("d, p", [(6, 3), (6, 6), (16, 4)])
+    def test_real_agrees_with_lapack_qr(self, n, d, p):
+        G = _gaussian(np.random.default_rng([n, d, p]), n, d, p, False)
+        Q = designs._haar_from_gaussian(G)
+        assert (Q.dtype, Q.shape) == (G.dtype, G.shape) and Q.flags.c_contiguous
+        np.testing.assert_allclose(Q, _qr_reference(G), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_r_is_upper_triangular_with_positive_real_diagonal(self, complex_):
+        G = _gaussian(np.random.default_rng(4), 50, 7, 4, complex_)
+        Q = designs._haar_from_gaussian(G)
+        R = np.conj(np.swapaxes(Q, 1, 2)) @ G
+        tol = 1e-13 * np.abs(R).max()
+        assert np.abs(np.tril(R, -1)).max() <= tol
+        diag = np.diagonal(R, axis1=1, axis2=2)
+        assert np.abs(diag.imag).max() <= tol and diag.real.min() > 0
+
+    @pytest.mark.parametrize("d, p", [(5, 3), (8, 8), (32, 8)])
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_stack_bit_identical_to_each_slice(self, d, p, complex_):
+        n = 23
+        G = _gaussian(np.random.default_rng([6, d, p]), n, d, p, complex_)
+        Q = designs._haar_from_gaussian(G)
+        for i in range(n):
+            assert designs._haar_from_gaussian(G[i : i + 1]).tobytes() == Q[i : i + 1].tobytes()
+
+    @pytest.mark.parametrize("kappa", [1e4, 1e8])
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_orthonormal_when_ill_conditioned(self, kappa, complex_):
+        # One Gram-Schmidt sweep loses orthogonality like eps * kappa; two do not.
+        rng = np.random.default_rng([int(np.log10(kappa)), complex_])
+        G = np.array([_conditioned(kappa, rng, complex_) for _ in range(20)])
+        Q = designs._haar_from_gaussian(G)
+        gram = np.conj(np.swapaxes(Q, 1, 2)) @ Q
+        assert np.abs(gram - np.eye(8)).max() <= 1e-13
+
+    def test_input_untouched(self):
+        G = _gaussian(np.random.default_rng(2), 1, 4, 4, False)
+        before = G.copy()
+        designs._haar_from_gaussian(G)
+        np.testing.assert_array_equal(G, before)
+
+
 class TestStructuredQ:
     def test_identity_covariance(self, rng):
         Q = designs.structured_q(np.eye(6), 3, rng)
