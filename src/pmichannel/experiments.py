@@ -19,7 +19,6 @@ from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import baselines, crb, designs, likelihood, metrics, model, theory
 from .dataset import ChannelDataset, read_dataset
@@ -673,9 +672,12 @@ def run_theory_verification(
         risk = likelihood.population_excess_risk(problem, h, x)
         gx = model.all_gains(problem, x) / problem.tau
         gh = model.all_gains(problem, h) / problem.tau
-        terms = model.softmax_pmf(problem, h) * (
-            (logsumexp(gx, axis=1, keepdims=True) - gx) - (logsumexp(gh, axis=1, keepdims=True) - gh)
-        )
+        # The reference log-sum-exp is written out here, not taken from
+        # `_row_lse`: `population_excess_risk` is built on `_row_lse`.
+        mx, mh = gx.max(axis=1, keepdims=True), gh.max(axis=1, keepdims=True)
+        lse_x = np.log(np.exp(gx - mx).sum(axis=1, keepdims=True)) + mx
+        lse_h = np.log(np.exp(gh - mh).sum(axis=1, keepdims=True)) + mh
+        terms = model.softmax_pmf(problem, h) * ((lse_x - gx) - (lse_h - gh))
         enum = terms.sum() / problem.T
         worst_kl = max(worst_kl, abs(risk - enum))
     add("loss_equivalence", worst_eq, 1e-10, worst_eq <= 1e-10)

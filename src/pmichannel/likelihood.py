@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .metrics import _fro_norm
 from .model import (
@@ -180,12 +179,12 @@ def relaxed_loss(problem: EstimationProblem, x: np.ndarray) -> float:
     max by its log-sum-exp envelope gives
     (1/T) sum_t (tau * lse_j(gain/tau) - gain(t, I_t)) - tau * log N,
     which equals tau * nll - tau * log N, so both objectives share their
-    minimizers.
+    minimizers.  The row log-sum-exp is the package's one kernel, ``_row_lse``.
     """
     tau = problem.tau
     G = all_gains(problem, x)
     sel = G[np.arange(problem.T), problem.pmi_array]
-    per_round = tau * logsumexp(G / tau, axis=1) - sel
+    per_round = tau * _row_lse(G / tau)[2] - sel
     return float(np.mean(per_round) - tau * np.log(problem.n_codewords))
 
 

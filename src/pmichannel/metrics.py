@@ -26,23 +26,16 @@ def dist(x: np.ndarray, y: np.ndarray) -> float:
     phase = np.exp(-1j * np.angle(inner)) if inner != 0 else 1.0
     if not np.iscomplexobj(x) and not np.iscomplexobj(y):
         phase = np.sign(np.real(inner)) or 1.0
-    return float(np.linalg.norm(x - phase * y))
+    return float(np.linalg.norm(y * phase - x))
 
 
 def phase_aligned_mse(x_hat: np.ndarray, h: np.ndarray) -> float:
     """||x_hat * exp(-j*arg(h^H x_hat)) - h||^2, the squared phase-invariant error.
 
-    When h^H x_hat vanishes every phase is equally good and zero is used.
+    This is ``dist(h, x_hat) ** 2``.  When h^H x_hat vanishes every phase is
+    equally good and zero is used.
     """
-    x_hat = np.asarray(x_hat).ravel()
-    h = np.asarray(h).ravel()
-    if x_hat.shape != h.shape:
-        raise ValueError("vectors must have equal length")
-    inner = np.vdot(h, x_hat)
-    phase = np.exp(-1j * np.angle(inner)) if inner != 0 else 1.0
-    if not np.iscomplexobj(x_hat) and not np.iscomplexobj(h):
-        phase = np.real(phase)
-    return float(np.linalg.norm(x_hat * phase - h) ** 2)
+    return dist(h, x_hat) ** 2
 
 
 def beam_precision(h_hat: np.ndarray, H: np.ndarray) -> float:

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pmichannel
 from pmichannel import cli, experiments
 from pmichannel.dataset import read_dataset
 
@@ -446,3 +451,19 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("usage: ") and "verify-theory: " in err and "at least 1" in err
         assert not (tmp_path / "o").exists()
+
+
+def test_package_imports_without_scipy():
+    """numpy is the package's only runtime dependency: scipy is never imported."""
+    src = str(Path(pmichannel.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    code = (
+        "import sys, pmichannel, pmichannel.cli; "
+        "assert pmichannel.__file__.startswith(sys.argv[1]), pmichannel.__file__; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code, src], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[]"

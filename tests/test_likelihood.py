@@ -318,10 +318,10 @@ class TestLineSearchAlgebra:
     @_LINE_SEARCH_GRID
     def test_reported_nll_matches_estimate(self, complex_mode, r, prior):
         _, prob, B, _ = _grid_problem(complex_mode, r, prior, T=200)
-        # A tolerance below machine epsilon keeps the solve going past
-        # convergence, long enough for the carried projections to drift, if
-        # they did.
-        cfg = likelihood.MleConfig(init="spectral", max_iters=60, rel_tol=1e-16)
+        # The smallest positive tolerance stops the solve only at an exact
+        # fixed point, so it runs on past convergence, long enough for the
+        # carried projections to drift, if they did.
+        cfg = likelihood.MleConfig(init="spectral", max_iters=60, rel_tol=np.finfo(float).tiny)
         X, rep = likelihood.solve_mle(prob, cfg, likelihood.SubspacePrior(B) if prior else None)
         assert rep.iterations >= 20
         np.testing.assert_allclose(rep.nll, likelihood.nll(prob, X), rtol=1e-12)

@@ -2,8 +2,27 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pmichannel import metrics
+
+
+def _phase_aligned_mse_reference(x_hat, h):
+    """``phase_aligned_mse`` written out directly: align x_hat to h, then square the norm."""
+    x_hat = np.asarray(x_hat).ravel()
+    h = np.asarray(h).ravel()
+    if x_hat.shape != h.shape:
+        raise ValueError("vectors must have equal length")
+    inner = np.vdot(h, x_hat)
+    phase = np.exp(-1j * np.angle(inner)) if inner != 0 else 1.0
+    if not np.iscomplexobj(x_hat) and not np.iscomplexobj(h):
+        phase = np.real(phase)
+    return float(np.linalg.norm(x_hat * phase - h) ** 2)
+
+
+def _vector(rng, d, complex_mode):
+    v = rng.standard_normal(d)
+    return v + 1j * rng.standard_normal(d) if complex_mode else v
 
 
 class TestDist:
@@ -48,6 +67,25 @@ class TestPhaseAlignedMse:
             x = rng.standard_normal(4) + 1j * rng.standard_normal(4)
             h = rng.standard_normal(4) + 1j * rng.standard_normal(4)
             assert abs(metrics.phase_aligned_mse(x, h) - metrics.dist(x, h) ** 2) < 1e-12
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(1, 8),
+        complex_x=st.booleans(),
+        complex_h=st.booleans(),
+        relation=st.sampled_from(["independent", "zero", "negated", "rotated"]),
+    )
+    def test_bitwise_equal_to_reference(self, seed, d, complex_x, complex_h, relation):
+        rng = np.random.default_rng(seed)
+        h = _vector(rng, d, complex_h)
+        x = {
+            "independent": _vector(rng, d, complex_x),
+            "zero": np.zeros(d, dtype=complex if complex_x else float),
+            "negated": -h,
+            "rotated": h * np.exp(1j * rng.uniform(0, 2 * np.pi)) * rng.uniform(0.5, 2.0),
+        }[relation]
+        assert metrics.phase_aligned_mse(x, h) == _phase_aligned_mse_reference(x, h)
 
     def test_orthogonal_fallback(self):
         # h^H x = 0: every phase is equally bad
