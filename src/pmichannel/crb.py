@@ -8,8 +8,14 @@ MSE is the trace of the Moore-Penrose pseudoinverse.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import threading
 import warnings
 from dataclasses import dataclass
+from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
@@ -38,7 +44,7 @@ class FisherMatrix:
 
     F: np.ndarray
     theta: np.ndarray
-    tau: float = 1.0
+    tau: float
 
     @property
     def gauge(self) -> np.ndarray:
@@ -78,21 +84,69 @@ def gauge_direction(theta: np.ndarray) -> np.ndarray:
     return np.concatenate([-theta[d:], theta[:d]])
 
 
-def fisher(problem: EstimationProblem, h: np.ndarray, tau: float | None = None) -> FisherMatrix:
+@functools.lru_cache(maxsize=None)
+def _openblas_threads() -> Optional[tuple]:
+    """(get, set) thread-count functions of numpy's bundled OpenBLAS, or None if not found."""
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas64_*.so")):
+        try:
+            lib = ctypes.CDLL(str(path))
+            get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+# The BLAS thread count is process-wide: the first holder saves it and sets
+# one thread, the last one to leave restores it.
+_BLAS_LOCK = threading.Lock()
+_blas_hold = {"holders": 0, "saved": 1}
+
+
+@contextlib.contextmanager
+def _single_threaded_blas():
+    """Hold numpy's OpenBLAS at one thread, restoring its count on exit.
+
+    Without the library or its symbols this does nothing.
+    """
+    funcs = _openblas_threads()
+    if funcs is None:
+        yield
+        return
+    get, set_ = funcs
+    with _BLAS_LOCK:
+        if _blas_hold["holders"] == 0:
+            _blas_hold["saved"] = get()
+            set_(1)
+        _blas_hold["holders"] += 1
+    try:
+        yield
+    finally:
+        with _BLAS_LOCK:
+            _blas_hold["holders"] -= 1
+            if _blas_hold["holders"] == 0:
+                set_(_blas_hold["saved"])
+
+
+def fisher(problem: EstimationProblem, h: np.ndarray) -> FisherMatrix:
     """Fisher information matrix of the T-round softmax PMI observations.
 
     F = (4/tau^2) sum_t [ sum_i p_t(i) g_{t,i} g_{t,i}^T
                           - (sum_i p_t(i) g_{t,i})(sum_i p_t(i) g_{t,i})^T ]
     with g_{t,i} = M(a_{t,i} a_{t,i}^H) theta, i.e. the realification of
-    a_{t,i} (a_{t,i}^H h), with a_{t,i}^H h from ``model._project``.  Single stream only.
+    a_{t,i} (a_{t,i}^H h), with a_{t,i}^H h from ``model._project``, at the
+    problem's temperature tau.  Single stream only.
 
-    The drivers call this with numpy's OpenBLAS held at one thread.  Called
-    outside them, the last bits of F (and of the CRB) follow the BLAS thread
-    count, because the (2d, T*N) GEMM splits its sum differently per thread.
+    The (2d, T*N) GEMM runs with numpy's OpenBLAS held at one thread: more
+    threads split its sum differently, so the last bits of F (and of the
+    CRB) would follow the caller's BLAS thread count.
     """
     if problem.codebook.r != 1:
         raise ValueError("Fisher matrix is defined for the single-stream model")
-    tau = problem.tau if tau is None else tau
+    tau = problem.tau
     h = np.asarray(h).ravel().astype(complex)
     C = _project(problem, h[:, None])  # a_{t,i}^H h, round-major, (T*N, 1)
     P = _softmax(_gains_from_proj(C, problem.codebook) / tau)
@@ -103,31 +157,25 @@ def fisher(problem: EstimationProblem, h: np.ndarray, tau: float | None = None) 
     mean = by_round[:, :, 0].copy()  # (2d, T); plane by plane is ~3x faster than .sum(axis=2)
     for i in range(1, by_round.shape[2]):
         mean += by_round[:, :, i]
-    F = (4.0 / tau**2) * (GP @ G.T - mean @ mean.T)
+    with _single_threaded_blas():
+        F = (4.0 / tau**2) * (GP @ G.T - mean @ mean.T)
     F = 0.5 * (F + F.T)
     return FisherMatrix(F=F, theta=realify_vector(h), tau=tau)
 
 
-def gauge_nullity(F: np.ndarray | FisherMatrix, theta: np.ndarray | None = None) -> float:
+def gauge_nullity(fm: FisherMatrix) -> float:
     """u^T F u / (||F|| ||u||^2) for the gauge direction u = J theta.
 
     The phase invariance of the model forces this ratio to vanish for every
     valid Fisher matrix.  A matrix whose norm sits at the roundoff level of
     its own construction (an uninformative design) counts as exactly zero.
     """
-    floor = 0.0
-    if isinstance(F, FisherMatrix):
-        theta = F.theta
-        floor = F.noise_floor
-        F = F.F
-    if theta is None:
-        raise ValueError("need the parameter vector theta")
-    u = gauge_direction(theta)
-    norm_f = np.linalg.norm(F, 2)
+    u = fm.gauge
+    norm_f = np.linalg.norm(fm.F, 2)
     norm_u = np.linalg.norm(u) ** 2
-    if norm_f <= floor or norm_f == 0 or norm_u == 0:
+    if norm_f <= fm.noise_floor or norm_u == 0:
         return 0.0
-    return float(abs(u @ F @ u) / (norm_f * norm_u))
+    return float(abs(u @ fm.F @ u) / (norm_f * norm_u))
 
 
 def _rotation_block(phi: float, d: int) -> np.ndarray:
@@ -137,18 +185,16 @@ def _rotation_block(phi: float, d: int) -> np.ndarray:
     )
 
 
-def rotation_equivariance_check(
-    problem: EstimationProblem, h: np.ndarray, tau: float, phi: float
-) -> float:
+def rotation_equivariance_check(problem: EstimationProblem, h: np.ndarray, phi: float) -> float:
     """Relative deviation of F(theta_phi) from R_phi F(theta) R_phi^T.
 
     Rotating h by a global phase rotates the Fisher matrix by the block
     rotation R_phi; the returned ratio should be at numerical-noise level.
     """
     h = np.asarray(h).ravel().astype(complex)
-    fm0 = fisher(problem, h, tau)
+    fm0 = fisher(problem, h)
     F0 = fm0.F
-    F1 = fisher(problem, h * np.exp(1j * phi), tau).F
+    F1 = fisher(problem, h * np.exp(1j * phi)).F
     R = _rotation_block(phi, h.size)
     denom = np.linalg.norm(F0)
     if denom <= fm0.noise_floor:
@@ -156,32 +202,26 @@ def rotation_equivariance_check(
     return float(np.linalg.norm(F1 - R @ F0 @ R.T) / denom)
 
 
-def crb_trace(F: np.ndarray | FisherMatrix, rank_tol: float | None = None) -> float:
-    """tr(F^+) via symmetric eigendecomposition.
+def crb_trace(fm: FisherMatrix) -> float:
+    """tr(F^+) with the phase gauge u = J theta projected out.
 
-    Eigenvalues above ``rank_tol`` (default 2d * eps * lambda_max) are
-    inverted, the rest dropped.  A FisherMatrix knows its gauge direction
-    u = J theta, which is always projected out first, so the tolerance
-    applies only to the other eigenvalues and dropping any of them raises
-    an identifiability warning.  A bare matrix has no known gauge: one
-    dropped eigenvalue is taken to be the gauge and more than one raises
-    the warning.
+    F is restricted to an orthonormal basis of u's complement, and the
+    eigenvalues of the restriction above 2d * eps * lambda_max are
+    inverted.  Any other eigenvalue is dropped with an identifiability
+    warning: the parameters are then not identifiable beyond the gauge.
+    A zero channel has F = 0 and gives 0.
     """
-    u = F.gauge if isinstance(F, FisherMatrix) else None
-    F = np.asarray(F.F if u is not None else F)
+    F, u = fm.F, fm.gauge
     tol_scale = F.shape[0] * np.finfo(float).eps
-    allowed = 1
-    if u is not None and np.any(u):
-        # Restrict F to an orthonormal basis of u's complement.
+    if np.any(u):
         D = np.linalg.qr(u[:, None], mode="complete")[0][:, 1:]
-        F, allowed = D.T @ F @ D, 0
+        F = D.T @ F @ D
     w = np.linalg.eigvalsh(F)
     lam_max = w[-1] if w.size else 0.0
     if lam_max <= 0:
         return 0.0
-    tol = rank_tol if rank_tol is not None else tol_scale * lam_max
-    keep = w > tol
-    if np.sum(~keep) > allowed:
+    keep = w > tol_scale * lam_max
+    if not np.all(keep):
         warnings.warn(
             f"Fisher matrix has {int(np.sum(~keep))} near-zero eigenvalues; "
             "parameters are not identifiable beyond the phase gauge",

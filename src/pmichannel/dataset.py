@@ -39,8 +39,8 @@ class ChannelDataset:
 
     def __post_init__(self):
         ch = np.asarray(self.channels, dtype=complex)
-        if ch.ndim != 3:
-            raise ValueError("channels must be (n_samples, d, n_rx)")
+        if ch.ndim != 3 or 0 in ch.shape:
+            raise ValueError(f"channels must be (n_samples, d, n_rx), all nonzero; got {ch.shape}")
         if not np.all(np.isfinite(ch)):
             raise ValueError("channel entries must be finite")
         object.__setattr__(self, "channels", ch)

@@ -7,11 +7,7 @@ depend on worker count or execution order.
 
 from __future__ import annotations
 
-import contextlib
-import ctypes
-import functools
 import math
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -108,62 +104,15 @@ def write_timings_csv(rows: Iterable[ExperimentResult], path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-@functools.lru_cache(maxsize=None)
-def _openblas_threads() -> Optional[tuple]:
-    """(get, set) thread-count functions of numpy's bundled OpenBLAS, or None if not found."""
-    libs = Path(np.__file__).parent.parent / "numpy.libs"
-    for path in sorted(libs.glob("libscipy_openblas64_*.so")):
-        try:
-            lib = ctypes.CDLL(str(path))
-            get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
-        except (OSError, AttributeError):
-            continue
-        get.argtypes, get.restype = [], ctypes.c_int
-        set_.argtypes, set_.restype = [ctypes.c_int], None
-        return get, set_
-    return None
-
-
-# The BLAS thread count is process-wide: the first holder saves it and sets
-# one thread, the last one to leave restores it.
-_BLAS_LOCK = threading.Lock()
-_blas_hold = {"holders": 0, "saved": 1}
-
-
-@contextlib.contextmanager
-def _single_threaded_blas():
-    """Hold numpy's OpenBLAS at one thread, restoring its count on exit.
-
-    Without the library or its symbols this does nothing.
-    """
-    funcs = _openblas_threads()
-    if funcs is None:
-        yield
-        return
-    get, set_ = funcs
-    with _BLAS_LOCK:
-        if _blas_hold["holders"] == 0:
-            _blas_hold["saved"] = get()
-            set_(1)
-        _blas_hold["holders"] += 1
-    try:
-        yield
-    finally:
-        with _BLAS_LOCK:
-            _blas_hold["holders"] -= 1
-            if _blas_hold["holders"] == 0:
-                set_(_blas_hold["saved"])
-
-
 def _run_tasks(tasks: Sequence, fn: Callable, workers: int) -> list:
     """``[fn(t) for t in tasks]`` on ``workers`` threads, with BLAS at one thread.
 
     Worker threads each run their own GEMMs, so BLAS threads on top of them
-    only oversubscribe the cores.  The cap holds for one worker too: some
-    GEMMs (the Fisher matrix at T=500, d=16) round differently with two BLAS
-    threads, and output bytes must not depend on the worker count.
+    only oversubscribe the cores.  The cap holds for one worker too: a GEMM
+    may round differently with more BLAS threads, and output bytes must not
+    depend on the worker count.
     """
-    with _single_threaded_blas():
+    with crb._single_threaded_blas():
         if workers <= 1:
             return [fn(t) for t in tasks]
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -622,7 +571,7 @@ def run_theory_verification(
         F = crb.fisher(problem, h)
         worst_gauge = max(worst_gauge, crb.gauge_nullity(F))
         phi = float(rng.uniform(0, 2 * np.pi))
-        worst_rot = max(worst_rot, crb.rotation_equivariance_check(problem, h, problem.tau, phi))
+        worst_rot = max(worst_rot, crb.rotation_equivariance_check(problem, h, phi))
     add("gauge_nullity", worst_gauge, 1e-10, worst_gauge <= 1e-10)
     add("rotation_equivariance", worst_rot, 1e-10, worst_rot <= 1e-10)
 
@@ -742,6 +691,9 @@ def make_synthetic_dataset(
     n_samples: int = 100, d: int = 32, n_rx: int = 4, paths: int = 4, seed: int = 0
 ) -> ChannelDataset:
     """Ray-model channels plus uplink covariances, ready for serialization."""
+    for name, count in (("n_samples", n_samples), ("d", d), ("n_rx", n_rx), ("paths", paths)):
+        if count < 1:
+            raise InvalidOptionError(f"{name} must be at least 1, got {count}")
     chans = np.zeros((n_samples, d, n_rx), dtype=complex)
     covs = np.zeros((n_samples, d, d), dtype=complex)
     for s in range(n_samples):

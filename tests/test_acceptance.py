@@ -84,7 +84,7 @@ def test_criterion_2_gauge_and_equivariance():
         F = crb.fisher(prob, h)
         worst_gauge = max(worst_gauge, crb.gauge_nullity(F))
         phi = float(rng.uniform(0, 2 * np.pi))
-        worst_rot = max(worst_rot, crb.rotation_equivariance_check(prob, h, prob.tau, phi))
+        worst_rot = max(worst_rot, crb.rotation_equivariance_check(prob, h, phi))
     elapsed = time.time() - t0
     ok = worst_gauge <= 1e-10 and worst_rot <= 1e-10
     _report(

@@ -69,6 +69,7 @@ class TestFisher:
         prob, _ = random_problem(rng)
         F = crb.fisher(prob, np.zeros(prob.d, dtype=complex))
         assert np.max(np.abs(F.F)) < 1e-14
+        assert crb.crb_trace(F) == 0.0
 
     def test_enumeration_oracle(self, rng):
         prob, h = random_problem(rng, d=3, p=2, n=2, T=2, tau=0.4)
@@ -114,7 +115,8 @@ class TestFisher:
 
 class TestGauge:
     def test_zero_matrix(self):
-        assert crb.gauge_nullity(np.zeros((4, 4)), np.array([1.0, 0.0, 0.0, 0.0])) == 0.0
+        fm = crb.FisherMatrix(np.zeros((4, 4)), np.array([1.0, 0.0, 0.0, 0.0]), tau=1.0)
+        assert crb.gauge_nullity(fm) == 0.0
 
     def test_valid_fisher_output(self, rng):
         prob, h = random_problem(rng)
@@ -135,24 +137,27 @@ class TestGauge:
 class TestRotationEquivariance:
     def test_zero_and_pi(self, rng):
         prob, h = random_problem(rng)
-        assert crb.rotation_equivariance_check(prob, h, prob.tau, 0.0) < 1e-12
-        assert crb.rotation_equivariance_check(prob, h, prob.tau, np.pi) < 1e-10
+        assert crb.rotation_equivariance_check(prob, h, 0.0) < 1e-12
+        assert crb.rotation_equivariance_check(prob, h, np.pi) < 1e-10
 
     def test_generic_angle(self, rng):
         prob, h = random_problem(rng, d=5, p=4, n=4, T=4)
-        assert crb.rotation_equivariance_check(prob, h, prob.tau, 0.7) <= 1e-10
+        assert crb.rotation_equivariance_check(prob, h, 0.7) <= 1e-10
 
     def test_randomized(self, rng):
         for _ in range(20):
             prob, h = random_problem(rng, d=4, p=3, n=3)
             phi = float(rng.uniform(0, 2 * np.pi))
-            assert crb.rotation_equivariance_check(prob, h, prob.tau, phi) <= 1e-10
+            assert crb.rotation_equivariance_check(prob, h, phi) <= 1e-10
 
 
 class TestCrbTrace:
     def test_diag_examples(self):
-        assert crb.crb_trace(np.diag([2.0, 0.0])) == 0.5
-        assert crb.crb_trace(np.eye(8)) == 8.0
+        # theta = e_1 has the gauge e_{d+1}; the other diagonal entries are inverted.
+        fm = crb.FisherMatrix(np.diag([2.0, 0.0]), np.array([1.0, 0.0]), tau=1.0)
+        assert crb.crb_trace(fm) == 0.5
+        F = np.diag([2.0, 4.0, 8.0, 1.0, 0.0, 1.0, 1.0, 1.0])
+        assert crb.crb_trace(crb.FisherMatrix(F, np.eye(8)[0], tau=1.0)) == 4.875
 
     def test_gauge_reduction_oracle(self, rng):
         # random PSD with exactly one null direction u: tr(F^+) must match
@@ -169,14 +174,16 @@ class TestCrbTrace:
             G = rng.standard_normal((n - 1, n - 1))
             core = G @ G.T + 0.5 * np.eye(n - 1)
             F = D @ core @ D.T
-            got = crb.crb_trace(F)
+            theta = -crb.gauge_direction(u)  # J^2 = -I, so the gauge J theta is u
+            got = crb.crb_trace(crb.FisherMatrix(F, theta, tau=1.0))
             expected = np.trace(np.linalg.inv(D.T @ F @ D))
             assert abs(got - expected) <= 1e-8 * expected
 
     def test_identifiability_warning(self):
-        F = np.diag([3.0, 0.0, 0.0])
+        # Gauge of theta = e_1 is e_4; the null e_2 is a second, unidentifiable direction.
+        F = np.diag([3.0, 0.0, 1.0, 0.0, 1.0, 1.0])
         with pytest.warns(crb.IdentifiabilityWarning):
-            crb.crb_trace(F)
+            crb.crb_trace(crb.FisherMatrix(F, np.eye(6)[0], tau=1.0))
 
     def test_gauge_always_dropped_for_fisher_input(self, rng):
         # Roundoff can leave the gauge eigenvalue just above the rank
@@ -189,15 +196,15 @@ class TestCrbTrace:
         with warnings.catch_warnings():
             warnings.simplefilter("error", crb.IdentifiabilityWarning)
             got = crb.crb_trace(bumped)
-        expected = crb.crb_trace(fm.F)
+        expected = crb.crb_trace(fm)
         assert abs(got - expected) <= 1e-8 * expected
 
     def test_extra_null_direction_warns_for_fisher_input(self):
         # Gauge of theta = e_1 is e_{d+1}; one more null direction is a deficit.
         theta = np.eye(6)[0]
-        F = np.diag([1.0, 0.0, 2.0, 1e-9, 1.0, 1.0])
+        F = np.diag([1.0, 1e-17, 2.0, 1e-9, 1.0, 1.0])
         with pytest.warns(crb.IdentifiabilityWarning):
-            crb.crb_trace(crb.FisherMatrix(F, theta), rank_tol=1e-6)
+            crb.crb_trace(crb.FisherMatrix(F, theta, tau=1.0))
 
     def test_phase_invariance_of_trace(self, rng):
         prob, h = random_problem(rng, d=4, p=4, n=4, T=30)

@@ -135,3 +135,8 @@ def test_shape_validation():
         ChannelDataset(channels=np.zeros((2, 3, 1)), covariances=np.zeros((2, 4, 4)))
     with pytest.raises(ValueError):
         ChannelDataset(channels=np.full((1, 2, 1), np.nan))
+    # A zero dimension is refused, so write_dataset never writes a file read_dataset refuses.
+    for shape in [(0, 2, 1), (2, 0, 1), (2, 2, 0)]:
+        with pytest.raises(ValueError, match="nonzero"):
+            ChannelDataset(channels=np.zeros(shape))
+

@@ -1,7 +1,14 @@
+import os
+import re
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
-DEMOS = Path(__file__).resolve().parent.parent / "demos"
+import pmichannel
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = ROOT / "demos"
 
 
 def test_feedback_model_demo_runs(tmp_path, monkeypatch, capsys):
@@ -10,4 +17,16 @@ def test_feedback_model_demo_runs(tmp_path, monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "softmax pmf of the whole history: shape (1000, 4)" in out
     assert "MLE solve: converged" in out
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_readme_python_blocks_run(tmp_path):
+    """Every ``python`` block of README.md runs as written in a fresh interpreter."""
+    blocks = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), re.M | re.S)
+    assert blocks
+    src = str(Path(pmichannel.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    for code in blocks:
+        subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env, check=True)
     assert list(tmp_path.iterdir()) == []

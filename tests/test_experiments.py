@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import pmichannel
-from pmichannel import cli, experiments
+from pmichannel import cli, crb, experiments
 from pmichannel.dataset import read_dataset
 
 
@@ -171,7 +171,7 @@ class TestAblationDriver:
 
 class TestDeterminism:
     def test_tasks_run_with_one_blas_thread(self):
-        funcs = experiments._openblas_threads()
+        funcs = crb._openblas_threads()
         if funcs is None:
             pytest.skip("this numpy has no bundled OpenBLAS")
         get, set_ = funcs
@@ -186,6 +186,31 @@ class TestDeterminism:
             assert get() == 3
         finally:
             set_(old)
+
+    def test_fisher_bits_independent_of_blas_threads(self):
+        # At T=500, d=16 the Fisher GEMM rounds differently with two BLAS threads
+        # unless fisher holds BLAS at one thread itself.
+        if crb._openblas_threads() is None:
+            pytest.skip("this numpy has no bundled OpenBLAS")
+        src = str(Path(pmichannel.__file__).resolve().parent.parent)
+        code = (
+            "import hashlib, numpy as np\n"
+            "from pmichannel import crb, designs, model\n"
+            "rng = np.random.default_rng(0)\n"
+            "h = rng.standard_normal(16) + 1j * rng.standard_normal(16)\n"
+            "qs = designs.haar_stiefel_stack(500, 16, 4, rng)\n"
+            "prob = model.simulate_problem(qs, designs.dft_codebook(4), h, 0.05, rng)\n"
+            "print(hashlib.sha256(crb.fisher(prob, h).F.tobytes()).hexdigest())\n"
+        )
+        digests = []
+        for threads in ("1", "2"):
+            path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+            env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads}
+            done = subprocess.run(
+                [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+            )
+            digests.append(done.stdout.strip())
+        assert digests[0] == digests[1]
 
     def test_crb_rows_identical_across_workers(self):
         kw = dict(d=5, p=2, tau=0.3, rounds=(30, 60), trials=3, seed=7,
@@ -276,6 +301,20 @@ class TestCli:
         assert rc == 0
         out = capsys.readouterr().out
         assert "samples: 2" in out
+
+    @pytest.mark.parametrize("flag", ["--samples", "--d", "--n-rx", "--paths"])
+    def test_dataset_make_zero_count_is_a_usage_error(self, tmp_path, capsys, monkeypatch, flag):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a channel was drawn before the options were checked")
+
+        monkeypatch.setattr(experiments.designs, "synthetic_channel", no_draw)
+        path = tmp_path / "d.bin"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["dataset-make", flag, "0", str(path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ") and "dataset-make: " in err and "at least 1" in err
+        assert not path.exists()
 
     def test_ablate_cli(self, tmp_path):
         rc = cli.main(

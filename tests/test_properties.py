@@ -91,6 +91,21 @@ def test_fisher_psd_and_gauge_null(seed, d, T, scale):
     assert abs(u @ fm.F @ u) <= tol * (u @ u)
 
 
+@SETTINGS
+@given(seed=seeds, d=st.integers(2, 4), extra=st.integers(0, 6))
+def test_crb_trace_matches_svd_complement_reference(seed, d, extra):
+    # One gauge rule: tr((D^T F D)^{-1}) with D an orthonormal complement of
+    # u = J theta, here taken from an SVD rather than crb_trace's QR.
+    rng = np.random.default_rng(seed)
+    p = int(rng.integers(2, d + 1))
+    n = int(rng.integers(2, p + 1))
+    prob, x = random_problem(rng, d=d, p=p, n=n, T=3 * d + extra)
+    fm = crb.fisher(prob, x)
+    D = np.linalg.svd(fm.gauge[:, None])[0][:, 1:]
+    expected = np.trace(np.linalg.inv(D.T @ fm.F @ D))
+    np.testing.assert_allclose(crb.crb_trace(fm), expected, rtol=1e-8)
+
+
 def _draw(rng, shape, complex_mode):
     return rng.standard_normal(shape) + (1j * rng.standard_normal(shape) if complex_mode else 0.0)
 
