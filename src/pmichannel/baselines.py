@@ -312,7 +312,8 @@ def _pr_descent(
         if rel < rel_tol:
             stop = "converged"
             break
-        step = _bb_step(dS, dG, step, s_min, s_max)
+        ss, sy = float(np.vdot(dS, dS).real), float(np.vdot(dS, dG).real)
+        step = _bb_step(ss, sy, step, s_min, s_max)
     return S, loss, it, stop
 
 

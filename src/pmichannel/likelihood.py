@@ -8,8 +8,11 @@ phase (single stream) or a right-unitary factor (multi-stream).
 
 from __future__ import annotations
 
+import math
+
 from dataclasses import dataclass
-from typing import Optional
+from types import SimpleNamespace
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -86,6 +89,7 @@ class MleConfig:
     ``max_iters`` >= 1 iterations, or at the first whose unaligned relative
     change ||S_new - S||_F / ||S||_F is below the finite, positive ``rel_tol``.
     ``n_streams`` (default: the codebook's r) is in 1..d, or 1..k under a prior.
+    A stacked solve applies one config, ``x0`` included, to all its problems.
     """
 
     max_iters: int = 100
@@ -114,6 +118,7 @@ class MleReport:
     start's scale scan is in neither.  ``nll`` is the objective at
     the returned estimate, taken from the carried projections.
     ``rel_change`` is the last iteration's unaligned ||S_new - S||_F / ||S||_F.
+    A stacked solve gives each problem the report of its own solve.
     """
 
     iterations: int
@@ -129,38 +134,43 @@ class MleReport:
 # The objective kernel in two steps, so the solver can carry projections:
 # the projection step C = A^H X, shape (T*N*r, m), is ``model._project``; from
 # C come the value and, through the same softmax, the gradient's weights and GEMM.
+# Each step also takes B problems of one shape as a stack (``_stacked``), every
+# array with a leading B axis, and gives each problem its one-problem bits.
 
 
-def _value_from_scores(
-    problem: EstimationProblem, scores: np.ndarray
-) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
-    """NLL of a (T, N) score matrix, and the ``(ex, z)`` its gradient needs."""
+def _stacked(problem: EstimationProblem, pmi: np.ndarray, lift: Optional[np.ndarray] = None):
+    """B problems shaped like ``problem``, as the objective kernels read one problem.
+
+    ``pmi`` (B, T) holds their ``pmi_flat`` and ``lift`` (B, d, T*N*r) their
+    ``effective_flat``, which only the gradient reads.
+    """
+    TN = problem.T * problem.n_codewords
+    return SimpleNamespace(
+        codebook=problem.codebook, tau=problem.tau, T=problem.T, effective_flat=lift,
+        pmi_flat=pmi + np.arange(0, len(pmi) * TN, TN)[:, None],
+    )
+
+
+def _value_from_scores(problem, scores: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """NLL of a (T, N) score matrix, or the B NLLs of a stack, and the gradient's ``(ex, z)``."""
     ex, z, lse = _row_lse(scores)
-    return float((lse - scores.take(problem.pmi_flat)).sum() / lse.size), (ex, z)
+    return np.add.reduce(lse - scores.take(problem.pmi_flat), axis=-1) / problem.T, (ex, z)
 
 
-def _nll_from_scores(problem: EstimationProblem, scores: np.ndarray) -> float:
-    return _value_from_scores(problem, scores)[0]
-
-
-def _value_from_proj(
-    problem: EstimationProblem, C: np.ndarray
-) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
+def _value_from_proj(problem, C: np.ndarray) -> tuple[np.ndarray, tuple]:
     """NLL at the projections C, and the ``(ex, z)`` of ``_grad_from_proj``."""
     return _value_from_scores(problem, _gains_from_proj(C, problem.codebook) / problem.tau)
 
 
-def _grad_from_proj(
-    problem: EstimationProblem, C: np.ndarray, ex: np.ndarray, z: np.ndarray
-) -> np.ndarray:
+def _grad_from_proj(problem, C: np.ndarray, ex: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Gradient at the projections C from their ``_row_lse`` output: one GEMM."""
     # Softmax weights minus the one-hot of the reported codeword.  ex may be
     # a transposed view; the flat in-place subtraction needs a C-ordered W.
-    W = np.ascontiguousarray(ex / z[:, None])
+    W = np.ascontiguousarray(ex / z[..., None])
     W.reshape(-1)[problem.pmi_flat] -= 1.0
     # Row (t, i, k) of C takes the weight W[t, i].
-    D = (W[:, :, None] * C.reshape(*W.shape, -1)).reshape(C.shape)
-    return (2.0 / (problem.tau * problem.T)) * (problem.effective_flat @ D)
+    D = (W[..., None] * C.reshape(*W.shape, -1)).reshape(C.shape)
+    return (2.0 / (problem.tau * problem.T)) * np.matmul(problem.effective_flat, D)
 
 
 def nll(problem: EstimationProblem, x: np.ndarray) -> float:
@@ -169,7 +179,7 @@ def nll(problem: EstimationProblem, x: np.ndarray) -> float:
     (1/T) sum_t log sum_j exp((gain(t,j,x) - gain(t,I_t,x)) / tau); always
     nonnegative, evaluated through log-sum-exp.
     """
-    return _nll_from_scores(problem, all_gains(problem, x) / problem.tau)
+    return float(_value_from_scores(problem, all_gains(problem, x) / problem.tau)[0])
 
 
 def relaxed_loss(problem: EstimationProblem, x: np.ndarray) -> float:
@@ -245,38 +255,59 @@ def population_excess_risk(
     return max(float(np.mean(kl)), 0.0)
 
 
-def _bb_step(dS: np.ndarray, dG: np.ndarray, last: float, s_min: float, s_max: float) -> float:
-    """BB1 step <dS, dS>/Re<dS, dG> clamped to [s_min, s_max]; min(2 last, s_max) if Re <= 0."""
-    curv = float(np.vdot(dS, dG).real)
-    if curv > 0:
-        return min(max(float(np.vdot(dS, dS).real) / curv, s_min), s_max)
-    return min(2.0 * last, s_max)
+def _bb_step(ss: float, sy: float, last: float, s_min: float, s_max: float) -> float:
+    """BB1 step ss/sy = <dS, dS>/Re<dS, dG> in [s_min, s_max]; min(2 last, s_max) if sy <= 0."""
+    return min(max(ss / sy, s_min), s_max) if sy > 0 else min(2.0 * last, s_max)
 
 
-def _line_search_point(
-    problem: EstimationProblem,
-    S: np.ndarray,
-    C: np.ndarray,
-    G: np.ndarray,
-    P: np.ndarray,
-    s: float,
-    radius: float,
-) -> tuple[float, np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """One line-search trial: S - s G projected onto the ball, without a GEMV.
+def _norms(Z: np.ndarray) -> list:
+    """``metrics._fro_norm`` of each C-ordered row of a (B, ...) stack, bit for bit.
 
-    C = A^H lift(S) and P = A^H lift(G) are the projections of the iterate
-    and of the gradient.  Lift and projection are linear and the ball
-    projection is a rescale by c(s) = min(1, radius / ||S - s G||), so the
-    trial point Z has the projections c(s) (C - s P).  Returns the NLL at
-    Z, Z, its projections and the ``(ex, z)`` that ``_grad_from_proj``
+    ``np.vecdot`` takes one BLAS dot per row, the dot of ``_fro_norm`` and of
+    ``vdot``; a reduction such as ``einsum`` would add in another order.
+    """
+    Z = Z.reshape(len(Z), -1)
+    if Z.dtype.kind == "c":
+        return np.sqrt(np.vecdot(Z.real, Z.real) + np.vecdot(Z.imag, Z.imag)).tolist()
+    return np.sqrt(np.vecdot(Z, Z)).tolist()
+
+
+def _trial_points(stack, S, C, G, P, s: list, radius: list) -> tuple:
+    """Line-search trials of a stack: each S - s G projected onto its ball, without a GEMV.
+
+    C = A^H lift(S) and P = A^H lift(G) are the projections of the iterates
+    and of the gradients; s and radius hold a float per problem.  Lift and
+    projection are linear and the ball projection is a rescale by
+    c = min(1, radius / ||S - s G||), so a trial point Z has the projections
+    c (C - s P).  Returns the NLLs at the Z and the Z's norms, as lists, then
+    the Z, their projections and the ``(ex, z)`` that ``_grad_from_proj``
     needs there.
     """
-    Z, CZ = S - s * G, C - s * P
-    nrm = float(_fro_norm(Z))
-    if nrm > radius:
-        Z, CZ = Z * (radius / nrm), CZ * (radius / nrm)
-    f, softmax_state = _value_from_proj(problem, CZ)
-    return f, Z, CZ, softmax_state
+    steps = np.array(s).reshape(-1, 1, 1)
+    Z, CZ = S - steps * G, C - steps * P
+    nrm = _norms(Z)
+    if any(map(float.__gt__, nrm, radius)):
+        c = np.array([r / a if a > r else 1.0 for a, r in zip(nrm, radius)]).reshape(-1, 1, 1)
+        Z, CZ = Z * c, CZ * c
+        nrm = _norms(Z)
+    f, (ex, z) = _value_from_proj(stack, CZ)
+    return f.tolist(), nrm, Z, CZ, ex, z
+
+
+# The spectral start scans its 41 scales in stacked blocks of at most this
+# many score entries (32 KB), and at least one scale: an fdd problem
+# (T*N <= 160) takes one or two blocks, excess-risk's from T = 1000 on and
+# crb's one scale per block, with the temporaries of a one-scale scan.
+_SCAN_BLOCK = 2**12
+
+
+def _scan_values(scores: np.ndarray, sel: np.ndarray, a2: np.ndarray, T: int) -> np.ndarray:
+    """NLLs at a2 * scores for a (n, 1) block of squared scales, as one (n, T, N) stack.
+
+    ``sel`` is the reported entries of ``scores``; a2 * sel has the bits of the
+    reported entries of a2 * scores.
+    """
+    return np.add.reduce(_row_lse(a2[..., None] * scores)[2] - a2 * sel, axis=-1) / T
 
 
 def _initial_point(
@@ -310,19 +341,32 @@ def _initial_point(
         # objective, the unscaled direction is returned.
         hi = radius_hint if radius_hint is not None else 10.0
         scores = all_gains(problem, X if basis is None else basis @ X) / problem.tau
-        best, best_f = None, np.inf
-        for alpha in np.geomspace(0.05, hi, 41):
-            f = _nll_from_scores(problem, (alpha * alpha) * scores)
-            if f < best_f:
-                best, best_f = alpha, f
-        return X if best is None else best * X
+        alphas = np.geomspace(0.05, hi, 41)
+        a2, sel = (alphas * alphas)[:, None], scores.take(problem.pmi_flat)
+        n = max(1, _SCAN_BLOCK // scores.size)
+        blocks = (a2[i : i + n] for i in range(0, 41, n))
+        f = np.concatenate([_scan_values(scores, sel, block, problem.T) for block in blocks])
+        f[np.isnan(f)] = np.inf
+        return alphas[np.argmin(f)] * X if f.min() < np.inf else X
+
+
+def _start(problem: EstimationProblem, config: MleConfig, prior: Optional[SubspacePrior], m: int):
+    """A problem's projected start S, radius, ||S||_F and A^H lift(S), from S in its own layout."""
+    basis = prior.B if prior is not None else None
+    S = _initial_point(problem, config, basis, m, problem.radius)
+    radius = problem.radius if problem.radius is not None else 10.0 * float(_fro_norm(S))
+    if radius <= 0:
+        raise ValueError("radius must be positive")
+    nrm = float(_fro_norm(S))
+    S = S * (radius / nrm) if nrm > radius else S
+    return S, radius, float(_fro_norm(S)), _project(problem, S if basis is None else basis @ S)
 
 
 def solve_mle(
-    problem: EstimationProblem,
+    problem: Union[EstimationProblem, Sequence[EstimationProblem]],
     config: Optional[MleConfig] = None,
-    prior: Optional[SubspacePrior] = None,
-) -> tuple[np.ndarray, MleReport]:
+    prior: Union[None, SubspacePrior, Sequence[SubspacePrior]] = None,
+):
     """Constrained maximum-likelihood estimate by projected gradient descent.
 
     Minimizes ``nll`` over the Frobenius ball of radius ``problem.radius``
@@ -343,84 +387,125 @@ def solve_mle(
     Each iteration costs one projection P = A^H G (``model._project``) and
     one gradient GEMM, however many line-search trials it takes: the
     projections C = A^H S of the iterate are carried along, every trial
-    point's projections are a rescaled C - s P (``_line_search_point``), and
+    point's projections are a rescaled C - s P (``_trial_points``), and
     the value and gradient at the accepted point come from its projections.
+
+    ``solve_mle(problem, config, prior)`` returns ``(X, MleReport)``.  A
+    sequence of B problems, with None, one prior or B priors, is solved as
+    one stack into a list of B such pairs, each with the bits of its own
+    solve: a problem keeps its step, trials and stop, and leaves the stack
+    when it stops.  The problems must share d, T, codebook, tau, dtype and
+    prior width (radii may differ), or ValueError is raised before any work.
+    NumericalFailureError names the failing problem's index.
     """
     config = config or MleConfig()
-    basis = prior.B if prior is not None else None
-    m = config.n_streams or problem.codebook.r
-    if m > (problem.d if basis is None else basis.shape[1]):
+    single = isinstance(problem, EstimationProblem)
+    problems = [problem] if single else list(problem)
+    shared = prior is None or isinstance(prior, SubspacePrior)
+    priors = [prior] * len(problems) if shared else list(prior)
+    shape = {
+        (pb.d, pb.T, pb.tau, pb.dtype, pb.codebook.r, pb.codebook.V.shape,
+         pb.codebook.V.tobytes(), None if pr is None else pr.k)
+        for pb, pr in zip(problems, priors)
+    }
+    if len(shape) != 1 or len(priors) != len(problems):
+        raise ValueError("stacked problems must share d, T, codebook, tau, dtype and prior width")
+    p0, n = problems[0], len(problems)
+    m = config.n_streams or p0.codebook.r
+    if m > (p0.d if priors[0] is None else priors[0].k):
         raise ValueError(f"{m} streams exceed the dimension of the solve")
-    S = _initial_point(problem, config, basis, m, problem.radius)
-    radius = problem.radius if problem.radius is not None else 10.0 * float(_fro_norm(S))
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-
-    evals = {"obj": 0, "grad": 0}
+    # Per-problem scalars are Python numbers, as in a one-problem solve.
+    S, radii, nrm, C = zip(*(_start(pb, config, pr, m) for pb, pr in zip(problems, priors)))
+    S, C, nrm = np.stack(S), np.stack(C), list(nrm)
+    s = [pb.tau / (4.0 * r**2) for pb, r in zip(problems, radii)]
+    s_min, s_max = [1e-20 * x for x in s], [1e9 * x for x in s]
+    ids, results = list(range(n)), [None] * n
+    A = p0.effective_flat[None] if n == 1 else np.stack([pb.effective_flat for pb in problems])
+    pmi = np.stack([pb.pmi_flat for pb in problems])
+    stack = _stacked(p0, pmi, A)
+    # With one column, NumPy's use of BLAS, and so the bits, of a product
+    # with a basis follow the basis's strides: each problem takes its own.
+    bases = None if priors[0] is None else [pr.B for pr in priors]
 
     def lift(Z: np.ndarray) -> np.ndarray:
-        return Z if basis is None else basis @ Z
+        return Z if bases is None else np.stack([B @ z for B, z in zip(bases, Z)])
 
-    def gradient(C: np.ndarray, softmax_state: tuple) -> np.ndarray:
-        evals["grad"] += 1
-        G = _grad_from_proj(problem, C, *softmax_state)
-        return G if basis is None else basis.conj().T @ G
+    def gradient(C: np.ndarray, ex: np.ndarray, z: np.ndarray) -> np.ndarray:
+        G = _grad_from_proj(stack, C, ex, z)
+        return G if bases is None else np.stack([B.conj().T @ g for B, g in zip(bases, G)])
 
-    def project(Z: np.ndarray) -> np.ndarray:
-        nrm = float(_fro_norm(Z))
-        return Z * (radius / nrm) if nrm > radius else Z
-
-    def trial(s: float) -> tuple:
-        evals["obj"] += 1
-        return _line_search_point(problem, S, C, G, P, s, radius)
-
-    S = project(S)
-    C = _project(problem, lift(S))
-    f, softmax_state = _value_from_proj(problem, C)
-    G = gradient(C, softmax_state)
-    step0 = problem.tau / (4.0 * radius**2)
-    s_min, s_max = 1e-20 * step0, 1e9 * step0
-    s = step0
-    rel = np.inf
-    stop = "max-iters"
-    it = 0
+    f, (ex, z) = _value_from_proj(stack, C)
+    f, G, rad, extra = f.tolist(), gradient(C, ex, z), list(radii), [0] * n
     for it in range(1, config.max_iters + 1):
-        P = _project(problem, lift(G))
-        new = trial(s)
-        if new[0] > f:
-            while new[0] > f and s > s_min:
-                s /= 2.0
-                new = trial(s)
-        elif it == 1:
-            # Two-way search: the crude initial scale can be far too small,
-            # so keep doubling while the objective strictly improves.
-            while s < s_max:
-                big = trial(2.0 * s)
-                if not big[0] < new[0]:
-                    break
-                s, new = 2.0 * s, big
-        f_new, S_new, C, softmax_state = new
-        if not np.isfinite(f_new):
-            raise NumericalFailureError(f"non-finite objective at iteration {it}")
-        dS = S_new - S
-        nrm = _fro_norm(S)
-        rel = _fro_norm(dS) / nrm if nrm > 0 else np.inf
-        G_new = gradient(C, softmax_state)
+        P = _project(stack, lift(G))
+        f_new, nrm_new, *new = _trial_points(stack, S, C, G, P, s, rad)
+        n, first = len(ids), it == 1
+        rose = list(map(float.__gt__, f_new, f))
+        # A rising trial halves down to s_min.  The first iteration searches
+        # both ways: the crude initial scale can be far too small, so it
+        # doubles while the objective strictly improves, up to s_max.
+        go = [i for i in range(n) if (s[i] > s_min[i] if rose[i] else first and s[i] < s_max[i])]
+        while go:
+            # Each round tries the next step of every problem still searching.
+            step = [s[i] / 2.0 if rose[i] else 2.0 * s[i] for i in go]
+            if len(go) == n:
+                f_t, nrm_t, *trial = _trial_points(stack, S, C, G, P, step, rad)
+            else:
+                at = np.array(go)
+                sub = _stacked(p0, pmi[at])
+                f_t, nrm_t, *trial = _trial_points(
+                    sub, S[at], C[at], G[at], P[at], step, [rad[i] for i in go]
+                )
+            took, nxt = [], []
+            for j, i in enumerate(go):
+                extra[i] += 1
+                if rose[i] or f_t[j] < f_new[i]:
+                    took.append(j)
+                    s[i], f_new[i], nrm_new[i] = step[j], f_t[j], nrm_t[j]
+                    if (f_t[j] > f[i] and s[i] > s_min[i]) if rose[i] else s[i] < s_max[i]:
+                        nxt.append(i)
+            if len(took) == n:
+                new = trial
+            elif took:
+                at = np.array([go[j] for j in took])
+                for arr, val in zip(new, trial):
+                    arr[at] = val if len(took) == len(go) else val[took]
+            go = nxt
+        Z, CZ, ex, z = new
+        if not all(map(math.isfinite, f_new)):
+            bad = next(b for b, f_i in zip(ids, f_new) if not math.isfinite(f_i))
+            msg = f"non-finite objective at iteration {it} in problem {bad}"
+            raise NumericalFailureError(msg)
+        dS = Z - S
+        G_new = gradient(CZ, ex, z)
         dG = G_new - G
-        S, f, G = S_new, f_new, G_new
-        if rel < config.rel_tol:
-            stop = "converged"
+        # vdot(dS, dS) and Re vdot(dS, dG) of each problem; for a real stack
+        # vdot(dS, dS) is also the dot under ||dS||_F.
+        flat = dS.reshape(n, -1)
+        ss = np.vecdot(flat, flat).real
+        sy = np.vecdot(flat, dG.reshape(n, -1)).real.tolist()
+        nd = np.sqrt(ss).tolist() if dS.dtype.kind == "f" else _norms(dS)
+        rel = [a / b if b > 0 else math.inf for a, b in zip(nd, nrm)]
+        S, C, f, G, nrm = Z, CZ, f_new, G_new, nrm_new
+        s = list(map(_bb_step, ss.tolist(), sy, s, s_min, s_max))
+        if it < config.max_iters and not any(r < config.rel_tol for r in rel):
+            continue
+        keep = []
+        for i, r in enumerate(rel):
+            if r < config.rel_tol or it == config.max_iters:
+                stop = "converged" if r < config.rel_tol else "max-iters"
+                coefficients = None if bases is None else S[i]
+                evals = (it + extra[i], it + 1)
+                report = MleReport(it, f[i], r, stop, radii[ids[i]], *evals, coefficients)
+                results[ids[i]] = (S[i] if bases is None else bases[i] @ S[i], report)
+            else:
+                keep.append(i)
+        if not keep:
             break
-        s = _bb_step(dS, dG, s, s_min, s_max)
-    X = lift(S)
-    report = MleReport(
-        iterations=it,
-        nll=f,
-        rel_change=float(rel),
-        stop_reason=stop,
-        radius=radius,
-        n_obj_evals=evals["obj"],
-        n_grad_evals=evals["grad"],
-        coefficients=S if basis is not None else None,
-    )
-    return X, report
+        S, C, G, A, pmi = (x[keep] for x in (S, C, G, A, pmi))
+        f, s, s_min, s_max, nrm, ids, extra, rad = (
+            [x[i] for i in keep] for x in (f, s, s_min, s_max, nrm, ids, extra, rad)
+        )
+        bases = None if bases is None else [bases[i] for i in keep]
+        stack = _stacked(p0, pmi, A)
+    return results[0] if single else results

@@ -45,20 +45,25 @@ def beam_precision(h_hat: np.ndarray, H: np.ndarray) -> float:
     vectors of H and Qhat an orthonormal basis of h_hat's column space, so
     the metric ignores the power scaling of the estimate.
     """
-    Hh = np.asarray(h_hat)
+    return _beam_precision(h_hat, *_channel_svd(H))
+
+
+def _channel_svd(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Left singular vectors and values of a nonzero channel, ``beam_precision``'s use of H."""
     H = np.asarray(H)
-    if Hh.ndim == 1:
-        Hh = Hh[:, None]
-    if H.ndim == 1:
-        H = H[:, None]
+    H = H[:, None] if H.ndim == 1 else H
     if np.linalg.norm(H) == 0:
         raise ValueError("true channel must be nonzero")
-    r = Hh.shape[1]
-    Q, _ = np.linalg.qr(Hh)
     U, s, _ = np.linalg.svd(H, full_matrices=False)
-    top = s[:r] ** 2
+    return U, s
+
+
+def _beam_precision(h_hat: np.ndarray, U: np.ndarray, s: np.ndarray) -> float:
+    """``beam_precision`` from the channel's ``_channel_svd``, for many estimates of one channel."""
+    Hh = np.asarray(h_hat)
+    Q, _ = np.linalg.qr(Hh[:, None] if Hh.ndim == 1 else Hh)
     num = np.sum(np.abs(U.conj().T @ Q) ** 2 * (s**2)[:, None])
-    return float(num / np.sum(top))
+    return float(num / np.sum(s[: Q.shape[1]] ** 2))
 
 
 def _fro_norm(x: np.ndarray) -> np.floating:

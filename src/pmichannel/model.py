@@ -293,19 +293,24 @@ def pmi_covariance(problem: EstimationProblem, basis: Optional[np.ndarray] = Non
 
 
 def _gains_from_proj(C: np.ndarray, codebook: Codebook) -> np.ndarray:
-    """Reduce projections C = A^H X, shape (T*N*r, m), to per-codeword gains (T, N)."""
+    """Reduce projections C = A^H X, shape (..., T*N*r, m), to per-codeword gains (..., T, N)."""
     sq = C.real**2
-    if np.iscomplexobj(C):
+    if C.dtype.kind == "c":
         sq = sq + C.imag**2
-    return sq.reshape(-1, codebook.n_codewords, codebook.r * C.shape[1]).sum(axis=2)
+    gains = sq.reshape(*C.shape[:-2], -1, codebook.n_codewords, codebook.r * C.shape[-1])
+    # A sum of one term is that term: one column per codeword needs no reduction.
+    return gains[..., 0] if gains.shape[-1] == 1 else np.add.reduce(gains, axis=-1)
 
 
 def _project(problem: EstimationProblem, X: np.ndarray) -> np.ndarray:
-    """The one projection kernel: A^H X = (X^H A)^H, C-ordered (T*N*r, m), for a (d, m) X."""
-    C = X.conj().T @ problem.effective_flat
+    """The one projection kernel: A^H X = (X^H A)^H, C-ordered (T*N*r, m), for a (d, m) X.
+
+    A (B, d, m) stack of X with a (B, d, T*N*r) stack of lifts gives (B, T*N*r, m).
+    """
+    C = np.matmul(X.conj().swapaxes(-1, -2), problem.effective_flat)
     if C.dtype.kind == "c":
         np.conjugate(C, out=C)
-    return np.ascontiguousarray(C.T)  # gain and gradient kernels view it as (T, N, r*m)
+    return np.ascontiguousarray(C.swapaxes(-1, -2))  # kernels view it as (..., T, N, r*m)
 
 
 def all_gains(problem: EstimationProblem, x: np.ndarray) -> np.ndarray:
@@ -314,7 +319,7 @@ def all_gains(problem: EstimationProblem, x: np.ndarray) -> np.ndarray:
 
 
 def _row_lse(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The one log-sum-exp reduction of a (T, N) score matrix.
+    """The one log-sum-exp reduction of a (T, N) score matrix, or of a (..., T, N) stack of them.
 
     Returns ``ex = exp(scores - m)`` with m the row max, its row sums z and
     the row log-sum-exp ``lse = log z + m``.
@@ -326,16 +331,18 @@ def _row_lse(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     NumPy adds a row shorter than 8 in sequence, so the codeword-major sum
     e_0 + e_1 + ... has the bits of the row-wise ``sum(axis=1)``.  From
     N = 8 on NumPy adds each row pairwise, so exp and the sum stay in the
-    (T, N) layout and ``ex`` is C-contiguous.
+    (T, N) layout and ``ex`` is C-contiguous.  Each matrix of a stack gets
+    the bits it gets alone.
     """
-    by_codeword = np.ascontiguousarray(scores.T)
-    mx = by_codeword.max(axis=0)
-    if scores.shape[1] < 8:
-        ex_by_codeword = np.exp(by_codeword - mx)
-        ex, z = ex_by_codeword.T, ex_by_codeword.sum(axis=0)
+    by_codeword = np.ascontiguousarray(scores.swapaxes(-1, -2))
+    # The ufunc reductions are the ndarray max and sum without their wrappers.
+    mx = np.maximum.reduce(by_codeword, axis=-2)
+    if scores.shape[-1] < 8:
+        ex_by_codeword = np.exp(by_codeword - mx[..., None, :])
+        ex, z = ex_by_codeword.swapaxes(-1, -2), np.add.reduce(ex_by_codeword, axis=-2)
     else:
-        ex = np.exp(scores - mx[:, None])
-        z = ex.sum(axis=1)
+        ex = np.exp(scores - mx[..., None])
+        z = np.add.reduce(ex, axis=-1)
     return ex, z, np.log(z) + mx
 
 

@@ -338,3 +338,39 @@ def test_criterion_12_determinism(tmp_path):
         "byte-identical CSVs across repeated runs and 1 vs 4 worker threads",
         elapsed, limit=600.0,
     )
+
+
+def test_criterion_12_fdd_chunk_boundaries(tmp_path, monkeypatch):
+    # The fdd driver stacks its MLE solves over chunks of samples.  A run over
+    # one full chunk and a partial one must give the bytes, the row order and
+    # every solve's path of the per-sample run (chunk 1), at any worker count.
+    n_samples = experiments._FDD_CHUNK + 3
+    kw = dict(rounds=(1, 4), n_samples=n_samples, seed=11)
+    orig = likelihood.solve_mle
+    files, orders, paths = {}, {}, {}
+
+    def recorded(tag):
+        def spy(problems, cfg, priors=None):
+            solved = orig(problems, cfg, priors)
+            for problem, (_, rep) in zip(problems, solved):
+                key = (problem.q_stack.tobytes(), priors is None)
+                paths[tag][key] = (rep.iterations, rep.stop_reason, rep.n_obj_evals, rep.n_grad_evals)
+            return solved
+        return spy
+
+    runs = [("w1", 1, None), ("w2", 2, None), ("w3", 3, None), ("per-sample", 1, 1)]
+    for tag, workers, chunk in runs:
+        if chunk is not None:
+            monkeypatch.setattr(experiments, "_FDD_CHUNK", chunk)
+        paths[tag] = {}
+        monkeypatch.setattr(likelihood, "solve_mle", recorded(tag))
+        rows = experiments.run_fdd_experiment(workers=workers, **kw)
+        monkeypatch.undo()
+        experiments.write_results_csv(rows, tmp_path / f"{tag}.csv")
+        files[tag] = (tmp_path / f"{tag}.csv").read_bytes()
+        orders[tag] = [(r.method, r.T, r.trial, r.metric, r.value) for r in rows]
+    assert len(paths["w1"]) == 2 * len(kw["rounds"]) * n_samples
+    for tag, _, _ in runs[1:]:
+        assert files[tag] == files["w1"], tag
+        assert orders[tag] == orders["w1"], tag
+        assert paths[tag] == paths["w1"], tag

@@ -216,9 +216,10 @@ class TestSolveMle:
 
         orig = likelihood._grad_from_proj
 
-        # The solver takes one gradient at the start and one at each accepted point.
+        # The solver takes one gradient at the start and one at each accepted
+        # point, each over a stack of one problem.
         def spy(problem, C, ex, z):
-            vals.append(likelihood._value_from_proj(problem, C)[0])
+            vals.append(likelihood._value_from_proj(problem, C)[0].item())
             return orig(problem, C, ex, z)
 
         likelihood._grad_from_proj = spy
@@ -297,19 +298,23 @@ class TestLineSearchAlgebra:
         G = likelihood.nll_gradient(prob, lift(S))
         G = G if B is None else B.conj().T @ G
         C, P = model._project(prob, lift(S)), model._project(prob, lift(G))
+        # The trials take a stack; this one holds the one problem.
+        stack = likelihood._stacked(prob, prob.pmi_flat[None], prob.effective_flat[None])
         inside = outside = 0
         for s in np.geomspace(1e-3, 1e3, 13) * (np.linalg.norm(S) / np.linalg.norm(G)):
-            f, Z, CZ, state = likelihood._line_search_point(prob, S, C, G, P, s, prob.radius)
+            f, _, Z, CZ, ex, z = likelihood._trial_points(
+                stack, S[None], C[None], G[None], P[None], [s], [prob.radius]
+            )
             ref = S - s * G
             nrm = np.linalg.norm(ref)
             if nrm > prob.radius:
                 ref, outside = ref * (prob.radius / nrm), outside + 1
             else:
                 inside += 1
-            np.testing.assert_array_equal(Z, ref)
-            np.testing.assert_allclose(f, likelihood.nll(prob, lift(ref)), rtol=1e-12)
+            np.testing.assert_array_equal(Z[0], ref)
+            np.testing.assert_allclose(f[0], likelihood.nll(prob, lift(ref)), rtol=1e-12)
             np.testing.assert_allclose(
-                likelihood._grad_from_proj(prob, CZ, *state),
+                likelihood._grad_from_proj(stack, CZ, ex, z)[0],
                 likelihood.nll_gradient(prob, lift(ref)),
                 rtol=1e-10, atol=1e-12,
             )
@@ -345,14 +350,15 @@ def _first_trial_branches(monkeypatch, prob, cfg, prior=None):
     many took the doubled step for want of positive curvature.
     """
     calls = []
-    orig = likelihood._line_search_point
+    orig = likelihood._trial_points
 
-    def spy(problem, S, C, G, P, s, radius):
-        out = orig(problem, S, C, G, P, s, radius)
-        calls.append((S, G, s, out[1]))
+    # A one-problem solve passes stacks of one and one-element step lists.
+    def spy(stack, S, C, G, P, s, radius):
+        out = orig(stack, S, C, G, P, s, radius)
+        calls.append((S, G, s[0], out[2]))
         return out
 
-    monkeypatch.setattr(likelihood, "_line_search_point", spy)
+    monkeypatch.setattr(likelihood, "_trial_points", spy)
     _, rep = likelihood.solve_mle(prob, cfg, prior)
     # Trials of one iteration share the iterate; the accepted trial's point
     # is the next iteration's iterate.
@@ -583,8 +589,13 @@ class TestSpectralScan:
         np.testing.assert_array_equal(x0, _scan_reference(prob, None, 1e300))
 
     def _scripted(self, monkeypatch, values):
+        # The scan evaluates its scales in stacked blocks; each block takes
+        # the next values of the script, one per scale.
         calls = iter(values)
-        monkeypatch.setattr(likelihood, "_nll_from_scores", lambda problem, scores: next(calls))
+        monkeypatch.setattr(
+            likelihood, "_scan_values",
+            lambda scores, sel, a2, T: np.array([next(calls) for _ in a2]),
+        )
 
     def test_first_minimum_wins(self, rng, monkeypatch):
         prob, _ = random_problem(rng, d=5, p=3, n=3, T=20)

@@ -135,6 +135,35 @@ class TestBeamPrecision:
     def test_zero_truth_rejected(self):
         with pytest.raises(ValueError):
             metrics.beam_precision(np.ones((3, 1)), np.zeros((3, 2)))
+        with pytest.raises(ValueError):
+            metrics._channel_svd(np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("r", [1, 2])
+    @pytest.mark.parametrize("complex_mode", [False, True])
+    def test_hoisted_svd_gives_the_same_bits(self, r, complex_mode):
+        # The fdd driver takes H's SVD once per sample and reuses it for
+        # every estimate; each value must equal the one-call metric and the
+        # metric's formula before the SVD was split out.
+        rng = np.random.default_rng([31, r, complex_mode])
+
+        def draw(*shape):
+            x = rng.standard_normal(shape)
+            return x + 1j * rng.standard_normal(shape) if complex_mode else x
+
+        def reference(h_hat, H):
+            Hh = h_hat[:, None] if h_hat.ndim == 1 else h_hat
+            H = H[:, None] if H.ndim == 1 else H
+            Q, _ = np.linalg.qr(Hh)
+            U, s, _ = np.linalg.svd(H, full_matrices=False)
+            top = s[: Hh.shape[1]] ** 2
+            return float(np.sum(np.abs(U.conj().T @ Q) ** 2 * (s**2)[:, None]) / np.sum(top))
+
+        estimates = [draw(8, r), draw(8, r)[:, ::-1]] + ([draw(8)] if r == 1 else [])
+        for H in (draw(8, 3), draw(8)):
+            U, s = metrics._channel_svd(H)
+            for est in estimates:
+                want = reference(est, H)
+                assert metrics._beam_precision(est, U, s) == metrics.beam_precision(est, H) == want
 
 
 def _layouts(rng, cols, complex_mode):

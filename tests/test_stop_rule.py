@@ -59,19 +59,20 @@ def _first_below(iterates, rel_tol, ratio):
 
 
 def _mle_iterates(monkeypatch, problem, cfg, prior=None):
-    """Iterates S_0 .. S_K of one solve, from a spy on the line search, and the report."""
+    """Iterates S_0 .. S_K of one solve, from a spy on the line-search trials, and the report."""
     seen = []
-    orig = likelihood._line_search_point
+    orig = likelihood._trial_points
 
-    def spy(problem, S, *rest):
+    # A one-problem solve passes its iterate to the trials as a stack of one.
+    def spy(stack, S, *rest):
         if not seen or S is not seen[-1]:
             seen.append(S)
-        return orig(problem, S, *rest)
+        return orig(stack, S, *rest)
 
-    monkeypatch.setattr(likelihood, "_line_search_point", spy)
+    monkeypatch.setattr(likelihood, "_trial_points", spy)
     X, rep = likelihood.solve_mle(problem, cfg, prior)
     monkeypatch.undo()
-    iterates = seen + [X if prior is None else rep.coefficients]
+    iterates = [S[0] for S in seen] + [X if prior is None else rep.coefficients]
     assert len(iterates) == rep.iterations + 1
     return iterates, rep
 
