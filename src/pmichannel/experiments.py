@@ -250,45 +250,36 @@ def _load_channels(
     return out
 
 
-def _fdd_estimate(
-    method: str,
-    problem: model.EstimationProblem,
-    prior: likelihood.SubspacePrior,
-    r: int,
-    rng: np.random.Generator,
-) -> Optional[np.ndarray]:
-    """One sample's estimate by a method other than the MLEs, or None where it does not apply."""
+def _fdd_estimates(
+    method: str, problems: list, priors: Sequence, r: int, rngs: list, mle_init: Optional[str]
+) -> list:
+    """Every sample's estimate of one (T, method) slice, or None where the method does not apply.
+
+    Each method takes one stacked call for the whole slice.
+    """
     if method == "two-stage":
-        if problem.T != 1:
-            return None
-        return baselines.two_stage_estimate(problem)
+        return [baselines.two_stage_estimate(pb) if pb.T == 1 else None for pb in problems]
     if method == "spectral":
-        return baselines.spectral_estimate(problem, r)
+        return baselines.spectral_estimate(problems, r)
     if method == "am":
         cfg = baselines.BaselineConfig()
         if r == 1:
-            est, _ = baselines.am_estimate_single(problem, cfg)
+            solved = baselines.am_estimate_single(problems, cfg)
         else:
-            est, _ = baselines.am_estimate_multi(problem, r, cfg, rng)
-        return est
-    if method == "subspace-pr":
-        est, _ = baselines.subspace_pr_estimate(problem, prior, r)
-        return est
-    raise ValueError(f"unknown method {method!r}")
-
-
-def _fdd_mle(method: str, problems: list, priors: Sequence, r: int, mle_init: Optional[str]) -> list:
-    """``mle`` or ``subspace-mle`` estimates of a (T, method) slice of samples: one stacked solve."""
-    # With one round the likelihood is minimized along the reported
-    # effective codeword, which the spectral start hits exactly;
-    # identity-column starts have no gradient toward unseen directions.
-    init = mle_init or ("spectral" if problems[0].T == 1 or method == "mle" else "identity")
-    cfg = likelihood.MleConfig(init=init, n_streams=r)
-    solved = likelihood.solve_mle(problems, cfg, priors if method == "subspace-mle" else None)
+            solved = baselines.am_estimate_multi(problems, r, cfg, rngs)
+    elif method == "subspace-pr":
+        solved = baselines.subspace_pr_estimate(problems, priors, r)
+    else:
+        # With one round the likelihood is minimized along the reported
+        # effective codeword, which the spectral start hits exactly;
+        # identity-column starts have no gradient toward unseen directions.
+        init = mle_init or ("spectral" if problems[0].T == 1 or method == "mle" else "identity")
+        cfg = likelihood.MleConfig(init=init, n_streams=r)
+        solved = likelihood.solve_mle(problems, cfg, priors if method == "subspace-mle" else None)
     return [est for est, _ in solved]
 
 
-# Samples per fdd task, whose MLEs are solved as one stack per (T, method).
+# Samples per fdd task, whose estimates are solved as one stack per (T, method).
 # The chunk, not the worker count, sets the stacks; results depend on neither.
 # A task holds its chunk's histories at once: 16 samples cut about 10% more
 # time than 8 but raised the peak memory of a 16-sample run by 3 MB more.
@@ -322,10 +313,10 @@ def run_fdd_experiment(
     The DFT codebook has the first round's dimension (8 ports), so r must
     divide 8.
 
-    A task takes ``_FDD_CHUNK`` samples; its ``mle`` and ``subspace-mle``
-    estimates come from one stacked ``solve_mle`` per (T, method), so their
-    rows' wall time is the stack's solve time over its sample count plus
-    the row's beam precision.  Rows come in sample, T, method order.
+    A task takes ``_FDD_CHUNK`` samples and makes one stacked call per
+    (T, method) for every method, so a row's wall time is its slice's time
+    over the sample count plus the row's own beam precision.  Rows come in
+    sample, T, method order.
     """
     _check_rounds(rounds)
     _check_tau([tau])
@@ -363,17 +354,15 @@ def run_fdd_experiment(
                     for i in chunk:
                         out[i].append(ExperimentResult(method, T, i, seed, "skipped", 1.0, 0.0))
                     continue
-                ests, share = None, 0.0
-                if method in ("mle", "subspace-mle"):
-                    t0 = time.perf_counter()
-                    ests = _fdd_mle(method, problems, priors, r, mle_init)
-                    share = (time.perf_counter() - t0) / len(chunk)
+                t0 = time.perf_counter()
+                multi = method == "am" and r > 1
+                rngs = [np.random.default_rng([seed, 5, i, T]) for i in chunk] if multi else None
+                ests = _fdd_estimates(method, problems, priors, r, rngs, mle_init)
+                share = (time.perf_counter() - t0) / len(chunk)
                 for j, i in enumerate(chunk):
-                    rng_m = np.random.default_rng([seed, 5, i, T])
-                    t0 = time.perf_counter()
-                    est = ests[j] if ests else _fdd_estimate(method, problems[j], priors[j], r, rng_m)
-                    if est is not None:
-                        bp = metrics._beam_precision(est, *svds[j])
+                    if ests[j] is not None:
+                        t0 = time.perf_counter()
+                        bp = metrics._beam_precision(ests[j], *svds[j])
                         dt = share + time.perf_counter() - t0
                         out[i].append(ExperimentResult(method, T, i, seed, "beam_precision", bp, dt))
         return [row for i in chunk for row in out[i]]

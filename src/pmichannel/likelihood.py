@@ -362,6 +362,26 @@ def _start(problem: EstimationProblem, config: MleConfig, prior: Optional[Subspa
     return S, radius, float(_fro_norm(S)), _project(problem, S if basis is None else basis @ S)
 
 
+def _as_stack(problem, prior=None) -> tuple:
+    """(single, problems, priors) of a one-problem or stacked call, one prior per problem.
+
+    ``prior`` is None, one prior or one per problem.  Raises ValueError
+    unless the problems share d, T, codebook, tau, dtype and prior width.
+    """
+    single = isinstance(problem, EstimationProblem)
+    problems = [problem] if single else list(problem)
+    shared = prior is None or isinstance(prior, SubspacePrior)
+    priors = [prior] * len(problems) if shared else list(prior)
+    shape = {
+        (pb.d, pb.T, pb.tau, pb.dtype, pb.codebook.r, pb.codebook.V.shape,
+         pb.codebook.V.tobytes(), None if pr is None else pr.k)
+        for pb, pr in zip(problems, priors)
+    }
+    if len(shape) != 1 or len(priors) != len(problems):
+        raise ValueError("stacked problems must share d, T, codebook, tau, dtype and prior width")
+    return single, problems, priors
+
+
 def solve_mle(
     problem: Union[EstimationProblem, Sequence[EstimationProblem]],
     config: Optional[MleConfig] = None,
@@ -399,17 +419,7 @@ def solve_mle(
     NumericalFailureError names the failing problem's index.
     """
     config = config or MleConfig()
-    single = isinstance(problem, EstimationProblem)
-    problems = [problem] if single else list(problem)
-    shared = prior is None or isinstance(prior, SubspacePrior)
-    priors = [prior] * len(problems) if shared else list(prior)
-    shape = {
-        (pb.d, pb.T, pb.tau, pb.dtype, pb.codebook.r, pb.codebook.V.shape,
-         pb.codebook.V.tobytes(), None if pr is None else pr.k)
-        for pb, pr in zip(problems, priors)
-    }
-    if len(shape) != 1 or len(priors) != len(problems):
-        raise ValueError("stacked problems must share d, T, codebook, tau, dtype and prior width")
+    single, problems, priors = _as_stack(problem, prior)
     p0, n = problems[0], len(problems)
     m = config.n_streams or p0.codebook.r
     if m > (p0.d if priors[0] is None else priors[0].k):

@@ -287,9 +287,14 @@ class EstimationProblem:
 
 def pmi_covariance(problem: EstimationProblem, basis: Optional[np.ndarray] = None) -> np.ndarray:
     """(1/T) sum_t W_t V_{I_t} V_{I_t}^H W_t^H with W_t = Q_t, or B^H Q_t for a basis B."""
-    E = problem.selected if basis is None else np.matmul(basis.conj().T, problem.selected)
+    return _covariance(problem.selected if basis is None else np.matmul(basis.conj().T, problem.selected))
+
+
+def _covariance(E: np.ndarray) -> np.ndarray:
+    """(1/T) sum_t E_t E_t^H of a (T, n, r) stack of reduced codewords E_t = W_t V_{I_t}."""
+    T = E.shape[0]
     E = E.transpose(1, 0, 2).reshape(E.shape[1], -1)
-    return (E @ E.conj().T) / problem.T
+    return (E @ E.conj().T) / T
 
 
 def _gains_from_proj(C: np.ndarray, codebook: Codebook) -> np.ndarray:

@@ -341,36 +341,47 @@ def test_criterion_12_determinism(tmp_path):
 
 
 def test_criterion_12_fdd_chunk_boundaries(tmp_path, monkeypatch):
-    # The fdd driver stacks its MLE solves over chunks of samples.  A run over
-    # one full chunk and a partial one must give the bytes, the row order and
-    # every solve's path of the per-sample run (chunk 1), at any worker count.
+    # The fdd driver stacks every method's estimates over chunks of samples.
+    # A run over one full chunk and a partial one must give the bytes, the
+    # row order and every solve's path of the per-sample run (chunk 1), at
+    # any worker count, for single- (r = 1) and multi-stream (r = 2) AM.
     n_samples = experiments._FDD_CHUNK + 3
-    kw = dict(rounds=(1, 4), n_samples=n_samples, seed=11)
-    orig = likelihood.solve_mle
     files, orders, paths = {}, {}, {}
 
-    def recorded(tag):
-        def spy(problems, cfg, priors=None):
-            solved = orig(problems, cfg, priors)
+    def recorded(tag, name, orig):
+        def spy(problems, *args):
+            solved = orig(problems, *args)
             for problem, (_, rep) in zip(problems, solved):
-                key = (problem.q_stack.tobytes(), priors is None)
-                paths[tag][key] = (rep.iterations, rep.stop_reason, rep.n_obj_evals, rep.n_grad_evals)
+                if name == "solve_mle":
+                    key = (problem.q_stack.tobytes(), args[1] is None)
+                    path = (rep.iterations, rep.stop_reason, rep.n_obj_evals, rep.n_grad_evals)
+                else:
+                    key = (problem.q_stack.tobytes(), name)
+                    path = (rep.iterations, rep.stop_reason, rep.degenerate, rep.variant)
+                paths[tag][key] = path
             return solved
         return spy
 
-    runs = [("w1", 1, None), ("w2", 2, None), ("w3", 3, None), ("per-sample", 1, 1)]
-    for tag, workers, chunk in runs:
-        if chunk is not None:
-            monkeypatch.setattr(experiments, "_FDD_CHUNK", chunk)
-        paths[tag] = {}
-        monkeypatch.setattr(likelihood, "solve_mle", recorded(tag))
-        rows = experiments.run_fdd_experiment(workers=workers, **kw)
-        monkeypatch.undo()
-        experiments.write_results_csv(rows, tmp_path / f"{tag}.csv")
-        files[tag] = (tmp_path / f"{tag}.csv").read_bytes()
-        orders[tag] = [(r.method, r.T, r.trial, r.metric, r.value) for r in rows]
-    assert len(paths["w1"]) == 2 * len(kw["rounds"]) * n_samples
-    for tag, _, _ in runs[1:]:
-        assert files[tag] == files["w1"], tag
-        assert orders[tag] == orders["w1"], tag
-        assert paths[tag] == paths["w1"], tag
+    baseline_solvers = ("am_estimate_single", "am_estimate_multi", "subspace_pr_estimate")
+    for r in (1, 2):
+        kw = dict(rounds=(1, 4), n_samples=n_samples, seed=11, r=r)
+        runs = [(f"w1-r{r}", 1, None), (f"w2-r{r}", 2, None), (f"w3-r{r}", 3, None),
+                (f"per-sample-r{r}", 1, 1)]
+        for tag, workers, chunk in runs:
+            if chunk is not None:
+                monkeypatch.setattr(experiments, "_FDD_CHUNK", chunk)
+            paths[tag] = {}
+            monkeypatch.setattr(likelihood, "solve_mle", recorded(tag, "solve_mle", likelihood.solve_mle))
+            for name in baseline_solvers:
+                monkeypatch.setattr(baselines, name, recorded(tag, name, getattr(baselines, name)))
+            rows = experiments.run_fdd_experiment(workers=workers, **kw)
+            monkeypatch.undo()
+            experiments.write_results_csv(rows, tmp_path / f"{tag}.csv")
+            files[tag] = (tmp_path / f"{tag}.csv").read_bytes()
+            orders[tag] = [(row.method, row.T, row.trial, row.metric, row.value) for row in rows]
+        # Two MLEs, AM and subspace PR per sample and T.
+        assert len(paths[f"w1-r{r}"]) == 4 * len(kw["rounds"]) * n_samples
+        for tag, _, _ in runs[1:]:
+            assert files[tag] == files[f"w1-r{r}"], tag
+            assert orders[tag] == orders[f"w1-r{r}"], tag
+            assert paths[tag] == paths[f"w1-r{r}"], tag

@@ -97,7 +97,7 @@ class TestAmSingle:
         x = baselines.spectral_estimate(prob, 1)[:, 0]
         prev = objective(x)
         for _ in range(10):
-            x, _ = baselines._am_phase_ls_loop(rows, targets, lam, x, 1, 0.0)
+            [(x, _)] = baselines._am_phase_ls_loop(rows[None], targets[None], lam, x[None], 1, 0.0)
             cur = objective(x)
             assert cur <= prev + 1e-12
             prev = cur
@@ -146,6 +146,66 @@ class TestAmMulti:
         prob, _ = random_problem(rng, d=3, p=2, n=2, T=4, rule="hard", attach_cqi=True)
         with pytest.raises(ValueError, match="stream count"):
             baselines.am_estimate_multi(prob, 0, rng=rng)
+
+
+def _stream_reports(monkeypatch) -> list:
+    """Every stream's ``_am_phase_ls_loop`` report, in call order, from a spy."""
+    seen, orig = [], baselines._am_phase_ls_loop
+
+    def spy(*args):
+        out = orig(*args)
+        seen.extend(rep for _, rep in out)
+        return out
+
+    monkeypatch.setattr(baselines, "_am_phase_ls_loop", spy)
+    return seen
+
+
+class TestAmMultiReport:
+    """The report describes every stream, not only the last one."""
+
+    @staticmethod
+    def _first_column_design(rng):
+        # Q = [q1 q2] with q1[3] = 0: stream 0's gram has a zero row and
+        # column, stream 1's rows are generic in the complement.
+        q1 = np.append(rng.standard_normal(3), 0.0)
+        return np.linalg.qr(np.stack([q1, rng.standard_normal(4)], axis=1))[0]
+
+    def _problem(self):
+        rng = np.random.default_rng(1)
+        qs = [self._first_column_design(rng) for _ in range(6)]
+        cb = designs.identity_codebook(2, 1, 2)
+        return model.simulate_problem(qs, cb, rng.standard_normal((4, 2)), 1.0, rule="hard", attach_cqi=True)
+
+    def test_singular_gram_of_an_earlier_stream_is_degenerate(self, monkeypatch):
+        streams = _stream_reports(monkeypatch)
+        cfg = baselines.BaselineConfig(lambda_am=0.0)
+        _, rep = baselines.am_estimate_multi(self._problem(), 2, cfg, np.random.default_rng(0))
+        assert [s.degenerate for s in streams] == [True, False]
+        assert rep.degenerate
+
+    def test_collapsed_stream_is_degenerate(self, monkeypatch):
+        prob = self._problem()
+        rounds = tuple(model.FeedbackRound(Q=r.Q, pmi=r.pmi, cqi=0.0) for r in prob.rounds)
+        prob0 = model.EstimationProblem(rounds, prob.codebook, prob.tau)
+        streams = _stream_reports(monkeypatch)
+        with pytest.warns(baselines.DegenerateEstimateWarning, match="collapsed to zero"):
+            H, rep = baselines.am_estimate_multi(prob0, 2, rng=np.random.default_rng(0))
+        # No gram was singular: only the collapse makes the estimate degenerate.
+        assert not any(s.degenerate for s in streams)
+        assert rep.degenerate
+        np.testing.assert_allclose(H.conj().T @ H, np.eye(2), atol=1e-12)
+
+    def test_cap_hit_by_an_earlier_stream_reads_max_iters(self, monkeypatch):
+        prob, _ = random_problem(
+            np.random.default_rng(0), d=6, p=4, n=2, r=2, T=10, rule="hard", attach_cqi=True
+        )
+        streams = _stream_reports(monkeypatch)
+        cfg = baselines.BaselineConfig(max_iters=11)
+        _, rep = baselines.am_estimate_multi(prob, 2, cfg, np.random.default_rng(0))
+        assert [s.stop_reason for s in streams] == ["max-iters", "converged"]
+        assert rep.stop_reason == "max-iters"
+        assert rep.iterations == sum(s.iterations for s in streams)
 
 
 class TestSubspacePr:

@@ -8,9 +8,11 @@ rtol 1e-6; every other value is compared at rtol 1e-12.
 
 ``PYTHONPATH=src python tests/test_golden.py`` prints, per file and method,
 how many rows the current code changes, the largest |delta| and the largest
-relative |delta| (to read against the rtols above), and writes nothing.  ``PYTHONPATH=src python tests/test_golden.py fdd_r1 crb`` rewrites
-only the named files; do that only when a change of behaviour is intended
-and explained.
+relative |delta| (to read against the rtols above), then the sha256 of each
+file it would write and whether the committed file has the same bytes, and
+writes nothing.  ``PYTHONPATH=src python tests/test_golden.py fdd_r1 crb``
+rewrites only the named files; do that only when a change of behaviour is
+intended and explained.
 """
 
 from pathlib import Path
@@ -159,6 +161,7 @@ def _changes(old: str, new: str) -> dict:
 
 
 if __name__ == "__main__":
+    import hashlib
     import sys
     import tempfile
 
@@ -176,5 +179,7 @@ if __name__ == "__main__":
                     f"{name:24s} {method:28s} {changed:4d}/{rows:<4d} rows changed, "
                     f"max |delta| {delta:.2g}, max relative |delta| {rel:.2g}"
                 )
+            same = "same bytes as" if text == old else "differs from"
+            print(f"{name:24s} sha256 {hashlib.sha256(text.encode()).hexdigest()}, {same} {path.name}")
             if names:
                 path.write_text(text)

@@ -102,9 +102,12 @@ def _pr_iterates(monkeypatch, problem, prior, r, cfg):
     run = partial(baselines.subspace_pr_estimate, problem, prior, r, cfg)
     orig, calls = _captured_calls(monkeypatch, "_pr_descent", run)
     runs = []
-    for (S0, step0, loss_grad, max_iters, rel_tol), (_, _, iters, stop) in calls:
-        its = [S0] + [orig(S0, step0, loss_grad, k, rel_tol)[0] for k in range(1, iters + 1)]
-        runs.append((its, iters, stop, loss_grad.func.__name__))
+    # A one-problem estimate runs each descent as a stack of one.
+    for (S0, step0, loss_grad, data, max_iters, rel_tol, ids), out in calls:
+        [(_, _, iters, stop)] = out.values()
+        replays = [orig(S0, step0, loss_grad, data, k, rel_tol, ids) for k in range(1, iters + 1)]
+        its = [S0[0]] + [next(iter(replay.values()))[0] for replay in replays]
+        runs.append((its, iters, stop, loss_grad.__name__))
     return runs
 
 
@@ -116,9 +119,9 @@ def _am_iterates(monkeypatch, problem, r, cfg):
         run = partial(baselines.am_estimate_multi, problem, r, cfg, np.random.default_rng(3))
     orig, calls = _captured_calls(monkeypatch, "_am_phase_ls_loop", run)
     runs = []
-    for (rows, targets, lam, x0, max_iters, rel_tol), (_, rep) in calls:
-        its = [x0] + [
-            orig(rows, targets, lam, x0, k, rel_tol)[0] for k in range(1, rep.iterations + 1)
+    for (rows, targets, lam, x0, max_iters, rel_tol), [(_, rep)] in calls:
+        its = [x0[0]] + [
+            orig(rows, targets, lam, x0, k, rel_tol)[0][0] for k in range(1, rep.iterations + 1)
         ]
         runs.append((its, rep.iterations, rep.stop_reason))
     return runs
@@ -245,12 +248,15 @@ def _pr_step_trace(S0, step0, loss_grad, max_iters, rel_tol):
     """
     calls = []
 
+    # The descent runs a stack of one problem with no data rows.
     def spy(S):
-        out = loss_grad(S)
-        calls.append((S, out))
-        return out
+        out = loss_grad(S[0])
+        calls.append((S[0], out))
+        return [out[0]], out[1][None]
 
-    _, _, iterations, _ = baselines._pr_descent(S0, step0, spy, max_iters, rel_tol)
+    [(_, _, iterations, _)] = baselines._pr_descent(
+        S0[None], [step0], spy, (), max_iters, rel_tol, [0]
+    ).values()
     (S, (loss, grad)), *trials = calls
     iters, steps = [], []
     for Z, (loss_z, grad_z) in trials:
@@ -267,9 +273,17 @@ def _assert_halves(steps):
 
 
 def _captured_pr_runs(monkeypatch, sample, r, T):
+    """One-problem (S0, step0, loss_grad(S), max_iters, rel_tol) and result of each descent."""
     problem, prior = _fdd_problem(sample, r, T)
     run = partial(baselines.subspace_pr_estimate, problem, prior, r)
-    return _captured_calls(monkeypatch, "_pr_descent", run)[1]
+    runs = []
+    for (S0, step0, loss_grad, data, max_iters, rel_tol, _), out in _captured_calls(
+        monkeypatch, "_pr_descent", run
+    )[1]:
+        [result] = out.values()
+        single = partial(loss_grad, *(a[0] for a in data))
+        runs.append(((S0[0], step0[0], single, max_iters, rel_tol), result))
+    return runs
 
 
 class TestPrStepRule:
@@ -332,30 +346,36 @@ class TestZeroIterates:
 
     def _pr_losses(self):
         problem, prior = _fdd_problem(0, 1, 5)
-        Ms = baselines._pr_data(problem, prior.B)
-        eta = problem.cqi_array
+        Ms = baselines._pr_data(problem, prior.B)[None]
+        eta = problem.cqi_array[None]
         return (
-            partial(baselines._wf_loss_grad, Ms, Ms.conj(), eta),
-            partial(baselines._af_loss_grad, Ms, Ms.conj(), np.sqrt(eta)),
+            (baselines._wf_loss_grad, (Ms, Ms.conj(), eta)),
+            (baselines._af_loss_grad, (Ms, Ms.conj(), np.sqrt(eta))),
             prior.k,
         )
 
     def test_pr_descent_from_zero_reads_zero(self):
         wf, af, k = self._pr_losses()
-        for loss_grad in (wf, af):
-            S, _, iters, stop = baselines._pr_descent(np.zeros((k, 1), complex), 1.0, loss_grad, 50, 1e-3)
+        for loss_grad, data in (wf, af):
+            [(S, _, iters, stop)] = baselines._pr_descent(
+                np.zeros((1, k, 1), complex), [1.0], loss_grad, data, 50, 1e-3, [0]
+            ).values()
             assert (iters, stop) == (1, "converged")
             assert not S.any()
 
     def test_am_loop_two_zero_iterates_read_zero(self):
         rows = np.eye(4, dtype=complex)
-        x, rep = baselines._am_phase_ls_loop(rows, np.zeros(4), 1.0, np.zeros(4, complex), 50, 1e-3)
+        [(x, rep)] = baselines._am_phase_ls_loop(
+            rows[None], np.zeros((1, 4)), 1.0, np.zeros((1, 4), complex), 50, 1e-3
+        )
         assert (rep.iterations, rep.stop_reason) == (1, "converged")
         assert not x.any()
 
     def test_am_loop_zero_old_iterate_reads_inf(self):
         rows = np.eye(4, dtype=complex)
-        x, rep = baselines._am_phase_ls_loop(rows, np.ones(4), 1.0, np.zeros(4, complex), 1, 1e300)
+        [(x, rep)] = baselines._am_phase_ls_loop(
+            rows[None], np.ones((1, 4)), 1.0, np.zeros((1, 4), complex), 1, 1e300
+        )
         assert (rep.iterations, rep.stop_reason) == (1, "max-iters")
         assert x.any()
 
