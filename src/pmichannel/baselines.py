@@ -15,9 +15,9 @@ from typing import Optional
 
 import numpy as np
 
-from .designs import eigvecs_descending, haar_stiefel
-from .likelihood import NumericalFailureError, _as_stack, _bb_step, _check_stop_rule, _norms
-from .model import EstimationProblem, _covariance, pmi_covariance
+from .designs import haar_stiefel
+from .likelihood import NumericalFailureError, _as_stack, _bb_step, _check_stop_rule, _norms, _spectral
+from .model import EstimationProblem, _reduced
 
 __all__ = [
     "BaselineConfig",
@@ -115,7 +115,7 @@ def spectral_estimate(problem, r: Optional[int] = None):
     """
     single, problems, _ = _as_stack(problem)
     r = r if r is not None else problems[0].codebook.r
-    covs = np.stack([pmi_covariance(pb) for pb in problems])
+    covs, X = _spectral(np.stack([_reduced(pb) for pb in problems]), r)
     for w in np.linalg.eigvalsh(covs)[:, ::-1]:
         if r > np.sum(w > w[0] * 1e-12):
             warnings.warn(
@@ -123,8 +123,7 @@ def spectral_estimate(problem, r: Optional[int] = None):
                 "extra columns filled from the eigenbasis",
                 DegenerateEstimateWarning,
             )
-    ests = list(eigvecs_descending(covs, r))
-    return ests[0] if single else ests
+    return X[0] if single else list(X)
 
 
 def _am_phase_ls_loop(rows, targets, lam: float, x0, max_iters: int, rel_tol: float) -> list:
@@ -271,11 +270,6 @@ def am_estimate_multi(problem, r: int, config: Optional[BaselineConfig] = None, 
     return out[0] if single else out
 
 
-def _pr_data(problem: EstimationProblem, basis: np.ndarray) -> np.ndarray:
-    """M_t = B^H Q_t V_{I_t}, stacked as (T, k, r)."""
-    return np.matmul(basis.conj().T, problem.selected)
-
-
 def _intensities(Ms_h: np.ndarray, S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Intensities y_t = ||M_t^H S||_F^2 and the projections M_t^H S, shape (..., T, r, m).
 
@@ -400,7 +394,7 @@ def subspace_pr_estimate(
     single, problems, priors = _as_stack(problem, prior)
     r = r if r is not None else problems[0].codebook.r
     etas = [_require_cqi(pb) for pb in problems]
-    Ms = [_pr_data(pb, pr.B) for pb, pr in zip(problems, priors)]
+    Ms = [_reduced(pb, pr.B) for pb, pr in zip(problems, priors)]  # M_t = B^H Q_t V_{I_t}
     out, live = [None] * len(problems), []
     for i, (eta, M, pr) in enumerate(zip(etas, Ms, priors)):
         if np.max(eta) <= 0:
@@ -410,11 +404,10 @@ def subspace_pr_estimate(
         else:
             live.append(i)
     if live:
-        covs = np.stack([_covariance(Ms[i]) for i in live])
-        lam_max = np.linalg.eigvalsh(covs)[:, -1].tolist()
         M, eta = np.stack([Ms[i] for i in live]), np.stack([etas[i] for i in live])
-        M_h = M.conj()
-        S0 = eigvecs_descending(covs, r).astype(M.dtype)
+        covs, S0 = _spectral(M, r)
+        lam_max = np.linalg.eigvalsh(covs)[:, -1].tolist()
+        M_h, S0 = M.conj(), S0.astype(M.dtype)
         y0 = _intensities(M_h, S0)[0].sum(axis=-1).tolist()
         scale = [np.sqrt(e / y) if y > 0 else 1.0 for e, y in zip(eta.sum(axis=-1).tolist(), y0)]
         S0 = np.array(scale)[:, None, None] * S0

@@ -11,12 +11,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import experiments
-from .dataset import read_dataset, write_dataset
+from .dataset import write_dataset
 
 
 def _str_list(value) -> list:
@@ -62,7 +63,10 @@ def _options(ap: argparse.ArgumentParser, args: argparse.Namespace) -> dict:
     flags = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
     opts = {}
     if args.config:
-        opts = json.loads(Path(args.config).read_text())
+        try:
+            opts = json.loads(Path(args.config).read_text())
+        except (OSError, ValueError) as exc:
+            ap.error(f"{args.command}: config {args.config}: {experiments._reason(exc)}")
         if not isinstance(opts, dict):
             ap.error(f"{args.command}: config {args.config} is not a JSON object")
         unknown = sorted(set(opts) - set(flags))
@@ -76,6 +80,8 @@ def _options(ap: argparse.ArgumentParser, args: argparse.Namespace) -> dict:
                 except ValueError as exc:
                     ap.error(f"{args.command}: config key {action.dest!r} in {args.config}: {exc}")
     opts.update({k: v for k, v in flags.items() if v is not None})
+    if opts.get("workers", 1) < 1:
+        ap.error(f"{args.command}: workers must be at least 1, got {opts['workers']}")
     if "samples" in opts:
         opts["n_samples"] = opts.pop("samples")
     return opts
@@ -89,8 +95,10 @@ def _outdir(dest: str) -> Path:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="pmichannel")
-    sub = ap.add_subparsers(dest="command", required=True)
+    # No flag abbreviations: fdd-experiment would read --d as --dataset.
+    ap = argparse.ArgumentParser(prog="pmichannel", allow_abbrev=False)
+    parser_class = partial(argparse.ArgumentParser, allow_abbrev=False)
+    sub = ap.add_subparsers(dest="command", required=True, parser_class=parser_class)
 
     sp = sub.add_parser("crb-experiment", help="MSE of the MLE against the trace CRB")
     _add_common(sp)
@@ -202,7 +210,7 @@ def _cmd_dataset_make(opts: dict) -> int:
 
 
 def _cmd_dataset_inspect(path: str) -> int:
-    data = read_dataset(path)
+    data = experiments._read_dataset(path)
     norms = np.linalg.norm(data.channels.reshape(data.n_samples, -1), axis=1)
     print(f"samples: {data.n_samples}")
     print(f"d: {data.d}")
@@ -225,9 +233,9 @@ _COMMANDS = {
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    if args.command == "dataset-inspect":
-        return _cmd_dataset_inspect(args.path)
     try:
+        if args.command == "dataset-inspect":
+            return _cmd_dataset_inspect(args.path)
         return _COMMANDS[args.command](_options(ap, args))
     except experiments.InvalidOptionError as exc:
         ap.error(f"{args.command}: {exc}")

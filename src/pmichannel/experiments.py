@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from . import baselines, crb, designs, likelihood, metrics, model, theory
-from .dataset import ChannelDataset, read_dataset
+from .dataset import ChannelDataset, DatasetFormatError, read_dataset
 
 __all__ = [
     "ExperimentResult",
@@ -63,6 +63,19 @@ def _check_choice(name: str, values: Sequence[str], choices: Sequence[str]) -> N
         raise InvalidOptionError(
             f"{name} must be chosen from {', '.join(choices)}, got {list(values)}"
         )
+
+
+def _reason(exc: Exception) -> str:
+    """An exception's message; an OSError's without the file name it repeats."""
+    return (exc.strerror if isinstance(exc, OSError) else None) or str(exc)
+
+
+def _read_dataset(path: str) -> ChannelDataset:
+    """``read_dataset``, refusing a missing, unreadable or malformed file as a bad option."""
+    try:
+        return read_dataset(path)
+    except (OSError, DatasetFormatError) as exc:
+        raise InvalidOptionError(f"dataset {path}: {_reason(exc)}") from exc
 
 
 @dataclass(frozen=True)
@@ -235,7 +248,7 @@ def _load_channels(
 ) -> list:
     """Per-sample (H, Sigma_ul) pairs from a dataset file or the ray model; needs >= 8 ports."""
     if dataset is not None:
-        data = read_dataset(dataset)
+        data = _read_dataset(dataset)
     else:
         data = make_synthetic_dataset(n_samples, d, n_rx, paths, seed)
     if data.d < designs.TYPE1_PORTS:

@@ -16,16 +16,17 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .metrics import _fro_norm
+from .designs import eigvecs_descending, haar_stiefel
 from .model import (
     EstimationProblem,
     _as_matrix,
+    _covariance,
     _gains_from_proj,
     _project,
+    _reduced,
     _row_lse,
     _softmax,
     all_gains,
-    pmi_covariance,
 )
 
 __all__ = [
@@ -261,10 +262,10 @@ def _bb_step(ss: float, sy: float, last: float, s_min: float, s_max: float) -> f
 
 
 def _norms(Z: np.ndarray) -> list:
-    """``metrics._fro_norm`` of each C-ordered row of a (B, ...) stack, bit for bit.
+    """The one norm kernel: ``np.linalg.norm`` of each row of a C-contiguous (B, ...) stack, bit for bit.
 
-    ``np.vecdot`` takes one BLAS dot per row, the dot of ``_fro_norm`` and of
-    ``vdot``; a reduction such as ``einsum`` would add in another order.
+    ``np.vecdot`` takes one BLAS dot per row, the dot of ``np.linalg.norm`` and of ``vdot``;
+    a reduction such as ``einsum``, or a strided row, would add in another order.
     """
     Z = Z.reshape(len(Z), -1)
     if Z.dtype.kind == "c":
@@ -294,72 +295,67 @@ def _trial_points(stack, S, C, G, P, s: list, radius: list) -> tuple:
     return f.tolist(), nrm, Z, CZ, ex, z
 
 
-# The spectral start scans its 41 scales in stacked blocks of at most this
-# many score entries (32 KB), and at least one scale: an fdd problem
-# (T*N <= 160) takes one or two blocks, excess-risk's from T = 1000 on and
-# crb's one scale per block, with the temporaries of a one-scale scan.
+# The spectral start scans its 41 scales in blocks of at most this many score
+# entries (32 KB) counted over the whole stack, and at least one scale: one
+# fdd problem (T*N <= 160) takes one or two blocks, a stack of 8 up to 14, and
+# excess-risk's from T = 1000 on and crb's one scale per block.
 _SCAN_BLOCK = 2**12
 
 
-def _scan_values(scores: np.ndarray, sel: np.ndarray, a2: np.ndarray, T: int) -> np.ndarray:
-    """NLLs at a2 * scores for a (n, 1) block of squared scales, as one (n, T, N) stack.
+def _spectral(reduced: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Covariances of a (B, T, n, r) stack of ``model._reduced`` codewords and their top m eigenvectors.
 
-    ``sel`` is the reported entries of ``scores``; a2 * sel has the bits of the
-    reported entries of a2 * scores.
+    The one spectral kernel, for the spectral baseline and the starts of ``solve_mle``,
+    AM and phase retrieval; each problem gets its own call's bits.
     """
-    return np.add.reduce(_row_lse(a2[..., None] * scores)[2] - a2 * sel, axis=-1) / T
+    covs = _covariance(reduced)
+    return covs, eigvecs_descending(covs, m)
 
 
-def _initial_point(
-    problem: EstimationProblem,
-    config: MleConfig,
-    basis: Optional[np.ndarray],
-    m: int,
-    radius_hint: Optional[float],
-) -> np.ndarray:
-    from .designs import eigvecs_descending, haar_stiefel
+def _start(problems, config: MleConfig, bases: Optional[list], m: int, stack, lift) -> tuple:
+    """Projected starts of a stack: S (B, dim, m), radii, ``_norms(S)`` and C = A^H lift(S).
 
-    dim = problem.d if basis is None else basis.shape[1]
-    dtype = problem.dtype
-    if config.init == "explicit":
-        if config.x0 is None:
-            raise ValueError("explicit initialization needs x0")
-        return _as_matrix(np.array(config.x0, dtype=dtype))
-    if config.init == "identity":
-        return np.eye(dim, m, dtype=dtype)
-    if config.init == "random":
-        rng = np.random.default_rng(0)
-        return haar_stiefel(dim, m, rng, real=dtype is float)
+    Identity, random and explicit starts are one matrix for all.  A spectral start
+    is ``_spectral``'s X at the first NLL minimizer alpha in geomspace(0.05, radius
+    or 10, 41), or X if none is finite; one projection serves the scan (gains(aX) =
+    a^2 gains(X)), run in blocks of at most ``_SCAN_BLOCK`` entries of the stack.  A
+    radius left None is 10 ||S||_F; a start outside its ball is rescaled onto it.
+    Each problem gets the bits of a start computed alone.
+    """
+    p0, n = problems[0], len(problems)
     if config.init == "spectral":
-        # Top-m eigenvectors of the selected-codeword covariance, formed in
-        # coefficient space under a subspace prior.
-        X = eigvecs_descending(pmi_covariance(problem, basis), m)
-        # Scan the scale along the spectral direction; the likelihood is not
-        # scale invariant, so a decent starting norm matters.  Gains are
-        # quadratic, gains(aX) = a^2 gains(X), so one projection serves the
-        # whole scan.  The first minimum wins; if no candidate has a finite
-        # objective, the unscaled direction is returned.
-        hi = radius_hint if radius_hint is not None else 10.0
-        scores = all_gains(problem, X if basis is None else basis @ X) / problem.tau
-        alphas = np.geomspace(0.05, hi, 41)
-        a2, sel = (alphas * alphas)[:, None], scores.take(problem.pmi_flat)
-        n = max(1, _SCAN_BLOCK // scores.size)
-        blocks = (a2[i : i + n] for i in range(0, 41, n))
-        f = np.concatenate([_scan_values(scores, sel, block, problem.T) for block in blocks])
+        X = _spectral(np.stack([_reduced(pb, B) for pb, B in zip(problems, bases or [None] * n)]), m)[1]
+        scores = _gains_from_proj(_project(stack, lift(X)), p0.codebook) / p0.tau
+        alphas = np.stack([np.geomspace(0.05, pb.radius or 10.0, 41) for pb in problems], axis=1)
+        a2 = (alphas * alphas)[..., None, None]
+        # A block of k scales is a (k, B, T, N) stack: scale j's reported entries sit j B T N on.
+        k = max(1, _SCAN_BLOCK // scores.size)
+        at = stack.pmi_flat + np.arange(0, k * scores.size, scores.size)[:, None, None]
+        views = {j: SimpleNamespace(T=p0.T, pmi_flat=at[:j]) for j in (k, 41 % k or k)}
+        blocks = (a2[i : i + k] for i in range(0, 41, k))
+        f = np.concatenate([_value_from_scores(views[len(a)], a * scores)[0] for a in blocks])
         f[np.isnan(f)] = np.inf
-        return alphas[np.argmin(f)] * X if f.min() < np.inf else X
-
-
-def _start(problem: EstimationProblem, config: MleConfig, prior: Optional[SubspacePrior], m: int):
-    """A problem's projected start S, radius, ||S||_F and A^H lift(S), from S in its own layout."""
-    basis = prior.B if prior is not None else None
-    S = _initial_point(problem, config, basis, m, problem.radius)
-    radius = problem.radius if problem.radius is not None else 10.0 * float(_fro_norm(S))
-    if radius <= 0:
+        best = alphas[f.argmin(axis=0), np.arange(n)][:, None, None]
+        S = np.where((f.min(axis=0) < np.inf)[:, None, None], best * X, X)
+    else:
+        dim = p0.d if bases is None else bases[0].shape[1]
+        if config.init == "explicit":
+            if config.x0 is None:
+                raise ValueError("explicit initialization needs x0")
+            S = _as_matrix(np.asarray(config.x0, dtype=p0.dtype))
+        elif config.init == "identity":
+            S = np.eye(dim, m, dtype=p0.dtype)
+        else:
+            S = haar_stiefel(dim, m, np.random.default_rng(0), real=p0.dtype is float)
+        S = np.repeat(S[None], n, axis=0)
+    nrm = _norms(S)
+    radii = [10.0 * a if pb.radius is None else pb.radius for pb, a in zip(problems, nrm)]
+    if any(r <= 0 for r in radii):
         raise ValueError("radius must be positive")
-    nrm = float(_fro_norm(S))
-    S = S * (radius / nrm) if nrm > radius else S
-    return S, radius, float(_fro_norm(S)), _project(problem, S if basis is None else basis @ S)
+    if any(map(float.__gt__, nrm, radii)):
+        S = S * np.array([r / a if a > r else 1.0 for a, r in zip(nrm, radii)]).reshape(-1, 1, 1)
+        nrm = _norms(S)
+    return S, radii, nrm, _project(stack, lift(S))
 
 
 def _as_stack(problem, prior=None) -> tuple:
@@ -424,12 +420,6 @@ def solve_mle(
     m = config.n_streams or p0.codebook.r
     if m > (p0.d if priors[0] is None else priors[0].k):
         raise ValueError(f"{m} streams exceed the dimension of the solve")
-    # Per-problem scalars are Python numbers, as in a one-problem solve.
-    S, radii, nrm, C = zip(*(_start(pb, config, pr, m) for pb, pr in zip(problems, priors)))
-    S, C, nrm = np.stack(S), np.stack(C), list(nrm)
-    s = [pb.tau / (4.0 * r**2) for pb, r in zip(problems, radii)]
-    s_min, s_max = [1e-20 * x for x in s], [1e9 * x for x in s]
-    ids, results = list(range(n)), [None] * n
     A = p0.effective_flat[None] if n == 1 else np.stack([pb.effective_flat for pb in problems])
     pmi = np.stack([pb.pmi_flat for pb in problems])
     stack = _stacked(p0, pmi, A)
@@ -439,6 +429,12 @@ def solve_mle(
 
     def lift(Z: np.ndarray) -> np.ndarray:
         return Z if bases is None else np.stack([B @ z for B, z in zip(bases, Z)])
+
+    # Per-problem scalars are Python numbers, as in a one-problem solve.
+    S, radii, nrm, C = _start(problems, config, bases, m, stack, lift)
+    s = [pb.tau / (4.0 * r**2) for pb, r in zip(problems, radii)]
+    s_min, s_max = [1e-20 * x for x in s], [1e9 * x for x in s]
+    ids, results = list(range(n)), [None] * n
 
     def gradient(C: np.ndarray, ex: np.ndarray, z: np.ndarray) -> np.ndarray:
         G = _grad_from_proj(stack, C, ex, z)

@@ -65,15 +65,3 @@ def _beam_precision(h_hat: np.ndarray, U: np.ndarray, s: np.ndarray) -> float:
     num = np.sum(np.abs(U.conj().T @ Q) ** 2 * (s**2)[:, None])
     return float(num / np.sum(s[: Q.shape[1]] ** 2))
 
-
-def _fro_norm(x: np.ndarray) -> np.floating:
-    """``np.linalg.norm(x)`` of a float or complex array, bit for bit, without its option handling.
-
-    The same arithmetic: ravel in memory order, then x.x for real input or
-    Re.Re + Im.Im for complex input, then the square root.
-    """
-    x = x.ravel(order="K")
-    if x.dtype.kind == "c":
-        re, im = x.real, x.imag
-        return np.sqrt(re.dot(re) + im.dot(im))
-    return np.sqrt(x.dot(x))

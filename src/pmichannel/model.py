@@ -286,15 +286,23 @@ class EstimationProblem:
 
 
 def pmi_covariance(problem: EstimationProblem, basis: Optional[np.ndarray] = None) -> np.ndarray:
-    """(1/T) sum_t W_t V_{I_t} V_{I_t}^H W_t^H with W_t = Q_t, or B^H Q_t for a basis B."""
-    return _covariance(problem.selected if basis is None else np.matmul(basis.conj().T, problem.selected))
+    """(1/T) sum_t W_t V_{I_t} V_{I_t}^H W_t^H, the covariance of the ``_reduced`` codewords.
+
+    W_t = Q_t, or B^H Q_t for a basis B; ``likelihood._spectral`` takes it over a stack.
+    """
+    return _covariance(_reduced(problem, basis))
+
+
+def _reduced(problem: EstimationProblem, basis: Optional[np.ndarray] = None) -> np.ndarray:
+    """The reduced codewords W_t V_{I_t}, (T, n, r): ``selected``, or B^H Q_t V_{I_t} for a basis B."""
+    return problem.selected if basis is None else np.matmul(basis.conj().T, problem.selected)
 
 
 def _covariance(E: np.ndarray) -> np.ndarray:
-    """(1/T) sum_t E_t E_t^H of a (T, n, r) stack of reduced codewords E_t = W_t V_{I_t}."""
-    T = E.shape[0]
-    E = E.transpose(1, 0, 2).reshape(E.shape[1], -1)
-    return (E @ E.conj().T) / T
+    """(1/T) sum_t E_t E_t^H of (..., T, n, r) reduced codewords; each matrix has its own bits."""
+    T, n = E.shape[-3:-1]
+    E = E.swapaxes(-3, -2).reshape(*E.shape[:-3], n, -1)
+    return (E @ E.conj().swapaxes(-1, -2)) / T
 
 
 def _gains_from_proj(C: np.ndarray, codebook: Codebook) -> np.ndarray:

@@ -247,7 +247,7 @@ class TestSubspacePr:
     def test_wf_af_gradients_match_fd(self, rng):
         prob, _ = random_problem(rng, d=6, p=4, n=4, T=6, rule="hard", attach_cqi=True)
         B = designs.haar_stiefel(6, 3, rng)
-        Ms = baselines._pr_data(prob, B)
+        Ms = model._reduced(prob, B)
         eta = prob.cqi_array
         S = rng.standard_normal((3, 1)) + 1j * rng.standard_normal((3, 1))
         eps = 1e-6
@@ -275,7 +275,7 @@ class TestSubspacePr:
         est_w, _ = baselines.subspace_pr_estimate(prob, prior, 1, cfg_w)
         est_a, _ = baselines.subspace_pr_estimate(prob, prior, 1, cfg_a)
         est_b, rep_b = baselines.subspace_pr_estimate(prob, prior, 1, cfg_b)
-        Ms = baselines._pr_data(prob, B)
+        Ms = model._reduced(prob, B)
         eta = prob.cqi_array
         af = partial(baselines._af_loss_grad, Ms, Ms.conj(), np.sqrt(eta))
         loss_w = af(B.conj().T @ est_w)[0]

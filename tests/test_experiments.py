@@ -491,6 +491,82 @@ class TestCli:
         assert err.startswith("usage: ") and "verify-theory: " in err and "at least 1" in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fdd-experiment", "--d", "4"],
+            ["ablate-tau", "--data", "x.bin"],
+            ["crb-experiment", "--tri", "2"],
+        ],
+    )
+    def test_flag_abbreviations_are_not_expanded(self, tmp_path, capsys, monkeypatch, argv):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started on an abbreviated flag")
+
+        monkeypatch.setattr(experiments, "_load_channels", no_work)
+        monkeypatch.setattr(experiments, "_run_tasks", no_work)
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, option, name",
+        [
+            ("fdd-experiment", "--config", "missing.json"),
+            ("fdd-experiment", "--config", "malformed.json"),
+            ("fdd-experiment", "--dataset", "missing.bin"),
+            ("ablate-tau", "--dataset", "malformed.bin"),
+            ("ablate-init", "--dataset", "malformed.bin"),
+            ("dataset-inspect", None, "missing.bin"),
+            ("dataset-inspect", None, "malformed.bin"),
+        ],
+    )
+    def test_unreadable_file_is_a_usage_error(self, tmp_path, capsys, monkeypatch, command, option, name):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a task ran before the file was read")
+
+        monkeypatch.setattr(experiments, "_run_tasks", no_work)
+        (tmp_path / "malformed.json").write_text('{"samples": 1,')
+        (tmp_path / "malformed.bin").write_bytes(b"PMICH01\x00" + bytes(4))
+        path = str(tmp_path / name)
+        if option is None:
+            argv = [command, path]
+        else:
+            argv = [command, option, path, "--samples", "1", "--out", str(tmp_path / "o")]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ") and f"pmichannel: error: {command}: " in err and path in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "argv, config",
+        [
+            (["crb-experiment", "--workers", "0"], None),
+            (["crb-experiment", "--workers", "-3"], None),
+            (["fdd-experiment", "--samples", "1"], {"workers": 0}),
+            (["verify-theory", "--workers", "0"], None),
+        ],
+    )
+    def test_workers_below_one_is_a_usage_error(self, tmp_path, capsys, monkeypatch, argv, config):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the options were checked")
+
+        for name in ("_load_channels", "_run_tasks", "_random_problem"):
+            monkeypatch.setattr(experiments, name, no_work)
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            argv = [*argv, "--config", str(cfg)]
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"pmichannel: error: {argv[0]}: workers must be at least 1" in err
+        assert not (tmp_path / "o").exists()
+
 
 def test_package_imports_without_scipy():
     """numpy is the package's only runtime dependency: scipy is never imported."""

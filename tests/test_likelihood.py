@@ -552,19 +552,30 @@ class TestShortRowSum:
 
 
 def _spectral(prob, basis=None, hi=10.0):
+    """``prob``'s spectral start on the ball of radius hi, from the stacked ``_start`` of one problem."""
+    prob = model.EstimationProblem.from_arrays(
+        prob.q_stack, prob.pmi_array, prob.codebook, prob.tau, radius=hi
+    )
+    stack = likelihood._stacked(prob, prob.pmi_flat[None], prob.effective_flat[None])
+    lift = (lambda Z: Z) if basis is None else (lambda Z: np.stack([basis @ z for z in Z]))
     cfg = likelihood.MleConfig(init="spectral")
-    return likelihood._initial_point(prob, cfg, basis, prob.codebook.r, hi)
+    bases = None if basis is None else [basis]
+    return likelihood._start([prob], cfg, bases, prob.codebook.r, stack, lift)[0][0]
 
 
 def _scan_reference(prob, basis, hi):
-    """The 41 full ``nll`` calls along the spectral direction; first minimum wins."""
+    """The 41 full ``nll`` calls along the spectral direction; first minimum wins.
+
+    The winner is then put on the ball of radius hi, as every start is.
+    """
     X = designs.eigvecs_descending(model.pmi_covariance(prob, basis), prob.codebook.r)
     best, best_f = X, np.inf
     for alpha in np.geomspace(0.05, hi, 41):
         f = likelihood.nll(prob, alpha * X if basis is None else basis @ (alpha * X))
         if f < best_f:
             best, best_f = alpha * X, f
-    return best
+    nrm = np.linalg.norm(best)
+    return best * (hi / nrm) if nrm > hi else best
 
 
 class TestSpectralScan:
@@ -593,8 +604,8 @@ class TestSpectralScan:
         # the next values of the script, one per scale.
         calls = iter(values)
         monkeypatch.setattr(
-            likelihood, "_scan_values",
-            lambda scores, sel, a2, T: np.array([next(calls) for _ in a2]),
+            likelihood, "_value_from_scores",
+            lambda problem, scores: (np.array([next(calls) for _ in scores]).reshape(-1, 1), None),
         )
 
     def test_first_minimum_wins(self, rng, monkeypatch):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pmichannel import metrics
+from pmichannel import likelihood, metrics
 
 
 def _phase_aligned_mse_reference(x_hat, h):
@@ -184,9 +184,13 @@ def _layouts(rng, cols, complex_mode):
 
 
 class TestFrobeniusNorm:
+    """``likelihood._norms``, the one norm kernel, gives each row of a stack ``np.linalg.norm``'s bits."""
+
     @pytest.mark.parametrize("complex_mode", [False, True])
     @pytest.mark.parametrize("cols", [None, 1, 2])
     def test_equals_numpy_norm(self, rng, cols, complex_mode):
         for X in _layouts(rng, cols, complex_mode):
-            got, want = metrics._fro_norm(X), np.linalg.norm(X)
-            assert got == want and type(got) is type(want)
+            # The solver's stacks are C-contiguous, whatever layout their rows came from.
+            stack = np.ascontiguousarray(np.stack([X, 1e3 * X, 1e-3 * X]))
+            got, want = likelihood._norms(stack), [float(np.linalg.norm(x)) for x in stack]
+            assert got == want and all(type(v) is float for v in got)

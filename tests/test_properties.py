@@ -125,7 +125,7 @@ def test_descent_gradients_are_gauge_free(seed, d, T, r, complex_mode):
     _assert_gauge_free(X, likelihood.nll_gradient(prob, X))
     # The phase-retrieval losses, bound as ``subspace_pr_estimate`` binds them.
     B = designs.haar_stiefel(d, int(rng.integers(r, d + 1)), rng, real=not complex_mode)
-    Ms, eta = baselines._pr_data(prob, B), prob.cqi_array
+    Ms, eta = model._reduced(prob, B), prob.cqi_array
     S = _draw(rng, (B.shape[1], r), complex_mode)
     for loss_grad in (
         partial(baselines._wf_loss_grad, Ms, Ms.conj(), eta),

@@ -187,7 +187,7 @@ def _no_work(monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("the estimate started")
 
-    for name in ("_am_phase_ls_loop", "_pr_descent", "_pr_data", "pmi_covariance", "haar_stiefel"):
+    for name in ("_am_phase_ls_loop", "_pr_descent", "_reduced", "_spectral", "haar_stiefel"):
         monkeypatch.setattr(baselines, name, no_work)
 
 

@@ -3,8 +3,11 @@
 A stack shares every kernel call, but each problem keeps its own step,
 Barzilai-Borwein state, trial loop, stop test and report, and leaves the
 stack once it stops.  These tests solve stacks and the same problems one at
-a time and compare estimates and reports byte for byte.
+a time and compare estimates and reports byte for byte, and compare the
+stacked start with the one-problem start it replaced.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -131,7 +134,7 @@ def test_mismatched_stack_refused_before_any_work(monkeypatch, case):
         raise AssertionError("the solve started")
 
     monkeypatch.setattr(likelihood, "_start", no_work)
-    monkeypatch.setattr(likelihood, "_initial_point", no_work)
+    monkeypatch.setattr(likelihood, "_value_from_scores", no_work)
     with pytest.raises(ValueError, match="must share"):
         likelihood.solve_mle(problems, likelihood.MleConfig(), priors)
 
@@ -147,3 +150,125 @@ def test_non_finite_objective_names_the_problem():
         likelihood.solve_mle(problems[2], cfg)
     with pytest.raises(likelihood.NumericalFailureError, match="problem 2$"):
         likelihood.solve_mle(problems, cfg)
+
+
+# The stacked start against the one-problem start it replaced.
+
+
+def _reference_start(problem, config, basis, m):
+    """One problem's start, computed alone: S, radius, ||S||_F and A^H lift(S).
+
+    The per-problem code that ``likelihood._start`` stacks: one covariance,
+    one 2-D eigendecomposition and one scan per problem, with norms from
+    ``np.linalg.norm``.
+    """
+    dim = problem.d if basis is None else basis.shape[1]
+    dtype = problem.dtype
+    if config.init == "explicit":
+        S = model._as_matrix(np.array(config.x0, dtype=dtype))
+    elif config.init == "identity":
+        S = np.eye(dim, m, dtype=dtype)
+    elif config.init == "random":
+        S = designs.haar_stiefel(dim, m, np.random.default_rng(0), real=dtype is float)
+    else:
+        X = designs.eigvecs_descending(model.pmi_covariance(problem, basis), m)
+        hi = problem.radius if problem.radius is not None else 10.0
+        scores = model.all_gains(problem, X if basis is None else basis @ X) / problem.tau
+        alphas = np.geomspace(0.05, hi, 41)
+        a2, sel = (alphas * alphas)[:, None], scores.take(problem.pmi_flat)
+        n = max(1, likelihood._SCAN_BLOCK // scores.size)
+        f = np.concatenate([
+            np.add.reduce(model._row_lse(a[..., None] * scores)[2] - a * sel, axis=-1) / problem.T
+            for a in (a2[i : i + n] for i in range(0, 41, n))
+        ])
+        f[np.isnan(f)] = np.inf
+        S = alphas[np.argmin(f)] * X if f.min() < np.inf else X
+    radius = problem.radius if problem.radius is not None else 10.0 * float(np.linalg.norm(S))
+    nrm = float(np.linalg.norm(S))
+    S = S * (radius / nrm) if nrm > radius else S
+    C = model._project(problem, S if basis is None else basis @ S)
+    return S, radius, float(np.linalg.norm(S)), C
+
+
+def _eig_priors(seed, B, d, k, complex_mode):
+    """Priors as the fdd driver builds them: top-k eigenvectors, a view with a negative column stride."""
+    rng = np.random.default_rng([seed, 1])
+    priors = []
+    for _ in range(B):
+        H = rng.standard_normal((d, d)) + (1j * rng.standard_normal((d, d)) if complex_mode else 0.0)
+        priors.append(likelihood.SubspacePrior(designs.eigvecs_descending(H @ H.conj().T, k)))
+    return priors
+
+
+def _start_bytes(S, radius, nrm, C):
+    return S.shape, S.tobytes(), float.hex(radius), float.hex(nrm), C.shape, C.tobytes()
+
+
+def _assert_start_equals_references(problems, cfg, priors, m):
+    """``solve_mle``'s one stacked ``_start`` gives each problem its ``_reference_start`` bytes."""
+    seen, real = [], likelihood._start
+
+    def spy(*args):
+        seen.append(real(*args))
+        return seen[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(likelihood, "_start", spy)
+        likelihood.solve_mle(problems, replace(cfg, max_iters=1), priors)
+    [(S, radii, nrm, C)] = seen
+    assert len(S) == len(radii) == len(nrm) == len(C) == len(problems)
+    for b, problem in enumerate(problems):
+        basis = None if priors is None else priors[b].B
+        want = _reference_start(problem, cfg, basis, m)
+        assert _start_bytes(S[b], radii[b], nrm[b], C[b]) == _start_bytes(*want), f"problem {b}"
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    B=st.integers(1, 5),
+    T=st.integers(1, 20),
+    r=st.sampled_from([1, 2]),
+    complex_mode=st.booleans(),
+    prior=st.booleans(),
+    init=st.sampled_from(["identity", "random", "spectral", "explicit"]),
+    radius=st.sampled_from([None, "each"]),
+)
+def test_stacked_start_equals_one_problem_starts(seed, B, T, r, complex_mode, prior, init, radius):
+    # radius=None gives each problem its own ball of 10x its start norm.
+    rng = np.random.default_rng(seed)
+    radii = None if radius is None else list(rng.uniform(0.5, 4.0, B))
+    problems, _ = _stack(seed, B, 3, r, complex_mode, d=6, T=T, radii=radii)
+    priors = _eig_priors(seed, B, 6, 4, complex_mode) if prior else None
+    x0 = None
+    if init == "explicit":
+        shape = (4 if prior else 6,) + (() if r == 1 else (r,))
+        x0 = rng.standard_normal(shape) + (1j * rng.standard_normal(shape) if complex_mode else 0.0)
+    _assert_start_equals_references(problems, likelihood.MleConfig(init=init, x0=x0), priors, r)
+
+
+@pytest.mark.parametrize("B", [1, 3])
+@pytest.mark.parametrize("complex_mode", [False, True])
+def test_stacked_spectral_start_at_one_scale_per_block(B, complex_mode):
+    # At T = 1400 one problem's scores (4200 entries) exceed a scan block, so
+    # the 41 scales are 41 blocks, as at excess-risk's T >= 1000.
+    problems, _ = _stack(21, B, 3, 1, complex_mode, T=1400)
+    cfg = likelihood.MleConfig(init="spectral")
+    for priors in (None, _eig_priors(21, B, 5, 3, complex_mode)):
+        _assert_start_equals_references(problems, cfg, priors, 1)
+
+
+def test_stacked_spectral_start_makes_one_eigendecomposition(monkeypatch):
+    problems, priors = _stack(11, 4, 3, 1, True, T=6)
+    calls, real = [], designs.eigvecs_descending
+
+    def spy(A, k):
+        calls.append(np.shape(A))
+        return real(A, k)
+
+    monkeypatch.setattr(designs, "eigvecs_descending", spy)
+    monkeypatch.setattr(likelihood, "eigvecs_descending", spy, raising=False)
+    for prior, dim in ((None, 5), (priors, 3)):
+        calls.clear()
+        likelihood.solve_mle(problems, likelihood.MleConfig(init="spectral", max_iters=2), prior)
+        assert calls == [(4, dim, dim)]

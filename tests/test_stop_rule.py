@@ -346,7 +346,7 @@ class TestZeroIterates:
 
     def _pr_losses(self):
         problem, prior = _fdd_problem(0, 1, 5)
-        Ms = baselines._pr_data(problem, prior.B)[None]
+        Ms = model._reduced(problem, prior.B)[None]
         eta = problem.cqi_array[None]
         return (
             (baselines._wf_loss_grad, (Ms, Ms.conj(), eta)),
@@ -436,7 +436,7 @@ class TestConfigBoundaries:
         def no_work(*args):
             raise AssertionError("the solve started")
 
-        monkeypatch.setattr(likelihood, "_initial_point", no_work)
+        monkeypatch.setattr(likelihood, "_start", no_work)
         with pytest.raises(ValueError, match="streams exceed"):
             likelihood.solve_mle(problem, likelihood.MleConfig(n_streams=n_streams), prior)
 
