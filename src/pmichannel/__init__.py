@@ -25,7 +25,6 @@ from .crb import (
 )
 from .dataset import ChannelDataset, read_dataset, write_dataset
 from .designs import (
-    UplinkCovariance,
     dft_codebook,
     haar_stiefel,
     haar_stiefel_stack,
@@ -46,7 +45,6 @@ from .likelihood import (
 )
 from .metrics import beam_precision, dist, phase_aligned_mse
 from .model import (
-    Channel,
     Codebook,
     EstimationProblem,
     FeedbackRound,

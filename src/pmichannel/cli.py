@@ -58,7 +58,9 @@ def _options(ap: argparse.ArgumentParser, args: argparse.Namespace) -> dict:
     Options left unset take the driver's own defaults.  A config key must
     name one of the subcommand's flags; ``samples`` becomes ``n_samples``.
     A list-valued flag's key takes a JSON list or the flag's comma string,
-    either one parsed by the flag's own converter.
+    either one parsed by the flag's own converter.  A scalar flag's key takes
+    a JSON number or string, passed to the converter as the flag's text would
+    be, and an on/off flag's key takes only JSON true or false.
     """
     flags = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
     opts = {}
@@ -74,11 +76,21 @@ def _options(ap: argparse.ArgumentParser, args: argparse.Namespace) -> dict:
             ap.error(f"{args.command}: unknown config key(s) in {args.config}: {', '.join(unknown)}")
         (sub,) = (a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
         for action in sub.choices[args.command]._actions:
-            if action.type in _LIST_TYPES and action.dest in opts:
-                try:
-                    opts[action.dest] = action.type(opts[action.dest])
-                except ValueError as exc:
-                    ap.error(f"{args.command}: config key {action.dest!r} in {args.config}: {exc}")
+            if action.dest not in opts:
+                continue
+            value = opts[action.dest]
+            try:
+                if isinstance(action, argparse._StoreTrueAction):
+                    if not isinstance(value, bool):
+                        raise ValueError(f"expected true or false, got {value!r}")
+                elif action.type in _LIST_TYPES:
+                    opts[action.dest] = action.type(value)
+                elif isinstance(value, bool) or not isinstance(value, (int, float, str)):
+                    raise ValueError(f"expected a number or a string, got {value!r}")
+                else:
+                    opts[action.dest] = action.type(str(value))
+            except ValueError as exc:
+                ap.error(f"{args.command}: config key {action.dest!r} in {args.config}: {exc}")
     opts.update({k: v for k, v in flags.items() if v is not None})
     if opts.get("workers", 1) < 1:
         ap.error(f"{args.command}: workers must be at least 1, got {opts['workers']}")

@@ -6,14 +6,11 @@ so experiments stay reproducible from a single seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .model import Channel, Codebook
+from .model import Codebook
 
 __all__ = [
-    "UplinkCovariance",
     "dft_codebook",
     "identity_codebook",
     "haar_stiefel",
@@ -29,24 +26,6 @@ TYPE1_PORTS = 8  # columns of the first-round reduction ``type1_q1``
 # The unitary inner factor of ``type1_q1``: I_2 kron (DFT(2) kron DFT(2)) / 2.
 _F2 = np.array([[1.0, 1.0], [1.0, -1.0]])
 _TYPE1_INNER = np.kron(np.eye(2), np.kron(_F2, _F2) / 2.0)
-
-
-@dataclass(frozen=True)
-class UplinkCovariance:
-    """Uplink spatial covariance: Hermitian positive semidefinite."""
-
-    Sigma: np.ndarray
-
-    def __post_init__(self):
-        S = np.asarray(self.Sigma)
-        if S.ndim != 2 or S.shape[0] != S.shape[1]:
-            raise ValueError("covariance must be square")
-        if not np.allclose(S, S.conj().T, atol=_HERM_TOL):
-            raise ValueError("covariance must be Hermitian")
-        w = np.linalg.eigvalsh(S)
-        if w.min() < -_HERM_TOL:
-            raise ValueError("covariance must be positive semidefinite")
-        object.__setattr__(self, "Sigma", S)
 
 
 def eigvecs_descending(A: np.ndarray, k: int) -> np.ndarray:
@@ -173,7 +152,6 @@ def structured_q(sigma_ul: np.ndarray, p: int, rng: np.random.Generator) -> np.n
     Q = Q_out @ U with Q_out the top-p eigenvectors of the uplink covariance
     and U a Haar-random p x p unitary; the column space is the dominant
     uplink subspace while the inner layer injects per-round diversity.
-    ``sigma_ul`` is the covariance array (an ``UplinkCovariance.Sigma``).
     """
     q_out = eigvecs_descending(sigma_ul, p)
     return q_out @ haar_stiefel(p, p, rng)
@@ -184,7 +162,6 @@ def type1_q1(sigma_ul: np.ndarray) -> np.ndarray:
 
     Q1 = eigvecs(Sigma_ul, 8) @ (I_2 kron (DFT(2) kron DFT(2)) / 2); the
     inner 8 x 8 factor is unitary, so Q1 spans the top-8 uplink subspace.
-    ``sigma_ul`` is the covariance array (an ``UplinkCovariance.Sigma``).
     """
     if sigma_ul.shape[0] < TYPE1_PORTS:
         raise ValueError(f"need at least {TYPE1_PORTS} antenna ports")
@@ -222,14 +199,15 @@ def synthetic_channel(
     paths: int,
     rng: np.random.Generator,
     angle_jitter: float = 0.03,
-) -> tuple[Channel, UplinkCovariance]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Finite-ray geometric channel plus a partially matching uplink covariance.
 
     The downlink channel is a sum of ``paths`` rays with ULA steering vectors
     and random receive signatures, normalized to unit Frobenius norm.  The
     uplink covariance is built from the same ray directions (slightly
     jittered) with independent gains, so the uplink subspace prior is
-    informative but not exact.
+    informative but not exact.  Returns the arrays ``(H, Sigma)``: H is
+    d x n_rx and Sigma is d x d, exactly Hermitian and positive definite.
     """
     if paths < 1:
         raise ValueError("need at least one path")
@@ -254,4 +232,4 @@ def synthetic_channel(
     # Small isotropic floor keeps the covariance strictly PSD.
     Sigma += 1e-8 * np.eye(d)
     Sigma = 0.5 * (Sigma + Sigma.conj().T)
-    return Channel(H=H), UplinkCovariance(Sigma=Sigma)
+    return H, Sigma

@@ -32,6 +32,7 @@ __all__ = [
     "write_timings_csv",
     "summarize_crb",
     "summarize_fdd",
+    "summarize_ablation",
     "write_summary_csv",
     "fit_inverse_t",
     "make_synthetic_dataset",
@@ -246,13 +247,26 @@ def _load_channels(
     paths: int,
     seed: int,
 ) -> list:
-    """Per-sample (H, Sigma_ul) pairs from a dataset file or the ray model; needs >= 8 ports."""
+    """Per-sample (H, Sigma_ul) pairs from a dataset file or the ray model; needs >= 8 ports.
+
+    A file's covariances must be Hermitian (to ``eigvecs_descending``'s
+    tolerance) and positive semidefinite: smallest eigenvalue at least
+    -1e-10 * max(1, largest).  The roundoff left is symmetrized away.
+    """
     if dataset is not None:
         data = _read_dataset(dataset)
     else:
         data = make_synthetic_dataset(n_samples, d, n_rx, paths, seed)
     if data.d < designs.TYPE1_PORTS:
         raise InvalidOptionError(f"need at least {designs.TYPE1_PORTS} antenna ports, got {data.d}")
+    if dataset is not None and data.covariances is not None:
+        covs, tol = data.covariances, designs._HERM_TOL
+        herm = np.isclose(covs, covs.conj().swapaxes(1, 2), atol=tol).all(axis=(1, 2))
+        w = np.linalg.eigvalsh(covs)
+        for s in range(len(covs)):
+            if not herm[s] or w[s, 0] < -tol * max(1.0, w[s, -1]):
+                kind = "positive semidefinite" if herm[s] else "Hermitian"
+                raise InvalidOptionError(f"dataset {dataset}: covariance of sample {s} is not {kind}")
     out = []
     for s, H in enumerate(data.channels):
         if data.covariances is not None:
@@ -718,7 +732,5 @@ def make_synthetic_dataset(
     covs = np.zeros((n_samples, d, d), dtype=complex)
     for s in range(n_samples):
         rng = np.random.default_rng([seed, 3, s])
-        ch, ul = designs.synthetic_channel(d, n_rx, paths, rng)
-        chans[s] = ch.H
-        covs[s] = ul.Sigma
+        chans[s], covs[s] = designs.synthetic_channel(d, n_rx, paths, rng)
     return ChannelDataset(channels=chans, covariances=covs)

@@ -16,7 +16,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 __all__ = [
-    "Channel",
     "Codebook",
     "FeedbackRound",
     "EstimationProblem",
@@ -34,36 +33,6 @@ def _as_matrix(x: np.ndarray) -> np.ndarray:
     """View a vector as a single-column matrix; matrices pass through."""
     x = np.asarray(x)
     return x[:, None] if x.ndim == 1 else x
-
-
-@dataclass(frozen=True)
-class Channel:
-    """Downlink channel: a d x n_rx matrix (one column per receive antenna)."""
-
-    H: np.ndarray
-
-    def __post_init__(self):
-        H = _as_matrix(self.H)
-        if H.shape[0] < 1:
-            raise ValueError("channel needs at least one transmit dimension")
-        if not np.all(np.isfinite(H)):
-            raise ValueError("channel entries must be finite")
-        object.__setattr__(self, "H", H)
-
-    @property
-    def d(self) -> int:
-        return self.H.shape[0]
-
-    @property
-    def n_rx(self) -> int:
-        return self.H.shape[1]
-
-    @property
-    def vector(self) -> np.ndarray:
-        """The channel as a vector; only valid for a single-antenna user."""
-        if self.n_rx != 1:
-            raise ValueError("multi-antenna channel has no vector form")
-        return self.H[:, 0]
 
 
 @dataclass(frozen=True)

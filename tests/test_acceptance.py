@@ -186,13 +186,13 @@ def test_criterion_7_structural_baselines():
         cb = designs.dft_codebook(8, r)
         for s in range(6):
             rng = np.random.default_rng([707, r, s])
-            ch, ul = designs.synthetic_channel(32, 4, 4, rng)
-            prior = likelihood.SubspacePrior(designs.eigvecs_descending(ul.Sigma, 8))
-            q1 = designs.type1_q1(ul.Sigma)
-            rounds = model.simulate_rounds([q1], cb, ch.H, 1.0, rule="hard", attach_cqi=True)
+            H, Sigma = designs.synthetic_channel(32, 4, 4, rng)
+            prior = likelihood.SubspacePrior(designs.eigvecs_descending(Sigma, 8))
+            q1 = designs.type1_q1(Sigma)
+            rounds = model.simulate_rounds([q1], cb, H, 1.0, rule="hard", attach_cqi=True)
             prob = model.EstimationProblem(tuple(rounds), cb, 1.0, radius=4.0)
             two = baselines.two_stage_estimate(prob)
-            bp_two = metrics.beam_precision(two, ch.H)
+            bp_two = metrics.beam_precision(two, H)
             spec = baselines.spectral_estimate(prob, r)
             qa, _ = np.linalg.qr(two)
             sin_angle = np.linalg.norm(spec - qa @ (qa.conj().T @ spec), 2)
@@ -201,7 +201,7 @@ def test_criterion_7_structural_baselines():
                 est, _ = likelihood.solve_mle(
                     prob, likelihood.MleConfig(init="spectral", n_streams=r), prior_arg
                 )
-                worst_gap = max(worst_gap, abs(metrics.beam_precision(est, ch.H) - bp_two))
+                worst_gap = max(worst_gap, abs(metrics.beam_precision(est, H) - bp_two))
     elapsed = time.time() - t0
     ok = worst_angle < 1e-6 and worst_gap < 1e-6
     _report(

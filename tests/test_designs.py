@@ -1,8 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from pmichannel import designs, experiments
-from pmichannel.designs import UplinkCovariance
+from pmichannel.dataset import write_dataset
 
 
 class TestDftCodebook:
@@ -215,7 +217,7 @@ class TestFddDesign:
     @pytest.mark.parametrize("kind", ["ray", "real"])
     def test_bit_identical_to_round_by_round(self, rng, scheme, T, kind):
         if kind == "ray":
-            Sigma = designs.synthetic_channel(12, 2, 3, rng)[1].Sigma
+            Sigma = designs.synthetic_channel(12, 2, 3, rng)[1]
         else:
             G = rng.standard_normal((10, 10))
             Sigma = G @ G.T
@@ -242,7 +244,7 @@ class TestFddDesign:
     @pytest.mark.parametrize("k", [1, 4, 8, 12])
     def test_prior_basis_is_a_prefix_of_the_shared_basis(self, k):
         # The fdd driver slices the prior's k columns from one decomposition.
-        Sigma = designs.synthetic_channel(16, 2, 4, np.random.default_rng(k))[1].Sigma
+        Sigma = designs.synthetic_channel(16, 2, 4, np.random.default_rng(k))[1]
         want = designs.eigvecs_descending(Sigma, k)
         got = designs.eigvecs_descending(Sigma, max(k, 8))[:, :k]
         assert (got.shape, got.strides) == (want.shape, want.strides)
@@ -251,33 +253,47 @@ class TestFddDesign:
 
 class TestSyntheticChannel:
     def test_unit_frobenius_norm(self, rng):
-        ch, _ = designs.synthetic_channel(16, 4, 5, rng)
-        assert abs(np.linalg.norm(ch.H) - 1.0) < 1e-12
+        H, _ = designs.synthetic_channel(16, 4, 5, rng)
+        assert abs(np.linalg.norm(H) - 1.0) < 1e-12
 
     def test_single_path_rank_one(self, rng):
-        ch, _ = designs.synthetic_channel(8, 1, 1, rng)
-        s = np.linalg.svd(ch.H, compute_uv=False)
+        H, _ = designs.synthetic_channel(8, 1, 1, rng)
+        s = np.linalg.svd(H, compute_uv=False)
         assert s[0] > 1 - 1e-10
         from pmichannel.metrics import beam_precision
 
-        u = np.linalg.svd(ch.H)[0][:, :1]
-        assert abs(beam_precision(u, ch.H) - 1.0) < 1e-10
+        u = np.linalg.svd(H)[0][:, :1]
+        assert abs(beam_precision(u, H) - 1.0) < 1e-10
 
     def test_uplink_subspace_overlap(self, rng):
         paths = 3
         for _ in range(5):
-            ch, ul = designs.synthetic_channel(24, 2, paths, rng)
+            H, Sigma = designs.synthetic_channel(24, 2, paths, rng)
             k = 2 * paths
-            B = designs.eigvecs_descending(ul.Sigma, k)
+            B = designs.eigvecs_descending(Sigma, k)
             # energy of the channel columns captured by the top-k subspace
-            overlap = np.linalg.norm(B.conj().T @ ch.H) ** 2 / np.linalg.norm(ch.H) ** 2
+            overlap = np.linalg.norm(B.conj().T @ H) ** 2 / np.linalg.norm(H) ** 2
             assert overlap > 0.9
 
     def test_covariance_valid(self, rng):
-        _, ul = designs.synthetic_channel(10, 2, 4, rng)
-        assert isinstance(ul, UplinkCovariance)
-        w = np.linalg.eigvalsh(ul.Sigma)
-        assert w.min() > -1e-10
+        H, Sigma = designs.synthetic_channel(10, 2, 4, rng)
+        assert H.shape == (10, 2) and Sigma.shape == (10, 10)
+        np.testing.assert_array_equal(Sigma, Sigma.conj().T)
+        assert np.linalg.eigvalsh(Sigma).min() > 0
+
+    @pytest.mark.parametrize(
+        "seed, digest",
+        [
+            (0, "15ab2a0311541969c30e5c72c4b5f5ae0edb2ac6f5cdc5afe195c1621eeda098"),
+            (3, "c350db9c40a88756b24cc633cc8973f47d54817999159fc3a1ac8d0bc73ab7ef"),
+            (5, "98dc4937015d8e7cd433411cb2a1cb8b5e4008db8079da6fe59f6a4daf11813d"),
+        ],
+    )
+    def test_dataset_bytes_pinned(self, tmp_path, seed, digest):
+        # Ray-model dataset files are reproducible from the seed, byte for byte.
+        path = tmp_path / "d.bin"
+        write_dataset(path, experiments.make_synthetic_dataset(20, d=32, n_rx=4, paths=4, seed=seed))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 class TestEigvecsDescending:

@@ -1,3 +1,5 @@
+import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -9,7 +11,7 @@ import pytest
 
 import pmichannel
 from pmichannel import cli, crb, experiments
-from pmichannel.dataset import read_dataset
+from pmichannel.dataset import ChannelDataset, read_dataset, write_dataset
 
 
 class TestCrbDriver:
@@ -61,6 +63,48 @@ class TestFddDriver:
         )
         # sample count comes from the file, not the argument
         assert {r.trial for r in rows} == {0, 1, 2}
+
+    def test_rank_deficient_dataset_covariance_accepted(self, tmp_path):
+        # h h^H has roundoff-negative eigenvalues, inside the PSD tolerance.
+        data = experiments.make_synthetic_dataset(2, d=16, n_rx=2, paths=2, seed=5)
+        h = data.channels[:, :, :1]
+        covs = h @ h.conj().swapaxes(1, 2)
+        assert np.linalg.eigvalsh(covs).min() < 0
+        path = tmp_path / "rank1.bin"
+        write_dataset(path, ChannelDataset(data.channels, covs))
+        rows = experiments.run_fdd_experiment(
+            rounds=(1,), dataset=str(path), methods=("spectral",), seed=0
+        )
+        assert {r.trial for r in rows} == {0, 1}
+
+    @pytest.mark.parametrize("command", ["fdd-experiment", "ablate-tau"])
+    @pytest.mark.parametrize(
+        "sample, bad, kind",
+        [(1, "upper-triangular", "Hermitian"), (0, "negative", "positive semidefinite")],
+    )
+    def test_bad_dataset_covariance_refused_before_any_task(
+        self, monkeypatch, tmp_path, capsys, command, sample, bad, kind
+    ):
+        data = experiments.make_synthetic_dataset(2, d=16, n_rx=2, paths=2, seed=5)
+        covs = data.covariances.copy()
+        if bad == "upper-triangular":
+            covs[sample] = np.triu(np.random.default_rng(0).standard_normal((16, 16)))
+        else:
+            covs[sample] = -np.eye(16)
+        path = tmp_path / "bad.bin"
+        write_dataset(path, ChannelDataset(data.channels, covs))
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("a task ran before the covariances were checked")
+
+        monkeypatch.setattr(experiments, "_run_tasks", no_work)
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--dataset", str(path), "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"pmichannel: error: {command}: dataset {path}: " in err
+        assert f"covariance of sample {sample} is not {kind}" in err
+        assert not (tmp_path / "o").exists()
 
     # Each kw is (driver, options).
     @pytest.mark.parametrize(
@@ -408,6 +452,42 @@ class TestCli:
         for name in ("results.csv", "summary.csv"):
             assert (tmp_path / "cfg" / name).read_bytes() == (tmp_path / "flags" / name).read_bytes()
 
+    # Each case is (command, config, the flags it stands for or None for a usage error).
+    @pytest.mark.parametrize(
+        "command, config, flags",
+        [
+            ("crb-experiment", {"trials": "1"}, ["--trials", "1"]),
+            ("crb-experiment", {"trials": 2, "tau": 1, "seed": "3"}, ["--trials", "2", "--tau", "1", "--seed", "3"]),
+            ("fdd-experiment", {"workers": "2", "dataset": "x.bin"}, ["--workers", "2", "--dataset", "x.bin"]),
+            ("verify-theory", {"skip_slope": True}, ["--skip-slope"]),
+            ("crb-experiment", {"trials": 1.7}, None),
+            ("crb-experiment", {"trials": "1.7"}, None),
+            ("crb-experiment", {"trials": True}, None),
+            ("crb-experiment", {"tau": None}, None),
+            ("crb-experiment", {"d": [4]}, None),
+            ("verify-theory", {"skip_slope": "false"}, None),
+            ("verify-theory", {"skip_slope": 0}, None),
+        ],
+    )
+    def test_config_scalars_read_as_flag_text(self, tmp_path, capsys, monkeypatch, command, config, flags):
+        seen = []
+        monkeypatch.setattr(cli, "_COMMANDS", {command: lambda opts: seen.append(opts) or 0})
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        if flags is None:
+            with pytest.raises(SystemExit) as exc:
+                cli.main([command, "--config", str(cfg)])
+            assert exc.value.code == 2
+            (key,) = config
+            assert f"pmichannel: error: {command}: config key {key!r} in {cfg}: " in capsys.readouterr().err
+            assert seen == []
+            return
+        assert cli.main([command, "--config", str(cfg)]) == 0
+        assert cli.main([command, *flags]) == 0
+        got, want = seen
+        assert got == want
+        assert {k: type(v) for k, v in got.items()} == {k: type(v) for k, v in want.items()}
+
     @pytest.mark.parametrize(
         "config",
         [{"rounds": [1.5]}, {"rounds": 3}, {"grid": ["a"]}, {"rounds": "1,x"}, {"grid": []}, {"grid": " , "}],
@@ -566,6 +646,34 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"pmichannel: error: {argv[0]}: workers must be at least 1" in err
         assert not (tmp_path / "o").exists()
+
+
+_MODULES = [
+    "baselines", "crb", "dataset", "designs", "experiments", "likelihood", "metrics", "model", "theory"
+]
+
+
+@pytest.mark.parametrize("name", _MODULES)
+def test_public_names_resolve_and_are_listed(name):
+    mod = importlib.import_module(f"pmichannel.{name}")
+    assert [n for n in mod.__all__ if not hasattr(mod, n)] == []
+    defined = {
+        n
+        for n, obj in vars(mod).items()
+        if not n.startswith("_")
+        and (inspect.isfunction(obj) or inspect.isclass(obj))
+        and obj.__module__ == mod.__name__
+    }
+    assert sorted(defined - set(mod.__all__)) == []
+
+
+def test_package_exports_are_listed_by_their_modules():
+    exports = {
+        n: obj for n, obj in vars(pmichannel).items() if not n.startswith("_") and not inspect.ismodule(obj)
+    }
+    assert exports
+    for n, obj in exports.items():
+        assert n in importlib.import_module(obj.__module__).__all__, n
 
 
 def test_package_imports_without_scipy():

@@ -76,10 +76,10 @@ def _hard_fdd_stream(r) -> str:
     # The FDD drivers' feedback path: ray-model channel, codebook-compatible
     # first round, structured later rounds, hard argmax rule with CQI.
     rng = np.random.default_rng([9, 2, r])
-    ch, ul = designs.synthetic_channel(16, 2, 3, rng)
-    qs = [designs.type1_q1(ul.Sigma)] + [designs.structured_q(ul.Sigma, 8, rng) for _ in range(40)]
+    H, Sigma = designs.synthetic_channel(16, 2, 3, rng)
+    qs = [designs.type1_q1(Sigma)] + [designs.structured_q(Sigma, 8, rng) for _ in range(40)]
     problem = model.simulate_problem(
-        qs, designs.dft_codebook(8, r), ch.H, 1.0, rule="hard", attach_cqi=True
+        qs, designs.dft_codebook(8, r), H, 1.0, rule="hard", attach_cqi=True
     )
     return _stream_text(problem)
 

@@ -335,12 +335,12 @@ class TestLineSearchAlgebra:
 def _fdd_shaped_problem(sample, r, T=5):
     """A T-round problem at `run_fdd_experiment`'s shapes (d=32, 8 ports, hard rule)."""
     rng = np.random.default_rng([0, 3, sample])
-    ch, ul = designs.synthetic_channel(32, 4, 4, rng)
+    H, Sigma = designs.synthetic_channel(32, 4, 4, rng)
     rng = np.random.default_rng([0, 4, sample])
-    qs = [designs.type1_q1(ul.Sigma)]
-    qs += [designs.structured_q(ul.Sigma, 8, rng) for _ in range(T - 1)]
+    qs = [designs.type1_q1(Sigma)]
+    qs += [designs.structured_q(Sigma, 8, rng) for _ in range(T - 1)]
     cb = designs.dft_codebook(8, r)
-    return model.simulate_problem(qs, cb, ch.H, 1.0, rule="hard", radius=4.0)
+    return model.simulate_problem(qs, cb, H, 1.0, rule="hard", radius=4.0)
 
 
 def _first_trial_branches(monkeypatch, prob, cfg, prior=None):

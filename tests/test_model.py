@@ -57,11 +57,6 @@ class TestTypes:
         with pytest.raises(AttributeError):
             prob.tau = 2.0
 
-    def test_channel_vector_form(self):
-        ch = model.Channel(H=np.ones(3))
-        assert ch.H.shape == (3, 1)
-        assert ch.vector.shape == (3,)
-
 
 class TestBoundary:
     """Bad feedback fails where the problem is built, not as wrong numbers."""
