@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .designs import haar_stiefel
-from .likelihood import NumericalFailureError, _as_stack, _bb_step, _check_stop_rule, _norms, _spectral
+from .likelihood import _as_stack, _check_stop_rule, _descend, _norms, _spectral
 from .model import EstimationProblem, _reduced
 
 __all__ = [
@@ -43,7 +43,9 @@ class BaselineConfig:
     multi-stream variant when left unset.  ``init`` starts single-stream AM
     from the spectral estimate ("spectral") or a Haar draw ("random").
     ``pr_variant`` is "wirtinger", "amplitude" or "best-of-both".  Each solve
-    stops as ``MleConfig`` says, on the unaligned change of its own iterate.
+    stops as ``MleConfig`` says, on the unaligned change of its own iterate:
+    both phase-retrieval losses are invariant under S -> S U, so a gradient
+    step does not drift along that orbit to first order.
     Phase retrieval takes ``MleConfig``'s step rule, but its first iteration
     only halves step0 = 1/lambda_max, and the clamps are [1e-20, 1e9] step0.
     In a stack each problem keeps its own step and stop.
@@ -279,101 +281,43 @@ def _intensities(Ms_h: np.ndarray, S: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return np.einsum("...trm,...trm->...t", proj, proj.conj()).real, proj
 
 
-def _wf_loss_grad(Ms: np.ndarray, Ms_h: np.ndarray, eta: np.ndarray, S: np.ndarray) -> tuple:
-    """Intensity loss mean((y_t - eta_t)^2) and its gradient in S; ``Ms_h`` is ``Ms.conj()``.
+def _wf_value(data: tuple, S: np.ndarray, at=None) -> tuple:
+    """Intensity loss mean((y_t - eta_t)^2) at each iterate of S, and the state ``_wf_grad`` reads.
 
-    The loss is a float, or a list of floats for a stack of problems.
+    ``data`` is (Ms, Ms.conj(), eta), ``at`` picks its rows for a subset of the
+    stack, and the loss is a list, or a float for one problem without a stack axis.
     """
+    Ms_h, eta = data[1:] if at is None else (a[at] for a in data[1:])
     y, MhS = _intensities(Ms_h, S)
     resid = y - eta
-    loss = ((resid**2).sum(axis=-1) / resid.shape[-1]).tolist()
-    grad = (4.0 / Ms.shape[-3]) * np.einsum("...t,...tkr,...trm->...km", resid, Ms, MhS)
-    return loss, grad
+    return ((resid**2).sum(axis=-1) / resid.shape[-1]).tolist(), (resid, MhS)
 
 
-def _af_loss_grad(Ms: np.ndarray, Ms_h: np.ndarray, root_eta: np.ndarray, S: np.ndarray) -> tuple:
-    """Amplitude loss mean((sqrt(y_t) - root_eta_t)^2) and its gradient in S.
+def _wf_grad(data: tuple, S: np.ndarray, state: tuple) -> np.ndarray:
+    """Gradient in S of the intensity loss, from ``_wf_value``'s state at S."""
+    resid, MhS = state
+    return (4.0 / data[0].shape[-3]) * np.einsum("...t,...tkr,...trm->...km", resid, data[0], MhS)
 
-    ``Ms_h`` is ``Ms.conj()`` and ``root_eta`` is ``sqrt(eta)``; the loss is
-    as for ``_wf_loss_grad``.
+
+def _af_value(data: tuple, S: np.ndarray, at=None) -> tuple:
+    """Amplitude loss mean((sqrt(y_t) - root_eta_t)^2) at each iterate of S, and ``_af_grad``'s state.
+
+    ``data`` is (Ms, Ms.conj(), sqrt(eta)); ``at`` and the loss are as for ``_wf_value``.
     """
+    Ms_h, root_eta = data[1:] if at is None else (a[at] for a in data[1:])
     y, MhS = _intensities(Ms_h, S)
     amp = np.sqrt(y)
     sq_err = (amp - root_eta) ** 2
-    loss = (sq_err.sum(axis=-1) / sq_err.shape[-1]).tolist()
+    return (sq_err.sum(axis=-1) / sq_err.shape[-1]).tolist(), (amp, MhS)
+
+
+def _af_grad(data: tuple, S: np.ndarray, state: tuple) -> np.ndarray:
+    """Gradient in S of the amplitude loss, from ``_af_value``'s state at S."""
+    amp, MhS = state
     live = amp > 1e-15
     safe = np.where(live, amp, 1.0)
-    factor = np.where(live, 1.0 - root_eta / safe, 0.0)
-    grad = (2.0 / Ms.shape[-3]) * np.einsum("...t,...tkr,...trm->...km", factor, Ms, MhS)
-    return loss, grad
-
-
-def _pr_descent(S0, step0: list, loss_grad, data: tuple, max_iters: int, rel_tol: float, ids) -> dict:
-    """Backtracking gradient descent of a (B, k, m) stack of starts on ``loss_grad``.
-
-    ``loss_grad(*data, S)`` gives the losses (a list) and the gradients of a
-    stack of iterates S whose problems' data are the rows of ``data``.  The
-    first iteration halves ``step0`` while the loss rises.  Every later one
-    first tries the Barzilai-Borwein step <s, s>/Re<s, y> of the last move s
-    and gradient change y (twice the last accepted step when Re<s, y> <= 0),
-    clamped to [1e-20, 1e9] step0, and halves it while the loss rises.  Stops
-    once ||S_new - S||_F / ||S||_F < rel_tol (0.0 from a zero S), unaligned:
-    both losses are invariant under S -> S U, so S^H grad is Hermitian and a
-    step does not drift along that orbit to first order.
-
-    Each problem keeps its own step, halvings and stop and leaves the stack
-    when it stops, so it has the bits of a stack of one.  Returns
-    ``{ids[b]: (S, loss, iterations, stop)}``; NumericalFailureError names
-    the id of a problem whose loss is not finite.
-    """
-    S = S0
-    loss, grad = loss_grad(*data, S)
-    step, ids, results = list(step0), list(ids), {}
-    s_min, s_max = [1e-20 * x for x in step], [1e9 * x for x in step]
-    for it in range(1, max_iters + 1):
-        S_new = S - np.array(step)[:, None, None] * grad
-        loss_new, grad_new = loss_grad(*data, S_new)
-        go = [i for i, (a, b) in enumerate(zip(loss_new, loss)) if a > b and step[i] > s_min[i]]
-        while go:
-            # Each round halves the step of every problem whose loss still rises.
-            for i in go:
-                step[i] /= 2.0
-            if len(go) == len(ids):
-                S_new = S - np.array(step)[:, None, None] * grad
-                loss_new, grad_new = loss_grad(*data, S_new)
-            else:
-                at = np.array(go)
-                Z = S[at] - np.array([step[i] for i in go])[:, None, None] * grad[at]
-                loss_t, grad_t = loss_grad(*(a[at] for a in data), Z)
-                S_new[at], grad_new[at] = Z, grad_t
-                for i, f in zip(go, loss_t):
-                    loss_new[i] = f
-            go = [i for i in go if loss_new[i] > loss[i] and step[i] > s_min[i]]
-        if not all(map(math.isfinite, loss_new)):
-            bad = next(b for b, f in zip(ids, loss_new) if not math.isfinite(f))
-            msg = f"non-finite phase-retrieval loss at iteration {it} in problem {bad}"
-            raise NumericalFailureError(msg)
-        dS, dG = S_new - S, grad_new - grad
-        norms = _norms(np.concatenate((dS, S)))
-        rel = [a / b if b > 0 else 0.0 for a, b in zip(norms, norms[len(S) :])]
-        S, loss, grad = S_new, loss_new, grad_new
-        flat = dS.reshape(len(ids), -1)
-        ss = np.vecdot(flat, flat).real.tolist()
-        sy = np.vecdot(flat, dG.reshape(len(ids), -1)).real.tolist()
-        step = list(map(_bb_step, ss, sy, step, s_min, s_max))
-        keep = []
-        for i, r in enumerate(rel):
-            if r < rel_tol or it == max_iters:
-                results[ids[i]] = (S[i], loss[i], it, "converged" if r < rel_tol else "max-iters")
-            else:
-                keep.append(i)
-        if not keep:
-            break
-        if len(keep) < len(ids):
-            S, grad = S[keep], grad[keep]
-            data = tuple(a[keep] for a in data)
-            loss, step, s_min, s_max, ids = ([a[i] for i in keep] for a in (loss, step, s_min, s_max, ids))
-    return results
+    factor = np.where(live, 1.0 - data[2] / safe, 0.0)
+    return (2.0 / data[0].shape[-3]) * np.einsum("...t,...tkr,...trm->...km", factor, data[0], MhS)
 
 
 def subspace_pr_estimate(
@@ -412,18 +356,19 @@ def subspace_pr_estimate(
         scale = [np.sqrt(e / y) if y > 0 else 1.0 for e, y in zip(eta.sum(axis=-1).tolist(), y0)]
         S0 = np.array(scale)[:, None, None] * S0
         step0 = [1.0 / lam if lam > 0 else 1.0 for lam in lam_max]
-        af, limits = (M, M_h, np.sqrt(eta)), (config.max_iters, config.rel_tol, live)
-        runs = {}
-        if config.pr_variant in ("wirtinger", "best-of-both"):
-            runs["wirtinger"] = _pr_descent(S0, step0, _wf_loss_grad, (M, M_h, eta), *limits)
-        if config.pr_variant in ("amplitude", "best-of-both"):
-            runs["amplitude"] = _pr_descent(S0, step0, _af_loss_grad, af, *limits)
+        af, runs, limits = (M, M_h, np.sqrt(eta)), {}, (config.max_iters, config.rel_tol)
+        for name, value, grad, data in (
+            ("wirtinger", _wf_value, _wf_grad, (M, M_h, eta)),
+            ("amplitude", _af_value, _af_grad, af),
+        ):
+            if config.pr_variant in (name, "best-of-both"):
+                runs[name] = _descend(S0, data, value, grad, step0, *limits, ids=live)
         # Compare candidates on the common amplitude residual, which amplitude flow returns.
-        score = {name: [res[i][1] for i in live] for name, res in runs.items()}
+        score = {name: [res[1] for res in solved] for name, solved in runs.items()}
         if len(runs) == 2:
-            score["wirtinger"] = _af_loss_grad(*af, np.stack([runs["wirtinger"][i][0] for i in live]))[0]
+            score["wirtinger"] = _af_value(af, np.stack([res[0] for res in runs["wirtinger"]]))[0]
         for j, i in enumerate(live):
             name = min(runs, key=lambda k: score[k][j])
-            S, loss, iters, stop = runs[name][i]
+            S, loss, iters, _, stop, _ = runs[name][j]
             out[i] = (priors[i].B @ S, BaselineReport(iters, loss, stop, variant=name))
     return out[0] if single else out

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import partial
 from pathlib import Path
@@ -99,10 +100,22 @@ def _options(ap: argparse.ArgumentParser, args: argparse.Namespace) -> dict:
     return opts
 
 
-def _outdir(dest: str) -> Path:
-    """The output directory, made once the driver has returned."""
+def _writable(dest: str, directory: bool = True) -> Path:
+    """``dest``, checked before any work: a usage error unless the command can write it.
+
+    An output directory is made, with its parents, once the driver has returned,
+    so the nearest existing path on its way must be a writable directory.  An
+    output file needs a writable directory to be in and must not be one itself.
+    """
     out = Path(dest)
-    out.mkdir(parents=True, exist_ok=True)
+    if directory:
+        here = next(p for p in (out, *out.parents) if p.exists())
+    elif out.is_dir():
+        raise experiments.InvalidOptionError(f"cannot write {dest}: it is a directory")
+    else:
+        here = out.parent
+    if not here.is_dir() or not os.access(here, os.W_OK | os.X_OK):
+        raise experiments.InvalidOptionError(f"cannot write {dest}: {here} is not a writable directory")
     return out
 
 
@@ -163,9 +176,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_crb(opts: dict) -> int:
-    dest = opts.pop("out", "results")
+    out = _writable(opts.pop("out", "results"))
     rows = experiments.run_crb_experiment(**opts)
-    out = _outdir(dest)
+    out.mkdir(parents=True, exist_ok=True)
     experiments.write_results_csv(rows, out / "results.csv")
     experiments.write_timings_csv(rows, out / "timings.csv")
     summary = experiments.summarize_crb(rows)
@@ -179,9 +192,9 @@ def _cmd_crb(opts: dict) -> int:
 
 
 def _cmd_fdd(opts: dict) -> int:
-    dest = opts.pop("out", "results")
+    out = _writable(opts.pop("out", "results"))
     rows = experiments.run_fdd_experiment(**opts)
-    out = _outdir(dest)
+    out.mkdir(parents=True, exist_ok=True)
     experiments.write_results_csv(rows, out / "results.csv")
     experiments.write_timings_csv(rows, out / "timings.csv")
     experiments.write_summary_csv(experiments.summarize_fdd(rows), out / "summary.csv")
@@ -190,9 +203,9 @@ def _cmd_fdd(opts: dict) -> int:
 
 
 def _cmd_ablate(opts: dict, kind: str) -> int:
-    dest = opts.pop("out", "results")
+    out = _writable(opts.pop("out", "results"))
     rows = experiments.run_ablation(kind, **opts)
-    out = _outdir(dest)
+    out.mkdir(parents=True, exist_ok=True)
     experiments.write_results_csv(rows, out / "results.csv")
     experiments.write_timings_csv(rows, out / "timings.csv")
     experiments.write_summary_csv(experiments.summarize_ablation(rows), out / "summary.csv")
@@ -201,10 +214,10 @@ def _cmd_ablate(opts: dict, kind: str) -> int:
 
 
 def _cmd_verify(opts: dict) -> int:
-    dest = opts.pop("out", "results")
+    out = _writable(opts.pop("out", "results"))
     opts["include_slope"] = not opts.pop("skip_slope", False)
     records = experiments.run_theory_verification(**opts)
-    out = _outdir(dest)
+    out.mkdir(parents=True, exist_ok=True)
     experiments.write_summary_csv(records, out / "report.csv")
     for rec in records:
         status = "pass" if rec["passed"] else "FAIL"
@@ -214,7 +227,7 @@ def _cmd_verify(opts: dict) -> int:
 
 
 def _cmd_dataset_make(opts: dict) -> int:
-    path = opts.pop("path")
+    path = _writable(opts.pop("path"), directory=False)
     data = experiments.make_synthetic_dataset(**opts)
     write_dataset(path, data)
     print(f"wrote {path}: {data.n_samples} samples, d={data.d}, n_rx={data.n_rx}")

@@ -54,6 +54,8 @@ def _check_rounds(rounds: Sequence[int]) -> None:
 
 
 def _check_tau(taus: Sequence[float]) -> None:
+    if not taus:
+        raise InvalidOptionError("need at least one tau")
     bad = [t for t in taus if not 0 < t < math.inf]
     if bad:
         raise InvalidOptionError(f"tau must be positive and finite, got {bad[0]}")

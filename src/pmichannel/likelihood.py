@@ -273,26 +273,109 @@ def _norms(Z: np.ndarray) -> list:
     return np.sqrt(np.vecdot(Z, Z)).tolist()
 
 
-def _trial_points(stack, S, C, G, P, s: list, radius: list) -> tuple:
-    """Line-search trials of a stack: each S - s G projected onto its ball, without a GEMV.
-
-    C = A^H lift(S) and P = A^H lift(G) are the projections of the iterates
-    and of the gradients; s and radius hold a float per problem.  Lift and
-    projection are linear and the ball projection is a rescale by
-    c = min(1, radius / ||S - s G||), so a trial point Z has the projections
-    c (C - s P).  Returns the NLLs at the Z and the Z's norms, as lists, then
-    the Z, their projections and the ``(ex, z)`` that ``_grad_from_proj``
-    needs there.
-    """
-    steps = np.array(s).reshape(-1, 1, 1)
-    Z, CZ = S - steps * G, C - steps * P
-    nrm = _norms(Z)
+def _trial(value, data, X, D, s: list, k: int, radius: Optional[list], at) -> tuple:
+    """One ``_descend`` round: value's objectives and state, S norms (None off a ball) and Z = X - s D."""
+    Z = X - np.array(s).reshape(-1, 1, 1) * D
+    if radius is None:
+        return (*value(data, Z, at), [None] * len(s), Z)
+    nrm = _norms(Z[:, :k])
     if any(map(float.__gt__, nrm, radius)):
-        c = np.array([r / a if a > r else 1.0 for a, r in zip(nrm, radius)]).reshape(-1, 1, 1)
-        Z, CZ = Z * c, CZ * c
-        nrm = _norms(Z)
-    f, (ex, z) = _value_from_proj(stack, CZ)
-    return f.tolist(), nrm, Z, CZ, ex, z
+        Z = Z * np.array([r / a if a > r else 1.0 for a, r in zip(nrm, radius)]).reshape(-1, 1, 1)
+        nrm = _norms(Z[:, :k])
+    return (*value(data, Z, at), nrm, Z)
+
+
+def _descend(X, data, value, gradient, step0: list, max_iters: int, rel_tol: float,
+             direction=None, radius: Optional[list] = None, two_way: bool = False, ids=None) -> list:
+    """The one backtracking descent of a stack of B problems, each with the bits of a stack of one.
+
+    X (B, k + c, m) holds each iterate S in its first k rows and, below them,
+    any c rows linear in S (``solve_mle``'s projections C).  A trial point is
+    X - s D, D = ``direction(data, G)`` or G, scaled onto ||S|| <= radius if
+    ``radius``.  ``data``, a tuple of per-problem stacks, reaches the callbacks
+    without the problems that have stopped.  ``value(data, Z, at)`` gives the
+    objectives at the points Z (``at``: their rows, if a subset), as a list,
+    and the state ``gradient(data, Z, state)`` needs at an accepted point.
+    The step and stop rules are ``MleConfig``'s, with step0 for tau/(4 R^2),
+    the iteration-1 doubling only if ``two_way`` and +inf for the change from
+    a zero S.  Returns (S, objective, iterations, rel_change, stop_reason,
+    trials) per problem; NumericalFailureError names its label in ``ids``
+    (default: its position).
+    """
+    n = len(step0)
+    labels = ids = list(range(n)) if ids is None else list(ids)
+    f, state = value(data, X, None)
+    G = gradient(data, X, state)
+    k, results, s, extra = G.shape[1], {}, list(step0), [0] * n
+    nrm = None if radius is None else _norms(X[:, :k])
+    s_min, s_max = [1e-20 * x for x in s], [1e9 * x for x in s]
+    for it in range(1, max_iters + 1):
+        D = G if direction is None else direction(data, G)
+        f_new, state, nrm_new, Z = _trial(value, data, X, D, s, k, radius, None)
+        n, up = len(ids), two_way and it == 1
+        rose = list(map(float.__gt__, f_new, f))
+        go = [i for i in range(n) if (s[i] > s_min[i] if rose[i] else up and s[i] < s_max[i])]
+        while go:
+            # Each round tries the next step of every problem still searching.
+            step = [s[i] / 2.0 if rose[i] else 2.0 * s[i] for i in go]
+            if len(go) == n:
+                f_t, state_t, nrm_t, Z_t = _trial(value, data, X, D, step, k, radius, None)
+            else:
+                at = np.array(go)
+                sub = radius and [radius[i] for i in go]
+                f_t, state_t, nrm_t, Z_t = _trial(value, data, X[at], D[at], step, k, sub, at)
+            took, nxt = [], []
+            for j, i in enumerate(go):
+                extra[i] += 1
+                if rose[i] or f_t[j] < f_new[i]:
+                    took.append(j)
+                    s[i], f_new[i], nrm_new[i] = step[j], f_t[j], nrm_t[j]
+                    if (f_t[j] > f[i] and s[i] > s_min[i]) if rose[i] else s[i] < s_max[i]:
+                        nxt.append(i)
+            if len(took) == n:
+                Z, state = Z_t, state_t
+            elif took:
+                at = np.array([go[j] for j in took])
+                for arr, val in zip((Z, *state), (Z_t, *state_t)):
+                    arr[at] = val if len(took) == len(go) else val[took]
+            go = nxt
+        if not all(map(math.isfinite, f_new)):
+            bad = next(b for b, f_i in zip(ids, f_new) if not math.isfinite(f_i))
+            raise NumericalFailureError(f"non-finite objective at iteration {it} in problem {bad}")
+        G_new = gradient(data, Z, state)
+        dS, dG = Z[:, :k] - X[:, :k], G_new - G
+        # vdot(dS, dS) and Re vdot(dS, dG) of each problem; for a real stack
+        # vdot(dS, dS) is also the dot under ||dS||_F.  With no ball to carry
+        # the norms of S, one call takes them with those of dS.
+        flat = dS.reshape(n, -1)
+        ss = np.vecdot(flat, flat).real
+        sy = np.vecdot(flat, dG.reshape(n, -1)).real.tolist()
+        if radius is None:
+            norms = _norms(np.concatenate((dS, X[:, :k])))
+            nd, nrm = norms[:n], norms[n:]
+        else:
+            nd = np.sqrt(ss).tolist() if dS.dtype.kind == "f" else _norms(dS)
+        rel = [a / b if b > 0 else math.inf for a, b in zip(nd, nrm)]
+        X, f, G, nrm = Z, f_new, G_new, nrm_new
+        s = list(map(_bb_step, ss.tolist(), sy, s, s_min, s_max))
+        if it < max_iters and not any(r < rel_tol for r in rel):
+            continue
+        keep = []
+        for i, r in enumerate(rel):
+            if r < rel_tol or it == max_iters:
+                stop = "converged" if r < rel_tol else "max-iters"
+                results[ids[i]] = (X[i, :k].copy(), f[i], it, r, stop, it + extra[i])
+            else:
+                keep.append(i)
+        if not keep:
+            break
+        X, G = X[keep], G[keep]
+        data = tuple(a[keep] if isinstance(a, np.ndarray) else [a[i] for i in keep] for a in data)
+        f, s, s_min, s_max, ids, extra, nrm = (
+            [x[i] for i in keep] for x in (f, s, s_min, s_max, ids, extra, nrm)
+        )
+        radius = radius and [radius[i] for i in keep]
+    return [results[b] for b in labels]
 
 
 # The spectral start scans its 41 scales in blocks of at most this many score
@@ -403,8 +486,8 @@ def solve_mle(
     Each iteration costs one projection P = A^H G (``model._project``) and
     one gradient GEMM, however many line-search trials it takes: the
     projections C = A^H S of the iterate are carried along, every trial
-    point's projections are a rescaled C - s P (``_trial_points``), and
-    the value and gradient at the accepted point come from its projections.
+    point's projections are a rescaled C - s P (``_descend`` moves C with S),
+    and the value and gradient at the accepted point come from its projections.
 
     ``solve_mle(problem, config, prior)`` returns ``(X, MleReport)``.  A
     sequence of B problems, with None, one prior or B priors, is solved as
@@ -422,96 +505,42 @@ def solve_mle(
         raise ValueError(f"{m} streams exceed the dimension of the solve")
     A = p0.effective_flat[None] if n == 1 else np.stack([pb.effective_flat for pb in problems])
     pmi = np.stack([pb.pmi_flat for pb in problems])
-    stack = _stacked(p0, pmi, A)
     # With one column, NumPy's use of BLAS, and so the bits, of a product
     # with a basis follow the basis's strides: each problem takes its own.
     bases = None if priors[0] is None else [pr.B for pr in priors]
+    data = (pmi, A) if bases is None else (pmi, A, bases)
+    # The loop hands the callbacks one ``data`` per compaction; so is the stack view built.
+    view = [data, _stacked(p0, pmi, A)]
 
-    def lift(Z: np.ndarray) -> np.ndarray:
-        return Z if bases is None else np.stack([B @ z for B, z in zip(bases, Z)])
+    def stack_of(data: tuple):
+        if data is not view[0]:
+            view[:] = data, _stacked(p0, *data[:2])
+        return view[1]
+
+    def lift(data: tuple, Z: np.ndarray) -> np.ndarray:
+        return Z if len(data) == 2 else np.stack([B @ z for B, z in zip(data[2], Z)])
+
+    def value(data: tuple, Z: np.ndarray, at) -> tuple:
+        stack = stack_of(data) if at is None else _stacked(p0, data[0][at])
+        f, state = _value_from_proj(stack, Z[:, k:])
+        return f.tolist(), state
+
+    def gradient(data: tuple, Z: np.ndarray, state: tuple) -> np.ndarray:
+        G = _grad_from_proj(stack_of(data), Z[:, k:], *state)
+        return G if len(data) == 2 else np.stack([B.conj().T @ g for B, g in zip(data[2], G)])
+
+    def direction(data: tuple, G: np.ndarray) -> np.ndarray:
+        return np.concatenate((G, _project(stack_of(data), lift(data, G))), axis=1)
 
     # Per-problem scalars are Python numbers, as in a one-problem solve.
-    S, radii, nrm, C = _start(problems, config, bases, m, stack, lift)
-    s = [pb.tau / (4.0 * r**2) for pb, r in zip(problems, radii)]
-    s_min, s_max = [1e-20 * x for x in s], [1e9 * x for x in s]
-    ids, results = list(range(n)), [None] * n
-
-    def gradient(C: np.ndarray, ex: np.ndarray, z: np.ndarray) -> np.ndarray:
-        G = _grad_from_proj(stack, C, ex, z)
-        return G if bases is None else np.stack([B.conj().T @ g for B, g in zip(bases, G)])
-
-    f, (ex, z) = _value_from_proj(stack, C)
-    f, G, rad, extra = f.tolist(), gradient(C, ex, z), list(radii), [0] * n
-    for it in range(1, config.max_iters + 1):
-        P = _project(stack, lift(G))
-        f_new, nrm_new, *new = _trial_points(stack, S, C, G, P, s, rad)
-        n, first = len(ids), it == 1
-        rose = list(map(float.__gt__, f_new, f))
-        # A rising trial halves down to s_min.  The first iteration searches
-        # both ways: the crude initial scale can be far too small, so it
-        # doubles while the objective strictly improves, up to s_max.
-        go = [i for i in range(n) if (s[i] > s_min[i] if rose[i] else first and s[i] < s_max[i])]
-        while go:
-            # Each round tries the next step of every problem still searching.
-            step = [s[i] / 2.0 if rose[i] else 2.0 * s[i] for i in go]
-            if len(go) == n:
-                f_t, nrm_t, *trial = _trial_points(stack, S, C, G, P, step, rad)
-            else:
-                at = np.array(go)
-                sub = _stacked(p0, pmi[at])
-                f_t, nrm_t, *trial = _trial_points(
-                    sub, S[at], C[at], G[at], P[at], step, [rad[i] for i in go]
-                )
-            took, nxt = [], []
-            for j, i in enumerate(go):
-                extra[i] += 1
-                if rose[i] or f_t[j] < f_new[i]:
-                    took.append(j)
-                    s[i], f_new[i], nrm_new[i] = step[j], f_t[j], nrm_t[j]
-                    if (f_t[j] > f[i] and s[i] > s_min[i]) if rose[i] else s[i] < s_max[i]:
-                        nxt.append(i)
-            if len(took) == n:
-                new = trial
-            elif took:
-                at = np.array([go[j] for j in took])
-                for arr, val in zip(new, trial):
-                    arr[at] = val if len(took) == len(go) else val[took]
-            go = nxt
-        Z, CZ, ex, z = new
-        if not all(map(math.isfinite, f_new)):
-            bad = next(b for b, f_i in zip(ids, f_new) if not math.isfinite(f_i))
-            msg = f"non-finite objective at iteration {it} in problem {bad}"
-            raise NumericalFailureError(msg)
-        dS = Z - S
-        G_new = gradient(CZ, ex, z)
-        dG = G_new - G
-        # vdot(dS, dS) and Re vdot(dS, dG) of each problem; for a real stack
-        # vdot(dS, dS) is also the dot under ||dS||_F.
-        flat = dS.reshape(n, -1)
-        ss = np.vecdot(flat, flat).real
-        sy = np.vecdot(flat, dG.reshape(n, -1)).real.tolist()
-        nd = np.sqrt(ss).tolist() if dS.dtype.kind == "f" else _norms(dS)
-        rel = [a / b if b > 0 else math.inf for a, b in zip(nd, nrm)]
-        S, C, f, G, nrm = Z, CZ, f_new, G_new, nrm_new
-        s = list(map(_bb_step, ss.tolist(), sy, s, s_min, s_max))
-        if it < config.max_iters and not any(r < config.rel_tol for r in rel):
-            continue
-        keep = []
-        for i, r in enumerate(rel):
-            if r < config.rel_tol or it == config.max_iters:
-                stop = "converged" if r < config.rel_tol else "max-iters"
-                coefficients = None if bases is None else S[i]
-                evals = (it + extra[i], it + 1)
-                report = MleReport(it, f[i], r, stop, radii[ids[i]], *evals, coefficients)
-                results[ids[i]] = (S[i] if bases is None else bases[i] @ S[i], report)
-            else:
-                keep.append(i)
-        if not keep:
-            break
-        S, C, G, A, pmi = (x[keep] for x in (S, C, G, A, pmi))
-        f, s, s_min, s_max, nrm, ids, extra, rad = (
-            [x[i] for i in keep] for x in (f, s, s_min, s_max, nrm, ids, extra, rad)
-        )
-        bases = None if bases is None else [bases[i] for i in keep]
-        stack = _stacked(p0, pmi, A)
+    S, radii, _, C = _start(problems, config, bases, m, view[1], lambda Z: lift(data, Z))
+    k = S.shape[1]
+    step0 = [pb.tau / (4.0 * r**2) for pb, r in zip(problems, radii)]
+    # That first step can be far too small, so iteration 1 also doubles it (two_way).
+    solved = _descend(np.concatenate((S, C), axis=1), data, value, gradient, step0, config.max_iters,
+                      config.rel_tol, direction=direction, radius=radii, two_way=True)
+    results = [
+        (S if B is None else B @ S, MleReport(it, f, rel, stop, r, trials, it + 1, None if B is None else S))
+        for (S, f, it, rel, stop, trials), r, B in zip(solved, radii, bases or [None] * n)
+    ]
     return results[0] if single else results

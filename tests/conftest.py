@@ -46,6 +46,16 @@ def oracle_gains(problem, X):
     )
 
 
+def pr_loss_grad(value, grad, data):
+    """A phase-retrieval loss and its gradient at one S, from a ``baselines`` value and gradient pair."""
+
+    def loss_grad(S):
+        loss, state = value(data, S)
+        return loss, grad(data, S, state)
+
+    return loss_grad
+
+
 def lifted(problem, t, i):
     """Single-stream codeword i lifted through round t's design, Q_t v_i, from the raw arrays."""
     return problem.q_stack[t] @ problem.codebook.codeword(i)[:, 0]

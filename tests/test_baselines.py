@@ -1,10 +1,8 @@
-from functools import partial
-
 import numpy as np
 import pytest
 
 from pmichannel import baselines, designs, likelihood, metrics, model
-from conftest import random_problem
+from conftest import pr_loss_grad, random_problem
 
 
 def _sin_max_angle(A, B):
@@ -251,8 +249,8 @@ class TestSubspacePr:
         eta = prob.cqi_array
         S = rng.standard_normal((3, 1)) + 1j * rng.standard_normal((3, 1))
         eps = 1e-6
-        wf = partial(baselines._wf_loss_grad, Ms, Ms.conj(), eta)
-        af = partial(baselines._af_loss_grad, Ms, Ms.conj(), np.sqrt(eta))
+        wf = pr_loss_grad(baselines._wf_value, baselines._wf_grad, (Ms, Ms.conj(), eta))
+        af = pr_loss_grad(baselines._af_value, baselines._af_grad, (Ms, Ms.conj(), np.sqrt(eta)))
         for loss_grad in (wf, af):
             _, g = loss_grad(S)
             fd = np.zeros_like(S)
@@ -277,7 +275,7 @@ class TestSubspacePr:
         est_b, rep_b = baselines.subspace_pr_estimate(prob, prior, 1, cfg_b)
         Ms = model._reduced(prob, B)
         eta = prob.cqi_array
-        af = partial(baselines._af_loss_grad, Ms, Ms.conj(), np.sqrt(eta))
+        af = pr_loss_grad(baselines._af_value, baselines._af_grad, (Ms, Ms.conj(), np.sqrt(eta)))
         loss_w = af(B.conj().T @ est_w)[0]
         loss_a = af(B.conj().T @ est_a)[0]
         chosen = est_w if loss_w <= loss_a else est_a

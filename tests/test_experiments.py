@@ -126,7 +126,9 @@ class TestFddDriver:
             ("fdd", {"mle_init": "bogus"}),
             ("ablate-tau", {"grid": (0.0,)}),
             ("ablate-tau", {"grid": (1.0, -2.0)}),
+            ("ablate-tau", {"grid": ()}),
             ("ablate-init", {"grid": ("identity", "bogus")}),
+            ("ablate-init", {"grid": ()}),
             ("ablate-init", {"n_samples": 0}),
             ("crb", {"trials": 0}),
             ("crb", {"d": 2, "p": 4}),
@@ -359,6 +361,35 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("usage: ") and "dataset-make: " in err and "at least 1" in err
         assert not path.exists()
+
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below-a-file"])
+    def test_out_that_cannot_be_a_directory_is_refused_before_the_run(
+        self, tmp_path, capsys, monkeypatch, below
+    ):
+        def no_run(**kwargs):
+            raise AssertionError("the driver ran")
+
+        monkeypatch.setattr(experiments, "run_crb_experiment", no_run)
+        (tmp_path / "f").write_text("x")
+        out = tmp_path / "f" / "sub" if below else tmp_path / "f"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["crb-experiment", "--trials", "1", "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ") and f"crb-experiment: cannot write {out}: " in err
+
+    @pytest.mark.parametrize("where", ["missing-dir", "a-directory"])
+    def test_dataset_make_to_an_unwritable_path_is_a_usage_error(self, tmp_path, capsys, monkeypatch, where):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a channel was drawn before the path was checked")
+
+        monkeypatch.setattr(experiments.designs, "synthetic_channel", no_draw)
+        path = tmp_path / "missing" / "d.bin" if where == "missing-dir" else tmp_path
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["dataset-make", "--samples", "2", str(path)])
+        assert exc.value.code == 2
+        assert f"dataset-make: cannot write {path}: " in capsys.readouterr().err
+        assert not (tmp_path / "missing").exists()
 
     def test_ablate_cli(self, tmp_path):
         rc = cli.main(

@@ -278,6 +278,20 @@ def _grid_problem(complex_mode, r, prior, T):
     return rng, prob, B, lift
 
 
+def _mle_callbacks(prob, prior):
+    """The ``data`` and ``value`` that a one-problem ``solve_mle`` of prob hands ``_descend``."""
+    seen, real = {}, likelihood._descend
+
+    def spy(X, data, value, *args, **kwargs):
+        seen.update(data=data, value=value)
+        return real(X, data, value, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(likelihood, "_descend", spy)
+        likelihood.solve_mle(prob, likelihood.MleConfig(max_iters=1), prior)
+    return seen["data"], seen["value"]
+
+
 _LINE_SEARCH_GRID = pytest.mark.parametrize(
     "complex_mode, r, prior",
     [(c, r, p) for c in (False, True) for r in (1, 2) for p in (False, True)],
@@ -300,11 +314,13 @@ class TestLineSearchAlgebra:
         C, P = model._project(prob, lift(S)), model._project(prob, lift(G))
         # The trials take a stack; this one holds the one problem.
         stack = likelihood._stacked(prob, prob.pmi_flat[None], prob.effective_flat[None])
+        data, value = _mle_callbacks(prob, None if B is None else likelihood.SubspacePrior(B))
+        # The loop carries the projections below the iterate: X = [S; C], D = [G; P].
+        X, D = np.concatenate((S, C))[None], np.concatenate((G, P))[None]
         inside = outside = 0
         for s in np.geomspace(1e-3, 1e3, 13) * (np.linalg.norm(S) / np.linalg.norm(G)):
-            f, _, Z, CZ, ex, z = likelihood._trial_points(
-                stack, S[None], C[None], G[None], P[None], [s], [prob.radius]
-            )
+            f, (ex, z), _, Z = likelihood._trial(value, data, X, D, [s], k, [prob.radius], None)
+            Z, CZ = Z[:, :k], Z[:, k:]
             ref = S - s * G
             nrm = np.linalg.norm(ref)
             if nrm > prob.radius:
@@ -350,35 +366,37 @@ def _first_trial_branches(monkeypatch, prob, cfg, prior=None):
     many took the doubled step for want of positive curvature.
     """
     calls = []
-    orig = likelihood._trial_points
+    orig = likelihood._trial
 
     # A one-problem solve passes stacks of one and one-element step lists.
-    def spy(stack, S, C, G, P, s, radius):
-        out = orig(stack, S, C, G, P, s, radius)
-        calls.append((S, G, s[0], out[2]))
+    # Each X and D holds the iterate and its gradient in its first k rows.
+    def spy(value, data, X, D, s, k, radius, at):
+        out = orig(value, data, X, D, s, k, radius, at)
+        calls.append((X, D[0, :k], s[0], out[3]))
         return out
 
-    monkeypatch.setattr(likelihood, "_trial_points", spy)
+    monkeypatch.setattr(likelihood, "_trial", spy)
     _, rep = likelihood.solve_mle(prob, cfg, prior)
     # Trials of one iteration share the iterate; the accepted trial's point
     # is the next iteration's iterate.
     iters = []
-    for S, G, s, Z in calls:
-        if not iters or S is not iters[-1][0]:
-            iters.append((S, G, []))
+    for X, G, s, Z in calls:
+        if not iters or X is not iters[-1][0]:
+            iters.append((X, G, []))
         iters[-1][2].append((s, Z))
     assert len(iters) == rep.iterations >= 3
     step0 = prob.tau / (4.0 * prob.radius**2)
     bb = doubled = 0
-    for (S0, G0, trials0), (S1, G1, trials1) in zip(iters, iters[1:]):
-        dS, dG = S1 - S0, G1 - G0
+    for (X0, G0, trials0), (X1, G1, trials1) in zip(iters, iters[1:]):
+        k = len(G0)
+        dS, dG = X1[0, :k] - X0[0, :k], G1 - G0
         curv = np.sum(dS.conj() * dG).real
         if curv > 0:
             bb += 1
             want = np.clip(np.sum(np.abs(dS) ** 2) / curv, 1e-20 * step0, 1e9 * step0)
         else:
             doubled += 1
-            accepted = next(s for s, Z in trials0 if Z is S1)
+            accepted = next(s for s, Z in trials0 if Z is X1)
             want = min(2.0 * accepted, 1e9 * step0)
         steps = [s for s, _ in trials1]
         np.testing.assert_allclose(steps[0], want, rtol=1e-12)

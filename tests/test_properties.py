@@ -1,12 +1,10 @@
 """Property tests for the projection kernel shared by gains, NLL, gradient and Fisher."""
 
-from functools import partial
-
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from pmichannel import baselines, crb, designs, likelihood, model
-from conftest import random_problem
+from conftest import pr_loss_grad, random_problem
 
 SETTINGS = settings(max_examples=25, deadline=None)
 
@@ -128,7 +126,7 @@ def test_descent_gradients_are_gauge_free(seed, d, T, r, complex_mode):
     Ms, eta = model._reduced(prob, B), prob.cqi_array
     S = _draw(rng, (B.shape[1], r), complex_mode)
     for loss_grad in (
-        partial(baselines._wf_loss_grad, Ms, Ms.conj(), eta),
-        partial(baselines._af_loss_grad, Ms, Ms.conj(), np.sqrt(eta)),
+        pr_loss_grad(baselines._wf_value, baselines._wf_grad, (Ms, Ms.conj(), eta)),
+        pr_loss_grad(baselines._af_value, baselines._af_grad, (Ms, Ms.conj(), np.sqrt(eta))),
     ):
         _assert_gauge_free(S, loss_grad(S)[1])

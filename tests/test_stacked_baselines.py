@@ -8,6 +8,8 @@ stops.  These tests solve stacks and the same problems one at a time and
 compare estimates and reports byte for byte.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -156,6 +158,26 @@ def test_zero_cqi_member_takes_the_degenerate_exit_alone():
     assert [rep.degenerate for rep in reports] == [False, False, True, False]
 
 
+@pytest.mark.parametrize("name", ["_wf_value", "_af_value"])
+def test_non_finite_loss_names_the_callers_problem(monkeypatch, name):
+    # Problem 0 takes the degenerate exit, so problem 2 is row 1 of the stack.
+    problems, priors = _stack(2, 4, 1, 6, True, zero_cqi=(0,))
+    # Each problem's row of the loss's data: eta, or sqrt(eta) for the amplitude loss.
+    real, eta = getattr(baselines, name), problems[2].cqi_array
+    target = eta if name == "_wf_value" else np.sqrt(eta)
+
+    def nan_at_problem_2(data, S, at=None):
+        f, state = real(data, S, at)
+        rows = data[2] if at is None else data[2][at]
+        return [math.nan if np.array_equal(row, target) else v for row, v in zip(rows, f)], state
+
+    monkeypatch.setattr(baselines, name, nan_at_problem_2)
+    cfg = baselines.BaselineConfig(pr_variant="wirtinger" if name == "_wf_value" else "amplitude")
+    failure = pytest.raises(likelihood.NumericalFailureError, match="iteration 1 in problem 2$")
+    with pytest.warns(Degenerate), failure:
+        baselines.subspace_pr_estimate(problems, priors, 1, cfg)
+
+
 @pytest.mark.parametrize("method", ["am-single", "am-multi"])
 def test_singular_gram_member_alone_falls_back_to_pinv(method):
     r = 1 if method == "am-single" else 2
@@ -187,7 +209,7 @@ def _no_work(monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("the estimate started")
 
-    for name in ("_am_phase_ls_loop", "_pr_descent", "_reduced", "_spectral", "haar_stiefel"):
+    for name in ("_am_phase_ls_loop", "_descend", "_reduced", "_spectral", "haar_stiefel"):
         monkeypatch.setattr(baselines, name, no_work)
 
 

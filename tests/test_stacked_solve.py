@@ -272,3 +272,69 @@ def test_stacked_spectral_start_makes_one_eigendecomposition(monkeypatch):
         calls.clear()
         likelihood.solve_mle(problems, likelihood.MleConfig(init="spectral", max_iters=2), prior)
         assert calls == [(4, dim, dim)]
+
+
+# The one descent loop on its own, on random convex quadratics.
+
+
+def _quadratics(seed, B, k, m, complex_mode, carry):
+    """Starts, data and ``_descend`` callbacks of B quadratics f(S) = Re<S, Q S>/2 - Re<Y, S>, Q > 0.
+
+    With ``carry`` the loop carries Q S below S, as ``solve_mle`` carries its
+    projections, and the values read it there; otherwise each value forms Q S.
+    """
+    rng = np.random.default_rng(seed)
+
+    def draw(*shape):
+        return rng.standard_normal(shape) + (1j * rng.standard_normal(shape) if complex_mode else 0.0)
+
+    L = draw(B, k, k)
+    Q, Y, S0 = L @ L.conj().swapaxes(1, 2) + 0.1 * np.eye(k), draw(B, k, m), draw(B, k, m)
+
+    def value(data, Z, at):
+        Q, Y = data if at is None else (a[at] for a in data)
+        S, QS = (Z[:, :k], Z[:, k:]) if carry else (Z, Q @ Z)
+        flat, qflat, yflat = (a.reshape(len(S), -1) for a in (S, QS, Y))
+        return (0.5 * np.vecdot(flat, qflat).real - np.vecdot(yflat, flat).real).tolist(), (QS,)
+
+    def gradient(data, Z, state):
+        return state[0] - data[1]
+
+    def direction(data, G):
+        return np.concatenate((G, data[0] @ G), axis=1)
+
+    X0 = np.concatenate((S0, Q @ S0), axis=1) if carry else S0
+    step0 = (rng.uniform(0.1, 10.0, B) / np.linalg.eigvalsh(Q)[:, -1]).tolist()
+    return X0, (Q, Y), value, gradient, direction if carry else None, step0, rng.uniform(0.2, 3.0, B).tolist()
+
+
+def _descent_fields(S, f, iterations, rel, stop, trials):
+    return S.shape, S.tobytes(), float.hex(f), iterations, float.hex(rel), stop, trials
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    B=st.integers(2, 5),
+    k=st.integers(1, 5),
+    m=st.integers(1, 2),
+    complex_mode=st.booleans(),
+    carry=st.booleans(),
+    two_way=st.booleans(),
+    ball=st.booleans(),
+    max_iters=st.integers(1, 40),
+    rel_tol=st.sampled_from([1e-2, 1e-5, 1e-9]),
+)
+def test_descend_stack_equals_one_problem_runs(
+    seed, B, k, m, complex_mode, carry, two_way, ball, max_iters, rel_tol
+):
+    X0, data, value, gradient, direction, step0, radii = _quadratics(seed, B, k, m, complex_mode, carry)
+    radius = radii if ball else None
+    rule = (max_iters, rel_tol, direction, radius, two_way)
+    stacked = likelihood._descend(X0, data, value, gradient, step0, *rule)
+    for b in range(B):
+        one = (max_iters, rel_tol, direction, radius and radius[b : b + 1], two_way)
+        [want] = likelihood._descend(
+            X0[b : b + 1], tuple(a[b : b + 1] for a in data), value, gradient, step0[b : b + 1], *one
+        )
+        assert _descent_fields(*stacked[b]) == _descent_fields(*want), f"problem {b} of the stack"

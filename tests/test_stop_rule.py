@@ -1,12 +1,13 @@
 """The descents' stop and step rules: parity with the aligned change, zero-iterate edges,
 the phase-retrieval trial steps, config boundaries.
 
-``solve_mle`` and ``_pr_descent`` stop on the plain relative change
+``solve_mle`` and the phase-retrieval descents, all runs of
+``likelihood._descend``, stop on the plain relative change
 ||S_new - S||_F / ||S||_F.  Their objectives are invariant under S -> S U and
 each step is along a gradient G with S^H G Hermitian, so the plain change and
 the change minimized over the gauge cross ``rel_tol`` at the same iteration.
 The AM step is preconditioned by the inverse Gram matrix and drifts along the
-phase orbit, so the AM loop keeps the phase-aligned change.  ``_pr_descent``
+phase orbit, so the AM loop keeps the phase-aligned change.  Phase retrieval
 takes ``solve_mle``'s Barzilai-Borwein first trial step after a first
 iteration that only halves step0.
 """
@@ -61,18 +62,18 @@ def _first_below(iterates, rel_tol, ratio):
 def _mle_iterates(monkeypatch, problem, cfg, prior=None):
     """Iterates S_0 .. S_K of one solve, from a spy on the line-search trials, and the report."""
     seen = []
-    orig = likelihood._trial_points
+    orig = likelihood._trial
 
-    # A one-problem solve passes its iterate to the trials as a stack of one.
-    def spy(stack, S, *rest):
-        if not seen or S is not seen[-1]:
-            seen.append(S)
-        return orig(stack, S, *rest)
+    # A one-problem solve passes its iterate to the trials as the first k rows of a stack of one.
+    def spy(value, data, X, D, s, k, *rest):
+        if not seen or X is not seen[-1][0]:
+            seen.append((X, k))
+        return orig(value, data, X, D, s, k, *rest)
 
-    monkeypatch.setattr(likelihood, "_trial_points", spy)
+    monkeypatch.setattr(likelihood, "_trial", spy)
     X, rep = likelihood.solve_mle(problem, cfg, prior)
     monkeypatch.undo()
-    iterates = [S[0] for S in seen] + [X if prior is None else rep.coefficients]
+    iterates = [S[0, :k] for S, k in seen] + [X if prior is None else rep.coefficients]
     assert len(iterates) == rep.iterations + 1
     return iterates, rep
 
@@ -82,8 +83,8 @@ def _captured_calls(monkeypatch, name, run):
     calls = []
     orig = getattr(baselines, name)
 
-    def spy(*args):
-        out = orig(*args)
+    def spy(*args, **kwargs):
+        out = orig(*args, **kwargs)
         calls.append((args, out))
         return out
 
@@ -98,16 +99,15 @@ def _captured_calls(monkeypatch, name, run):
 
 
 def _pr_iterates(monkeypatch, problem, prior, r, cfg):
-    """(iterates, iterations, stop, loss name) of every ``_pr_descent`` of one phase-retrieval estimate."""
+    """(iterates, iterations, stop, loss name) of every descent of one phase-retrieval estimate."""
     run = partial(baselines.subspace_pr_estimate, problem, prior, r, cfg)
-    orig, calls = _captured_calls(monkeypatch, "_pr_descent", run)
+    orig, calls = _captured_calls(monkeypatch, "_descend", run)
     runs = []
     # A one-problem estimate runs each descent as a stack of one.
-    for (S0, step0, loss_grad, data, max_iters, rel_tol, ids), out in calls:
-        [(_, _, iters, stop)] = out.values()
-        replays = [orig(S0, step0, loss_grad, data, k, rel_tol, ids) for k in range(1, iters + 1)]
-        its = [S0[0]] + [next(iter(replay.values()))[0] for replay in replays]
-        runs.append((its, iters, stop, loss_grad.__name__))
+    for (X, data, value, grad, step0, max_iters, rel_tol), [(_, _, iters, _, stop, _)] in calls:
+        replays = [orig(X, data, value, grad, step0, k, rel_tol) for k in range(1, iters + 1)]
+        its = [X[0]] + [replay[0][0] for replay in replays]
+        runs.append((its, iters, stop, value.__name__))
     return runs
 
 
@@ -199,7 +199,7 @@ class TestStopPointParity:
         problem, prior = _fdd_problem(sample, r, T)
         cfg = baselines.BaselineConfig()
         runs = _pr_iterates(monkeypatch, problem, prior, r, cfg)
-        assert [name for *_, name in runs] == ["_wf_loss_grad", "_af_loss_grad"]
+        assert [name for *_, name in runs] == ["_wf_value", "_af_value"]
         for iterates, iterations, stop, _ in runs:
             _assert_parity(iterates, iterations, stop, cfg.rel_tol)
 
@@ -239,29 +239,37 @@ class TestAmStopRule:
         assert _first_below(iterates, cfg.rel_tol, _plain_rel_change) is None
 
 
-def _pr_step_trace(S0, step0, loss_grad, max_iters, rel_tol):
-    """Trial steps of one ``_pr_descent``, read off a spy on ``loss_grad``'s argument.
+def _pr_step_trace(S0, step0, value, grad, data, max_iters, rel_tol):
+    """Trial steps of one phase-retrieval ``_descend``, read off spies on its callbacks.
 
     Each trial point is S - t grad for the iterate S and its gradient, so t is
     recovered from the point.  Returns, per iteration, (dS, dG, steps): the
     accepted move, the gradient change along it and the trial steps in order.
     """
-    calls = []
+    points, grads = [], []
 
-    # The descent runs a stack of one problem with no data rows.
-    def spy(S):
-        out = loss_grad(S[0])
-        calls.append((S[0], out))
-        return [out[0]], out[1][None]
+    # The descent runs a stack of one problem.
+    def value_spy(data, Z, at):
+        out = value(data, Z, at)
+        points.append((Z[0], out[0][0]))
+        return out
 
-    [(_, _, iterations, _)] = baselines._pr_descent(
-        S0[None], [step0], spy, (), max_iters, rel_tol, [0]
-    ).values()
-    (S, (loss, grad)), *trials = calls
+    def grad_spy(data, Z, state):
+        grads.append(grad(data, Z, state)[0])
+        return grads[-1][None]
+
+    [(_, _, iterations, *_)] = likelihood._descend(
+        S0[None], data, value_spy, grad_spy, [step0], max_iters, rel_tol
+    )
+    # Gradients are taken at the start and at each accepted point only.
+    (S, loss), *trials = points
+    grads = iter(grads)
+    grad = next(grads)
     iters, steps = [], []
-    for Z, (loss_z, grad_z) in trials:
+    for Z, loss_z in trials:
         steps.append(float(np.vdot(grad, S - Z).real / np.vdot(grad, grad).real))
         if not loss_z > loss:
+            grad_z = next(grads)
             iters.append((Z - S, grad_z - grad, steps))
             S, loss, grad, steps = Z, loss_z, grad_z, []
     assert not steps and len(iters) == iterations
@@ -273,35 +281,42 @@ def _assert_halves(steps):
 
 
 def _captured_pr_runs(monkeypatch, sample, r, T):
-    """One-problem (S0, step0, loss_grad(S), max_iters, rel_tol) and result of each descent."""
+    """One-problem (S0, step0, value, grad, data, max_iters, rel_tol) and result of each descent."""
     problem, prior = _fdd_problem(sample, r, T)
     run = partial(baselines.subspace_pr_estimate, problem, prior, r)
     runs = []
-    for (S0, step0, loss_grad, data, max_iters, rel_tol, _), out in _captured_calls(
-        monkeypatch, "_pr_descent", run
+    for (X, data, value, grad, step0, max_iters, rel_tol), [result] in _captured_calls(
+        monkeypatch, "_descend", run
     )[1]:
-        [result] = out.values()
-        single = partial(loss_grad, *(a[0] for a in data))
-        runs.append(((S0[0], step0[0], single, max_iters, rel_tol), result))
+        runs.append(((X[0], step0[0], value, grad, data, max_iters, rel_tol), result))
     return runs
 
 
+def _toy_descent(loss_grad):
+    """``_descend``'s value and gradient callbacks of a loss_grad(S) on one problem, and its data."""
+    return (
+        lambda data, S, at: ([loss_grad(S[0])[0]], ()),
+        lambda data, S, state: loss_grad(S[0])[1][None],
+        (),
+    )
+
+
 class TestPrStepRule:
-    """``_pr_descent`` halves step0 in its first iteration and then starts from the BB1 step."""
+    """Phase retrieval halves step0 in its first iteration and then starts from the BB1 step."""
 
     @pytest.mark.parametrize("scale", [1.0, 64.0])
     @pytest.mark.parametrize("sample, r, T", _FDD_CASES)
     def test_first_iteration_tries_step0_then_halves(self, monkeypatch, sample, r, T, scale):
         # subspace_pr_estimate's step0, and one 64 times larger that must be halved.
-        for (S0, step0, loss_grad, max_iters, rel_tol), _ in _captured_pr_runs(monkeypatch, sample, r, T):
-            (_, _, steps), *_ = _pr_step_trace(S0, scale * step0, loss_grad, max_iters, rel_tol)
+        for (S0, step0, *loss, max_iters, rel_tol), _ in _captured_pr_runs(monkeypatch, sample, r, T):
+            (_, _, steps), *_ = _pr_step_trace(S0, scale * step0, *loss, max_iters, rel_tol)
             np.testing.assert_allclose(steps[0], scale * step0, rtol=1e-9)
             _assert_halves(steps)
             assert len(steps) > 1 or scale == 1.0
 
     @pytest.mark.parametrize("sample, r, T", _FDD_CASES)
     def test_later_first_trial_is_clamped_bb1_step(self, monkeypatch, sample, r, T):
-        for args, (_, _, iterations, _) in _captured_pr_runs(monkeypatch, sample, r, T):
+        for args, (_, _, iterations, *_) in _captured_pr_runs(monkeypatch, sample, r, T):
             step0 = args[1]
             iters = _pr_step_trace(*args)
             assert len(iters) == iterations >= 2
@@ -326,7 +341,7 @@ class TestPrStepRule:
         # A start small against the steps keeps the recovered steps exact to rounding.
         step0 = 1e-6
         S0 = np.full((3, 1), 1e-12, complex)
-        iters = _pr_step_trace(S0, step0, loss_grad, 40, 1e-300)
+        iters = _pr_step_trace(S0, step0, *_toy_descent(loss_grad), 40, 1e-300)
         assert len(iters) == 40
         firsts = [steps[0] for _, _, steps in iters]
         want = [min(2.0**k, 1e9) * step0 for k in range(40)]
@@ -337,30 +352,31 @@ class TestPrStepRule:
     def test_no_cap_hits_at_criterion_11_r1(self, monkeypatch, T):
         for sample in range(10):
             runs = _captured_pr_runs(monkeypatch, sample, 1, T)
-            assert [args[2].func.__name__ for args, _ in runs] == ["_wf_loss_grad", "_af_loss_grad"]
-            assert all(stop == "converged" for _, (_, _, _, stop) in runs)
+            assert [args[2].__name__ for args, _ in runs] == ["_wf_value", "_af_value"]
+            assert all(stop == "converged" for _, (_, _, _, _, stop, _) in runs)
 
 
 class TestZeroIterates:
-    """A zero old iterate: 0.0 where the descent cannot move, +inf where it can."""
+    """A zero old iterate reads +inf in ``_descend``; the AM loop reads two zero iterates as 0.0."""
 
     def _pr_losses(self):
         problem, prior = _fdd_problem(0, 1, 5)
         Ms = model._reduced(problem, prior.B)[None]
         eta = problem.cqi_array[None]
         return (
-            (baselines._wf_loss_grad, (Ms, Ms.conj(), eta)),
-            (baselines._af_loss_grad, (Ms, Ms.conj(), np.sqrt(eta))),
+            (baselines._wf_value, baselines._wf_grad, (Ms, Ms.conj(), eta)),
+            (baselines._af_value, baselines._af_grad, (Ms, Ms.conj(), np.sqrt(eta))),
             prior.k,
         )
 
-    def test_pr_descent_from_zero_reads_zero(self):
+    def test_pr_descent_from_zero_reads_inf(self):
+        # Both losses have a zero gradient at S = 0, so the descent cannot move.
         wf, af, k = self._pr_losses()
-        for loss_grad, data in (wf, af):
-            [(S, _, iters, stop)] = baselines._pr_descent(
-                np.zeros((1, k, 1), complex), [1.0], loss_grad, data, 50, 1e-3, [0]
-            ).values()
-            assert (iters, stop) == (1, "converged")
+        for value, grad, data in (wf, af):
+            [(S, _, iters, rel, stop, _)] = likelihood._descend(
+                np.zeros((1, k, 1), complex), data, value, grad, [1.0], 50, 1e-3
+            )
+            assert (iters, stop, rel) == (50, "max-iters", math.inf)
             assert not S.any()
 
     def test_am_loop_two_zero_iterates_read_zero(self):
