@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import EstimationProblem, _gains_from_proj, _project, _softmax
+from .model import _ROUND_BLOCK, EstimationProblem, _gains_from_proj, _project, _softmax
 
 __all__ = [
     "FisherMatrix",
@@ -140,9 +140,11 @@ def fisher(problem: EstimationProblem, h: np.ndarray) -> FisherMatrix:
     a_{t,i} (a_{t,i}^H h), with a_{t,i}^H h from ``model._project``, at the
     problem's temperature tau.  Single stream only.
 
-    The (2d, T*N) GEMM runs with numpy's OpenBLAS held at one thread: more
-    threads split its sum differently, so the last bits of F (and of the
-    CRB) would follow the caller's BLAS thread count.
+    G = [Re; Im] of those columns is filled per block of ``model._ROUND_BLOCK``
+    rounds.  The (2d, T*N) GEMM is one call, as a split sum would change its
+    bits, run with numpy's OpenBLAS held at one thread: more threads split
+    its sum differently, so the last bits of F (and of the CRB) would follow
+    the caller's BLAS thread count.
     """
     if problem.codebook.r != 1:
         raise ValueError("Fisher matrix is defined for the single-stream model")
@@ -150,8 +152,12 @@ def fisher(problem: EstimationProblem, h: np.ndarray) -> FisherMatrix:
     h = np.asarray(h).ravel().astype(complex)
     C = _project(problem, h[:, None])  # a_{t,i}^H h, round-major, (T*N, 1)
     P = _softmax(_gains_from_proj(C, problem.codebook) / tau)
-    W = problem.effective_flat * C[:, 0]  # columns a_{t,i} (a_{t,i}^H h)
-    G = np.concatenate([W.real, W.imag])  # (2d, T*N)
+    A, d, k = problem.effective_flat, problem.d, _ROUND_BLOCK * problem.n_codewords
+    G = np.empty((2 * d, A.shape[1]))
+    for s in range(0, A.shape[1], k):
+        W = A[:, s : s + k] * C[s : s + k, 0]  # columns a_{t,i} (a_{t,i}^H h)
+        G[:d, s : s + k], G[d:, s : s + k] = W.real, W.imag
+    del W  # the last block is not kept alive through the full-size GP
     GP = G * P.ravel()
     by_round = GP.reshape(G.shape[0], problem.T, -1)
     mean = by_round[:, :, 0].copy()  # (2d, T); plane by plane is ~3x faster than .sum(axis=2)

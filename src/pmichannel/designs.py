@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import Codebook
+from .model import _ROUND_BLOCK, Codebook
 
 __all__ = [
     "dft_codebook",
@@ -91,10 +91,10 @@ def haar_stiefel_stack(
     """
     if p > d:
         raise ValueError("need p <= d")
-    if real:
-        G = rng.standard_normal((n, d, p))
-    else:
-        G = rng.standard_normal((n, d, p)) + 1j * rng.standard_normal((n, d, p))
+    G = rng.standard_normal((n, d, p))
+    if not real:  # the stream and bits of G + 1j * a second draw, with no complex temporaries
+        G = G.astype(complex)
+        G.imag = rng.standard_normal((n, d, p))
     return _haar_from_gaussian(G)
 
 
@@ -116,12 +116,12 @@ def _sum_rows(x: np.ndarray) -> np.ndarray:
 
 
 def _haar_from_gaussian(G: np.ndarray) -> np.ndarray:
-    """Q factor of an (n, d, p) Gaussian stack with R's diagonal real positive.
+    """Q factor of an (n, d, p) Gaussian stack with R's diagonal real positive, in a fresh array.
 
-    A complex stack goes through LAPACK's batched QR, with R's diagonal
-    phases absorbed into Q.  A real stack is orthonormalized by modified
-    Gram-Schmidt in two sweeps over the whole stack, with no per-matrix
-    LAPACK call: the second sweep re-orthogonalizes the first sweep's Q,
+    A complex stack goes through LAPACK's batched QR per block of ``model._ROUND_BLOCK``
+    matrices, R's diagonal phases absorbed into the block's output.  A real stack is
+    orthonormalized by modified Gram-Schmidt in two sweeps over the whole stack, with no
+    per-matrix LAPACK call: the second sweep re-orthogonalizes the first sweep's Q,
     which keeps the columns orthonormal to working precision ("twice is
     enough", Giraud, Langou & Rozloznik 2005), and R stays upper triangular
     with a positive diagonal.  The (d, p, n) array keeps the batch on the
@@ -130,10 +130,12 @@ def _haar_from_gaussian(G: np.ndarray) -> np.ndarray:
     a realified form of this kernel was slower there.
     """
     if np.iscomplexobj(G):
-        Q, R = np.linalg.qr(G)
-        diag = np.einsum("nii->ni", R)
-        phases = diag / np.abs(diag)
-        return Q * phases.conj()[:, None, :]
+        out = np.empty(G.shape, dtype=G.dtype)
+        for s in range(0, len(G), _ROUND_BLOCK):
+            Q, R = np.linalg.qr(G[s : s + _ROUND_BLOCK])
+            diag = np.einsum("nii->ni", R)
+            np.multiply(Q, (diag / np.abs(diag)).conj()[:, None, :], out=out[s : s + _ROUND_BLOCK])
+        return out
     p = G.shape[2]
     X = G.transpose(1, 2, 0).copy()  # not ascontiguousarray: at n = 1 that would alias G
     for _ in range(2):

@@ -22,6 +22,7 @@ from .model import (
     _as_matrix,
     _covariance,
     _gains_from_proj,
+    _orthonormal,
     _project,
     _reduced,
     _row_lse,
@@ -57,7 +58,7 @@ class SubspacePrior:
         B = np.asarray(self.B)
         if B.ndim != 2:
             raise ValueError("basis must be 2-D")
-        if not np.allclose(B.conj().T @ B, np.eye(B.shape[1]), atol=1e-10):
+        if not _orthonormal(B[None]):
             raise ValueError("basis columns must be orthonormal")
         object.__setattr__(self, "B", B)
 

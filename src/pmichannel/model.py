@@ -27,6 +27,13 @@ __all__ = [
 ]
 
 _ORTHO_TOL = 1e-10
+_ROUND_BLOCK = 1024  # rounds per block of the kernels that fill a large-T output block by block
+
+
+def _orthonormal(q: np.ndarray) -> bool:
+    """Whether each matrix of a (T, d, p) stack has Q^H Q = I to ``_ORTHO_TOL`` per entry (NaN fails)."""
+    blocks = (q[s : s + _ROUND_BLOCK] for s in range(0, len(q), _ROUND_BLOCK))
+    return all(np.abs(b.conj().mT @ b - np.eye(q.shape[2])).max() <= _ORTHO_TOL for b in blocks)
 
 
 def _as_matrix(x: np.ndarray) -> np.ndarray:
@@ -156,8 +163,7 @@ class EstimationProblem:
         T, _, p = q.shape
         if p != codebook.p:
             raise ValueError("codebook dimension does not match Q columns")
-        gram = np.matmul(q.conj().transpose(0, 2, 1), q)
-        if not np.allclose(gram, np.eye(p), atol=_ORTHO_TOL):
+        if not _orthonormal(q):
             raise ValueError("Q must have orthonormal columns (Q^H Q = I)")
         pmi = np.asarray(pmi)
         if pmi.shape != (T,) or not np.issubdtype(pmi.dtype, np.integer):
@@ -232,9 +238,13 @@ class EstimationProblem:
 
     @cached_property
     def effective_flat(self) -> np.ndarray:
-        """Lifted codebook Q_t @ V of every round as (d, T*N*r) columns, for fast GEMMs."""
-        A = np.matmul(self.q_stack, self.codebook.V)
-        return np.ascontiguousarray(A.transpose(1, 0, 2).reshape(A.shape[1], -1))
+        """Lifted codebook Q_t @ V of every round as (d, T*N*r) columns, for fast GEMMs,
+        written by one ``np.matmul`` per block of ``_ROUND_BLOCK`` rounds."""
+        q, V = self.q_stack, self.codebook.V
+        A = np.empty((self.d, self.T, V.shape[1]), dtype=np.result_type(q, V))
+        for s in range(0, self.T, _ROUND_BLOCK):
+            np.matmul(q[s : s + _ROUND_BLOCK], V, out=A[:, s : s + _ROUND_BLOCK].transpose(1, 0, 2))
+        return A.reshape(self.d, -1)
 
     @cached_property
     def pmi_flat(self) -> np.ndarray:

@@ -61,6 +61,32 @@ def lifted(problem, t, i):
     return problem.q_stack[t] @ problem.codebook.codeword(i)[:, 0]
 
 
+def qr_reference(G):
+    """One-shot LAPACK QR of a whole (n, d, p) stack with R's diagonal phases absorbed into Q."""
+    Q, R = np.linalg.qr(G)
+    diag = np.einsum("nii->ni", R)
+    return Q * (diag / np.abs(diag)).conj()[:, None, :]
+
+
+def ref_lift(q, V):
+    """The lift Q_t V of every round as (d, T*N*r) columns, from one ``np.matmul``."""
+    A = np.matmul(q, V)
+    return np.ascontiguousarray(A.transpose(1, 0, 2).reshape(A.shape[1], -1))
+
+
+def ref_fisher(problem, h):
+    """``crb.fisher``'s matrix from the one-shot lift and W, with the per-round mean as one ``sum(axis=2)``."""
+    h = np.asarray(h).ravel().astype(complex)
+    C = model._project(problem, h[:, None])
+    P = model._softmax(model._gains_from_proj(C, problem.codebook) / problem.tau)
+    W = ref_lift(problem.q_stack, problem.codebook.V) * C[:, 0]
+    G = np.concatenate([W.real, W.imag])
+    GP = G * P.ravel()
+    mean = GP.reshape(G.shape[0], problem.T, -1).sum(axis=2)
+    F = (4.0 / problem.tau**2) * (GP @ G.T - mean @ mean.T)
+    return 0.5 * (F + F.T)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

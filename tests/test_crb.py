@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pmichannel import crb, designs, model
-from conftest import lifted, random_problem
+from conftest import lifted, random_problem, ref_fisher
 
 
 class TestRealify:
@@ -38,19 +38,6 @@ class TestRealify:
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValueError):
             crb.realify(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-def _ref_fisher(problem, h):
-    """``crb.fisher``'s matrix with the per-round mean as one ``sum(axis=2)`` over codewords."""
-    h = np.asarray(h).ravel().astype(complex)
-    C = model._project(problem, h[:, None])
-    P = model._softmax(model._gains_from_proj(C, problem.codebook) / problem.tau)
-    W = problem.effective_flat * C[:, 0]
-    G = np.concatenate([W.real, W.imag])
-    GP = G * P.ravel()
-    mean = GP.reshape(G.shape[0], problem.T, -1).sum(axis=2)
-    F = (4.0 / problem.tau**2) * (GP @ G.T - mean @ mean.T)
-    return 0.5 * (F + F.T)
 
 
 class TestFisher:
@@ -95,7 +82,7 @@ class TestFisher:
         # codeword planes, so the bits agree there; from 8 on it sums pairwise.
         rng = np.random.default_rng([31, n])
         prob, h = random_problem(rng, d=n + 3, p=n + 1, n=n, T=40, tau=0.3)
-        F, ref = crb.fisher(prob, h).F, _ref_fisher(prob, h)
+        F, ref = crb.fisher(prob, h).F, ref_fisher(prob, h)
         if n < 8:
             np.testing.assert_array_equal(F, ref)
         else:

@@ -5,6 +5,7 @@ import pytest
 
 from pmichannel import designs, experiments
 from pmichannel.dataset import write_dataset
+from conftest import qr_reference
 
 
 class TestDftCodebook:
@@ -79,13 +80,6 @@ class TestHaarStiefel:
             designs.haar_stiefel(2, 3, rng)
 
 
-def _qr_reference(G):
-    """LAPACK QR with R's diagonal phases absorbed into Q, the reference for real stacks."""
-    Q, R = np.linalg.qr(G)
-    diag = np.einsum("nii->ni", R)
-    return Q * (diag / np.abs(diag)).conj()[:, None, :]
-
-
 def _gaussian(rng, n, d, p, complex_):
     """An (n, d, p) Gaussian stack, complex when ``complex_``."""
     G = rng.standard_normal((n, d, p))
@@ -111,7 +105,7 @@ class TestHaarKernel:
         G = _gaussian(np.random.default_rng([n, d, p]), n, d, p, False)
         Q = designs._haar_from_gaussian(G)
         assert (Q.dtype, Q.shape) == (G.dtype, G.shape) and Q.flags.c_contiguous
-        np.testing.assert_allclose(Q, _qr_reference(G), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(Q, qr_reference(G), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("complex_", [False, True])
     def test_r_is_upper_triangular_with_positive_real_diagonal(self, complex_):
@@ -142,8 +136,10 @@ class TestHaarKernel:
         gram = np.conj(np.swapaxes(Q, 1, 2)) @ Q
         assert np.abs(gram - np.eye(8)).max() <= 1e-13
 
-    def test_input_untouched(self):
-        G = _gaussian(np.random.default_rng(2), 1, 4, 4, False)
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_input_untouched(self, n, complex_):
+        G = _gaussian(np.random.default_rng(2), n, 4, 4, complex_)
         before = G.copy()
         designs._haar_from_gaussian(G)
         np.testing.assert_array_equal(G, before)
