@@ -56,7 +56,8 @@ def _add_common(sp: argparse.ArgumentParser, outputs: bool = True) -> None:
 def _options(ap: argparse.ArgumentParser, args: argparse.Namespace) -> dict:
     """The config file's keys, then the flags given on top; nothing else.
 
-    Options left unset take the driver's own defaults.  A config key must
+    Options left unset take the driver's own defaults; samples and a dataset
+    (whose file sets the count) exclude each other.  A config key must
     name one of the subcommand's flags; ``samples`` becomes ``n_samples``.
     A list-valued flag's key takes a JSON list or the flag's comma string,
     either one parsed by the flag's own converter.  A scalar flag's key takes
@@ -95,6 +96,8 @@ def _options(ap: argparse.ArgumentParser, args: argparse.Namespace) -> dict:
     opts.update({k: v for k, v in flags.items() if v is not None})
     if opts.get("workers", 1) < 1:
         ap.error(f"{args.command}: workers must be at least 1, got {opts['workers']}")
+    if "samples" in opts and "dataset" in opts:
+        ap.error(f"{args.command}: samples cannot be given with a dataset, whose file sets the count")
     if "samples" in opts:
         opts["n_samples"] = opts.pop("samples")
     return opts

@@ -48,9 +48,15 @@ class InvalidOptionError(ValueError):
     """A driver option out of range, refused before any work starts."""
 
 
+def _check_distinct(name: str, values: Sequence) -> None:
+    if len(set(values)) < len(values):
+        raise InvalidOptionError(f"repeated {name} in {list(values)}")
+
+
 def _check_rounds(rounds: Sequence[int]) -> None:
     if not rounds or min(rounds) < 1:
         raise InvalidOptionError(f"every round count must be at least 1, got {list(rounds)}")
+    _check_distinct("round count", rounds)
 
 
 def _check_tau(taus: Sequence[float]) -> None:
@@ -59,6 +65,7 @@ def _check_tau(taus: Sequence[float]) -> None:
     bad = [t for t in taus if not 0 < t < math.inf]
     if bad:
         raise InvalidOptionError(f"tau must be positive and finite, got {bad[0]}")
+    _check_distinct("tau", taus)
 
 
 def _check_choice(name: str, values: Sequence[str], choices: Sequence[str]) -> None:
@@ -66,6 +73,7 @@ def _check_choice(name: str, values: Sequence[str], choices: Sequence[str]) -> N
         raise InvalidOptionError(
             f"{name} must be chosen from {', '.join(choices)}, got {list(values)}"
         )
+    _check_distinct(name, values)
 
 
 def _reason(exc: Exception) -> str:
@@ -310,9 +318,10 @@ def _fdd_estimates(
 
 # Samples per fdd task, whose estimates are solved as one stack per (T, method).
 # The chunk, not the worker count, sets the stacks; results depend on neither.
-# A task holds its chunk's histories at once: 16 samples cut about 10% more
-# time than 8 but raised the peak memory of a 16-sample run by 3 MB more.
-_FDD_CHUNK = 8
+# Solves spend their time in Python under the GIL, so wider stacks pay and threads
+# do not: on a 2-vCPU VM 16 samples at r = 1 and 2 took 0.50 s in one chunk and 0.59 s
+# (0.65 s on 2 workers) in chunks of 8, for a traced peak of 6.3 MB against 3.4 MB.
+_FDD_CHUNK = 16
 
 
 def run_fdd_experiment(
@@ -342,10 +351,11 @@ def run_fdd_experiment(
     The DFT codebook has the first round's dimension (8 ports), so r must
     divide 8.
 
-    A task takes ``_FDD_CHUNK`` samples and makes one stacked call per
+    A task takes ``_FDD_CHUNK`` (16) samples and makes one stacked call per
     (T, method) for every method, so a row's wall time is its slice's time
     over the sample count plus the row's own beam precision.  Rows come in
-    sample, T, method order.
+    sample, T, method order.  The solves hold the GIL, so ``workers`` gains little
+    (see ``_FDD_CHUNK``).  A ``dataset`` file sets the sample count, not ``n_samples``.
     """
     _check_rounds(rounds)
     _check_tau([tau])
@@ -547,8 +557,10 @@ def excess_risk_slope(
     """Log-log slope of the mean population excess risk of the MLE versus T.
 
     Real-valued certified design: Haar real reduction matrices with an
-    orthonormal codebook.  The local theory predicts a slope of -1.
+    orthonormal codebook.  The local theory predicts a slope of -1; ``t_grid`` needs two distinct T.
     """
+    if len(set(t_grid)) < 2:
+        raise InvalidOptionError(f"a slope needs two or more distinct round counts, got {list(t_grid)}")
     rng_h = np.random.default_rng([seed, 11])
     h = rng_h.standard_normal(d)
     h /= np.linalg.norm(h)

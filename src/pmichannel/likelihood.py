@@ -286,8 +286,18 @@ def _trial(value, data, X, D, s: list, k: int, radius: Optional[list], at) -> tu
     return (*value(data, Z, at), nrm, Z)
 
 
+def _keep(a, keep: list, own: bool):
+    """Rows ``keep`` (ascending) of a stack; an owned array's move to its front, in place, as a view."""
+    if not isinstance(a, np.ndarray):
+        return [a[i] for i in keep]
+    for j, i in enumerate(keep if own else ()):
+        a[j] = a[i]
+    return a[: len(keep)] if own else a[keep]
+
+
 def _descend(X, data, value, gradient, step0: list, max_iters: int, rel_tol: float,
-             direction=None, radius: Optional[list] = None, two_way: bool = False, ids=None) -> list:
+             direction=None, radius: Optional[list] = None, two_way: bool = False, ids=None,
+             own: bool = False) -> list:
     """The one backtracking descent of a stack of B problems, each with the bits of a stack of one.
 
     X (B, k + c, m) holds each iterate S in its first k rows and, below them,
@@ -301,7 +311,7 @@ def _descend(X, data, value, gradient, step0: list, max_iters: int, rel_tol: flo
     the iteration-1 doubling only if ``two_way`` and +inf for the change from
     a zero S.  Returns (S, objective, iterations, rel_change, stop_reason,
     trials) per problem; NumericalFailureError names its label in ``ids``
-    (default: its position).
+    (default: its position).  ``own`` lets compaction overwrite data's arrays (``_keep``).
     """
     n = len(step0)
     labels = ids = list(range(n)) if ids is None else list(ids)
@@ -371,7 +381,7 @@ def _descend(X, data, value, gradient, step0: list, max_iters: int, rel_tol: flo
         if not keep:
             break
         X, G = X[keep], G[keep]
-        data = tuple(a[keep] if isinstance(a, np.ndarray) else [a[i] for i in keep] for a in data)
+        data = tuple(_keep(a, keep, own) for a in data)
         f, s, s_min, s_max, ids, extra, nrm = (
             [x[i] for i in keep] for x in (f, s, s_min, s_max, ids, extra, nrm)
         )
@@ -510,7 +520,7 @@ def solve_mle(
     # with a basis follow the basis's strides: each problem takes its own.
     bases = None if priors[0] is None else [pr.B for pr in priors]
     data = (pmi, A) if bases is None else (pmi, A, bases)
-    # The loop hands the callbacks one ``data`` per compaction; so is the stack view built.
+    # The loop compacts data in place (one problem never compacts) into a new tuple; so is the view built.
     view = [data, _stacked(p0, pmi, A)]
 
     def stack_of(data: tuple):
@@ -539,7 +549,7 @@ def solve_mle(
     step0 = [pb.tau / (4.0 * r**2) for pb, r in zip(problems, radii)]
     # That first step can be far too small, so iteration 1 also doubles it (two_way).
     solved = _descend(np.concatenate((S, C), axis=1), data, value, gradient, step0, config.max_iters,
-                      config.rel_tol, direction=direction, radius=radii, two_way=True)
+                      config.rel_tol, direction=direction, radius=radii, two_way=True, own=True)
     results = [
         (S if B is None else B @ S, MleReport(it, f, rel, stop, r, trials, it + 1, None if B is None else S))
         for (S, f, it, rel, stop, trials), r, B in zip(solved, radii, bases or [None] * n)

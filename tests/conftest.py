@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -85,6 +87,17 @@ def ref_fisher(problem, h):
     mean = GP.reshape(G.shape[0], problem.T, -1).sum(axis=2)
     F = (4.0 / problem.tau**2) * (GP @ G.T - mean @ mean.T)
     return 0.5 * (F + F.T)
+
+
+def traced(fn):
+    """``fn()`` and its traced peak allocation above what was held when it started."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

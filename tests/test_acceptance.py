@@ -343,8 +343,9 @@ def test_criterion_12_determinism(tmp_path):
 def test_criterion_12_fdd_chunk_boundaries(tmp_path, monkeypatch):
     # The fdd driver stacks every method's estimates over chunks of samples.
     # A run over one full chunk and a partial one must give the bytes, the
-    # row order and every solve's path of the per-sample run (chunk 1), at
-    # any worker count, for single- (r = 1) and multi-stream (r = 2) AM.
+    # row order and every solve's path of the per-sample run (chunk 1) and of
+    # the old chunk of 8, at any worker count, for single- (r = 1) and
+    # multi-stream (r = 2) AM.
     n_samples = experiments._FDD_CHUNK + 3
     files, orders, paths = {}, {}, {}
 
@@ -366,7 +367,7 @@ def test_criterion_12_fdd_chunk_boundaries(tmp_path, monkeypatch):
     for r in (1, 2):
         kw = dict(rounds=(1, 4), n_samples=n_samples, seed=11, r=r)
         runs = [(f"w1-r{r}", 1, None), (f"w2-r{r}", 2, None), (f"w3-r{r}", 3, None),
-                (f"per-sample-r{r}", 1, 1)]
+                (f"per-sample-r{r}", 1, 1), (f"chunk8-r{r}", 1, 8)]
         for tag, workers, chunk in runs:
             if chunk is not None:
                 monkeypatch.setattr(experiments, "_FDD_CHUNK", chunk)

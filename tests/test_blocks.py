@@ -5,13 +5,11 @@ at T on both sides of the block edges, and its traced memory is pinned at
 the CRB experiment's shape (T = 10000, d = 16, p = 4, complex).
 """
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
 from pmichannel import crb, designs, likelihood, model
-from conftest import qr_reference, ref_fisher, ref_lift
+from conftest import qr_reference, ref_fisher, ref_lift, traced
 
 EDGES = [1, 1023, 1024, 1025, 2049]
 
@@ -95,31 +93,20 @@ class TestOrthonormalityCheck:
             likelihood.SubspacePrior(B)
 
 
-def _traced(fn):
-    """``fn()`` and its traced peak allocation above what was held when it started."""
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        out = fn()
-        return out, tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-
-
 class TestMemory:
     """Traced peaks at (T, d, p) = (10000, 16, 4), complex, against the array each stage builds."""
 
     SHAPE = (10000, 16, 4)
 
     def test_haar_draw(self):
-        Q, peak = _traced(lambda: designs.haar_stiefel_stack(*self.SHAPE, np.random.default_rng(0)))
+        Q, peak = traced(lambda: designs.haar_stiefel_stack(*self.SHAPE, np.random.default_rng(0)))
         assert peak <= 2.6 * Q.nbytes
 
     def test_simulate_problem(self):
         q = designs.haar_stiefel_stack(*self.SHAPE, np.random.default_rng(0))
         h = np.random.default_rng(1).standard_normal(16) + 0j
         cb = designs.dft_codebook(4)
-        _, peak = _traced(lambda: model.simulate_problem(q, cb, h, 0.05, np.random.default_rng(2)))
+        _, peak = traced(lambda: model.simulate_problem(q, cb, h, 0.05, np.random.default_rng(2)))
         assert peak <= 1.4 * q.nbytes
 
     def test_fisher(self):
@@ -127,5 +114,5 @@ class TestMemory:
         h = np.random.default_rng(1).standard_normal(16) + 0j
         problem = model.simulate_problem(q, designs.dft_codebook(4), h, 0.05, np.random.default_rng(2))
         lift = problem.effective_flat
-        _, peak = _traced(lambda: crb.fisher(problem, h))
+        _, peak = traced(lambda: crb.fisher(problem, h))
         assert peak <= 2.6 * lift.nbytes

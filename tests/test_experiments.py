@@ -153,6 +153,34 @@ class TestFddDriver:
         with pytest.raises(experiments.InvalidOptionError):
             run(**options)
 
+    @pytest.mark.parametrize(
+        "driver, options, what",
+        [
+            ("fdd", {"rounds": (5, 5)}, "round count"),
+            ("fdd", {"rounds": (1, 5, 1)}, "round count"),
+            ("fdd", {"methods": ("spectral", "mle", "spectral")}, "method"),
+            ("ablate-tau", {"grid": (0.5, 0.5)}, "tau"),
+            ("ablate-tau", {"rounds": (5, 5)}, "round count"),
+            ("ablate-init", {"grid": ("random", "random")}, "initialization"),
+            ("crb", {"rounds": (50, 50)}, "round count"),
+        ],
+    )
+    def test_repeated_value_refused_before_any_work(self, monkeypatch, driver, options, what):
+        # A repeated value would solve the same problems twice and count every row twice.
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the options were checked")
+
+        monkeypatch.setattr(experiments, "_load_channels", no_work)
+        monkeypatch.setattr(experiments, "_run_tasks", no_work)
+        run = {
+            "fdd": lambda **o: experiments.run_fdd_experiment(n_samples=1, **o),
+            "ablate-tau": lambda **o: experiments.run_ablation("tau", n_samples=1, **o),
+            "ablate-init": lambda **o: experiments.run_ablation("init", n_samples=1, **o),
+            "crb": lambda **o: experiments.run_crb_experiment(trials=1, **o),
+        }[driver]
+        with pytest.raises(experiments.InvalidOptionError, match=f"repeated {what} in"):
+            run(**options)
+
     @pytest.mark.parametrize("command", ["fdd-experiment", "ablate-tau", "ablate-init"])
     def test_dataset_with_too_few_ports_refused_before_any_task(
         self, monkeypatch, tmp_path, capsys, command
@@ -292,6 +320,16 @@ class TestTheoryVerification:
         assert failed == []
         names = {r["check"] for r in records}
         assert "gauge_nullity" in names and "kl_identity" in names
+
+    @pytest.mark.parametrize("t_grid", [(250,), (250, 250), (250, 500, 250)])
+    def test_slope_needs_two_distinct_round_counts(self, monkeypatch, t_grid):
+        # One point has no slope; np.polyfit would fit one anyway, with only a warning.
+        def no_work(*args, **kwargs):
+            raise AssertionError("a trial ran before the grid was checked")
+
+        monkeypatch.setattr(experiments, "_run_tasks", no_work)
+        with pytest.raises(experiments.InvalidOptionError, match="round count"):
+            experiments.excess_risk_slope(t_grid=t_grid, trials=1)
 
     @pytest.mark.parametrize("option", ["moment_samples", "secant_samples", "slope_trials"])
     @pytest.mark.parametrize("count", [0, -1])
@@ -588,6 +626,66 @@ class TestCli:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
+        "argv, config",
+        [
+            (["fdd-experiment", "--rounds", "5,5", "--samples", "2"], None),
+            (["fdd-experiment", "--samples", "2"], {"methods": ["spectral", "spectral"]}),
+            (["ablate-tau", "--grid", "0.5,0.5", "--samples", "2"], None),
+            (["ablate-tau", "--samples", "2"], {"grid": [0.5, 1, 0.5]}),
+            (["ablate-init", "--grid", "spectral,spectral", "--samples", "2"], None),
+            (["crb-experiment", "--rounds", "50,50"], None),
+            (["crb-experiment"], {"rounds": "50,100,50"}),
+        ],
+    )
+    def test_repeated_value_is_a_usage_error(self, tmp_path, capsys, monkeypatch, argv, config):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the options were checked")
+
+        monkeypatch.setattr(experiments, "_load_channels", no_work)
+        monkeypatch.setattr(experiments, "_run_tasks", no_work)
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            argv = [*argv, "--config", str(cfg)]
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert f"pmichannel: error: {argv[0]}: repeated " in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["fdd-experiment", "ablate-tau", "ablate-init"])
+    @pytest.mark.parametrize(
+        "flags, config",
+        [
+            (["--samples", "1", "--dataset", "DS"], None),
+            ([], {"samples": 1, "dataset": "DS"}),
+            (["--dataset", "DS"], {"samples": 1}),
+        ],
+    )
+    def test_samples_with_dataset_is_a_usage_error(self, tmp_path, capsys, monkeypatch, command, flags, config):
+        # The file sets the sample count, so a --samples beside it would be ignored.
+        path = str(tmp_path / "ds.bin")
+        assert cli.main(["dataset-make", "--samples", "2", "--d", "16", path]) == 0
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the options were checked")
+
+        monkeypatch.setattr(experiments, "_load_channels", no_work)
+        monkeypatch.setattr(experiments, "_run_tasks", no_work)
+        argv = [command, *(path if a == "DS" else a for a in flags)]
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({k: path if v == "DS" else v for k, v in config.items()}))
+            argv += ["--config", str(cfg)]
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"pmichannel: error: {command}: samples cannot be given with a dataset" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
         "flag", ["--moment-samples", "--secant-samples", "--slope-trials"]
     )
     def test_verify_theory_zero_count_is_a_usage_error(self, tmp_path, capsys, monkeypatch, flag):
@@ -644,7 +742,9 @@ class TestCli:
         if option is None:
             argv = [command, path]
         else:
-            argv = [command, option, path, "--samples", "1", "--out", str(tmp_path / "o")]
+            # A dataset file sets the sample count, so --samples goes with --config only.
+            samples = ["--samples", "1"] if option == "--config" else []
+            argv = [command, option, path, *samples, "--out", str(tmp_path / "o")]
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 2

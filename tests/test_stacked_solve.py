@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pmichannel import designs, likelihood, model
+from pmichannel import designs, experiments, likelihood, model
+from conftest import traced
 
 
 def _codebook(rng, p, n, r, complex_mode):
@@ -324,17 +325,45 @@ def _descent_fields(S, f, iterations, rel, stop, trials):
     ball=st.booleans(),
     max_iters=st.integers(1, 40),
     rel_tol=st.sampled_from([1e-2, 1e-5, 1e-9]),
+    own=st.booleans(),
 )
 def test_descend_stack_equals_one_problem_runs(
-    seed, B, k, m, complex_mode, carry, two_way, ball, max_iters, rel_tol
+    seed, B, k, m, complex_mode, carry, two_way, ball, max_iters, rel_tol, own
 ):
     X0, data, value, gradient, direction, step0, radii = _quadratics(seed, B, k, m, complex_mode, carry)
     radius = radii if ball else None
     rule = (max_iters, rel_tol, direction, radius, two_way)
-    stacked = likelihood._descend(X0, data, value, gradient, step0, *rule)
+    # An owned stack is compacted in place, so it gets a copy of data.
+    mine = tuple(a.copy() for a in data) if own else data
+    stacked = likelihood._descend(X0, mine, value, gradient, step0, *rule, own=own)
     for b in range(B):
         one = (max_iters, rel_tol, direction, radius and radius[b : b + 1], two_way)
         [want] = likelihood._descend(
             X0[b : b + 1], tuple(a[b : b + 1] for a in data), value, gradient, step0[b : b + 1], *one
         )
         assert _descent_fields(*stacked[b]) == _descent_fields(*want), f"problem {b} of the stack"
+
+
+@pytest.mark.parametrize("method", ["mle", "subspace-mle"])
+@pytest.mark.parametrize("r", [1, 2])
+def test_stacked_fdd_solve_holds_one_lift_stack(monkeypatch, r, method):
+    # One fdd chunk's stacked solve at T = 20: the driver's 16 prefix problems,
+    # whose lifts are views of their histories' lifts.  The solve copies them
+    # into one stack and compacts it in place as problems stop; the rest of its
+    # peak is the spectral start's eigendecompositions and the descent's
+    # (B, k + T*N*r, m) arrays.  Holding a compacted copy next to the first
+    # stack, as before, peaked at 2.7-3.2 stacks.
+    calls, orig = [], likelihood.solve_mle
+
+    def spy(problems, *args):
+        calls.append((list(problems), *args))
+        return orig(problems, *args)
+
+    monkeypatch.setattr(likelihood, "solve_mle", spy)
+    experiments.run_fdd_experiment(rounds=(20,), n_samples=16, methods=(method,), r=r, seed=0)
+    monkeypatch.undo()
+    [(problems, *args)] = calls
+    assert len(problems) == 16 == experiments._FDD_CHUNK
+    solved, peak = traced(lambda: likelihood.solve_mle(problems, *args))
+    assert len({rep.iterations for _, rep in solved}) > 1  # problems leave the stack at different steps
+    assert peak <= 2.2 * sum(pb.effective_flat.nbytes for pb in problems)
