@@ -94,8 +94,6 @@ def _options(ap: argparse.ArgumentParser, args: argparse.Namespace) -> dict:
             except ValueError as exc:
                 ap.error(f"{args.command}: config key {action.dest!r} in {args.config}: {exc}")
     opts.update({k: v for k, v in flags.items() if v is not None})
-    if opts.get("workers", 1) < 1:
-        ap.error(f"{args.command}: workers must be at least 1, got {opts['workers']}")
     if "samples" in opts and "dataset" in opts:
         ap.error(f"{args.command}: samples cannot be given with a dataset, whose file sets the count")
     if "samples" in opts:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -51,6 +51,12 @@ class InvalidOptionError(ValueError):
 def _check_distinct(name: str, values: Sequence) -> None:
     if len(set(values)) < len(values):
         raise InvalidOptionError(f"repeated {name} in {list(values)}")
+
+
+def _check_counts(**counts: int) -> None:
+    for name, count in counts.items():
+        if count < 1:
+            raise InvalidOptionError(f"{name} must be at least 1, got {count}")
 
 
 def _check_rounds(rounds: Sequence[int]) -> None:
@@ -177,8 +183,7 @@ def _mle_trials(
     """
     _check_rounds(rounds)
     _check_tau([tau])
-    if trials < 1:
-        raise InvalidOptionError(f"need at least one trial, got {trials}")
+    _check_counts(trials=trials, workers=workers)
     d, p = h.shape[0], codebook.p
     real = not np.iscomplexobj(h)
     cfg = likelihood.MleConfig(init="spectral", max_iters=max_iters, rel_tol=rel_tol)
@@ -341,6 +346,8 @@ def run_fdd_experiment(
     mle_init: Optional[str] = None,
     attach_cqi: bool = True,
     radius: float = 4.0,
+    *,
+    _variants: Sequence[tuple] = (),
 ) -> list:
     """Beam precision of every method versus the number of feedback rounds.
 
@@ -356,17 +363,19 @@ def run_fdd_experiment(
     over the sample count plus the row's own beam precision.  Rows come in
     sample, T, method order.  The solves hold the GIL, so ``workers`` gains little
     (see ``_FDD_CHUNK``).  A ``dataset`` file sets the sample count, not ``n_samples``.
+    ``run_ablation`` passes ``_variants`` of (label, method, tau, init) in place of
+    ``methods``; a None tau or init is the run's own.
     """
     _check_rounds(rounds)
     _check_tau([tau])
-    if n_samples < 1:
-        raise InvalidOptionError(f"need at least one sample, got {n_samples}")
+    _check_counts(n_samples=n_samples, workers=workers)
     if r < 1 or designs.TYPE1_PORTS % r:
         raise InvalidOptionError(f"r must divide {designs.TYPE1_PORTS}, got {r}")
     _check_choice("design scheme", [scheme], _DESIGN_SCHEMES)
     _check_choice("method", methods, FDD_METHODS)
     if mle_init is not None:
         _check_choice("initialization", [mle_init], _MLE_INITS)
+    variants = _variants or [(m, m, None, None) for m in methods]
     channels = _load_channels(dataset, n_samples, d, n_rx, paths, seed)
     t_max = max(rounds)
 
@@ -388,22 +397,23 @@ def run_fdd_experiment(
         out = {i: [] for i in chunk}
         for T in rounds:
             problems = [history.prefix(T) for history in histories]
-            for method in methods:
+            for label, method, v_tau, v_init in variants:
                 if method in _CQI_METHODS and not problems[0].has_cqi:
                     for i in chunk:
-                        out[i].append(ExperimentResult(method, T, i, seed, "skipped", 1.0, 0.0))
+                        out[i].append(ExperimentResult(label, T, i, seed, "skipped", 1.0, 0.0))
                     continue
                 t0 = time.perf_counter()
                 multi = method == "am" and r > 1
                 rngs = [np.random.default_rng([seed, 5, i, T]) for i in chunk] if multi else None
-                ests = _fdd_estimates(method, problems, priors, r, rngs, mle_init)
+                views = [h.prefix(T, v_tau) for h in histories] if v_tau is not None else problems
+                ests = _fdd_estimates(method, views, priors, r, rngs, v_init or mle_init)
                 share = (time.perf_counter() - t0) / len(chunk)
                 for j, i in enumerate(chunk):
                     if ests[j] is not None:
                         t0 = time.perf_counter()
                         bp = metrics._beam_precision(ests[j], *svds[j])
                         dt = share + time.perf_counter() - t0
-                        out[i].append(ExperimentResult(method, T, i, seed, "beam_precision", bp, dt))
+                        out[i].append(ExperimentResult(label, T, i, seed, "beam_precision", bp, dt))
         return [row for i in chunk for row in out[i]]
 
     n = len(channels)
@@ -459,31 +469,28 @@ def run_ablation(
     """Improvement of the subspace MLE over the spectral method per grid point.
 
     kind="tau" sweeps the temperature; kind="init" compares identity, random
-    and spectral starts.  Each grid point is one ``run_fdd_experiment`` with
-    the same seed, so all of them see the same channels and feedback (the
-    hard PMI rule does not depend on tau); ``fdd_kwargs`` go to that driver.
-    The grid is checked here and every other option by the first run, so a
-    bad option is refused before any channel loads.
+    and spectral starts.  The spectral reference and every grid point are
+    variants of one ``run_fdd_experiment`` loop, which prepares each sample
+    once; a variant's rows have the bytes of its own fdd run, since the hard
+    PMI rule does not read tau.  ``fdd_kwargs`` go to that driver, except
+    ``methods`` and the option the grid sweeps, which are refused.
     """
+    swept = {"tau": "tau", "init": "mle_init"}
+    if kind not in swept:
+        raise InvalidOptionError(f"ablation kind must be tau or init, got {kind!r}")
+    clash = sorted({"methods", swept[kind]} & fdd_kwargs.keys())
+    if clash:
+        raise InvalidOptionError(f"the {kind} ablation sets {' and '.join(clash)} itself")
     if kind == "tau":
         grid = tuple(grid) if grid is not None else (0.1, 0.5, 1.0, 5.0, 10.0, 100.0)
         _check_tau([float(g) for g in grid])
-        variants = [(f"tau={g}", {**fdd_kwargs, "tau": float(g)}) for g in grid]
-    elif kind == "init":
+        variants = [(f"subspace-mle[tau={g}]", "subspace-mle", float(g), None) for g in grid]
+    else:
         grid = tuple(grid) if grid is not None else _MLE_INITS
         _check_choice("initialization", [str(g) for g in grid], _MLE_INITS)
-        variants = [(f"init={g}", {**fdd_kwargs, "mle_init": str(g)}) for g in grid]
-    else:
-        raise ValueError(f"unknown ablation kind {kind!r}")
-
-    run = dict(rounds=rounds, n_samples=n_samples, seed=seed, workers=workers)
-    rows = run_fdd_experiment(methods=("spectral",), **run, **fdd_kwargs)
-    for label, kw in variants:
-        rows += [
-            replace(row, method=f"subspace-mle[{label}]")
-            for row in run_fdd_experiment(methods=("subspace-mle",), **run, **kw)
-        ]
-    return rows
+        variants = [(f"subspace-mle[init={g}]", "subspace-mle", None, str(g)) for g in grid]
+    run = dict(rounds=rounds, n_samples=n_samples, seed=seed, workers=workers, **fdd_kwargs)
+    return run_fdd_experiment(**run, _variants=[("spectral", "spectral", None, None), *variants])
 
 
 def summarize_ablation(rows: Sequence[ExperimentResult]) -> list:
@@ -588,18 +595,14 @@ def run_theory_verification(
     """Execute every analytic-identity check and report measured values.
 
     Returns records {check, value, threshold, passed}; the CLI maps any
-    failure to a nonzero exit code.  A sample or trial count below 1 is
-    refused before any check runs: with no samples a moment check has no
+    failure to a nonzero exit code.  A sample, trial or worker count below 1
+    is refused before any check runs: with no samples a moment check has no
     deviation to report.
     """
-    counts = {
-        "moment_samples": moment_samples,
-        "secant_samples": secant_samples,
-        "slope_trials": slope_trials,
-    }
-    for name, count in counts.items():
-        if count < 1:
-            raise InvalidOptionError(f"{name} must be at least 1, got {count}")
+    _check_counts(
+        moment_samples=moment_samples, secant_samples=secant_samples,
+        slope_trials=slope_trials, workers=workers,
+    )
     rng = np.random.default_rng([seed, 13])
     records = []
 
@@ -739,9 +742,7 @@ def make_synthetic_dataset(
     n_samples: int = 100, d: int = 32, n_rx: int = 4, paths: int = 4, seed: int = 0
 ) -> ChannelDataset:
     """Ray-model channels plus uplink covariances, ready for serialization."""
-    for name, count in (("n_samples", n_samples), ("d", d), ("n_rx", n_rx), ("paths", paths)):
-        if count < 1:
-            raise InvalidOptionError(f"{name} must be at least 1, got {count}")
+    _check_counts(n_samples=n_samples, d=d, n_rx=n_rx, paths=paths)
     chans = np.zeros((n_samples, d, n_rx), dtype=complex)
     covs = np.zeros((n_samples, d, d), dtype=complex)
     for s in range(n_samples):

@@ -186,10 +186,12 @@ class EstimationProblem:
     def __setattr__(self, name, value):
         raise AttributeError("EstimationProblem is immutable")
 
-    def prefix(self, T: int) -> "EstimationProblem":
-        """The first T rounds as a problem sharing this one's arrays and lift."""
-        if not 1 <= T <= self.T:
-            raise ValueError(f"prefix length {T} outside 1..{self.T}")
+    def prefix(self, T: int, tau: Optional[float] = None) -> "EstimationProblem":
+        """The first T rounds as a problem sharing this one's arrays and lift, at temperature
+        ``tau`` if given: sound only where the feedback did not read tau (the hard rule)."""
+        tau = self.tau if tau is None else tau
+        if not 1 <= T <= self.T or not 0 < tau < np.inf:
+            raise ValueError(f"need 1 <= T <= {self.T} and a positive finite tau, got T={T}, tau={tau}")
         k = T * self.n_codewords * self.codebook.r
         out = EstimationProblem.__new__(EstimationProblem)
         out.__dict__.update(
@@ -197,7 +199,7 @@ class EstimationProblem:
             pmi_array=self.pmi_array[:T],
             cqi_array=None if self.cqi_array is None else self.cqi_array[:T],
             codebook=self.codebook,
-            tau=self.tau,
+            tau=tau,
             radius=self.radius,
             effective_flat=self.effective_flat[:, :k],
         )

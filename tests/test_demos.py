@@ -20,6 +20,16 @@ def test_feedback_model_demo_runs(tmp_path, monkeypatch, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_tau_ablation_demo_runs(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    runpy.run_path(str(DEMOS / "tau_ablation.py"), run_name="__main__")
+    printed = re.findall(r"^ +(\S+) T= ?(\d+)  improvement [+-]\d\.\d{4}$", capsys.readouterr().out, re.M)
+    variants = [f"tau={g}" for g in (0.1, 0.5, 1.0, 5.0, 10.0, 100.0)]
+    variants += [f"init={g}" for g in ("identity", "random", "spectral")]
+    assert sorted(printed) == sorted((f"subspace-mle[{v}]", T) for v in variants for T in ("5", "10"))
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_readme_python_blocks_run(tmp_path):
     """Every ``python`` block of README.md runs as written in a fresh interpreter."""
     blocks = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), re.M | re.S)

@@ -130,6 +130,11 @@ class TestFddDriver:
             ("ablate-init", {"grid": ("identity", "bogus")}),
             ("ablate-init", {"grid": ()}),
             ("ablate-init", {"n_samples": 0}),
+            ("fdd", {"workers": 0}),
+            ("ablate-tau", {"workers": 0}),
+            ("ablate-init", {"workers": -1}),
+            ("crb", {"workers": -2}),
+            ("excess-risk", {"workers": 0}),
             ("crb", {"trials": 0}),
             ("crb", {"d": 2, "p": 4}),
             ("crb", {"p": 0}),
@@ -149,6 +154,7 @@ class TestFddDriver:
             "ablate-tau": lambda **o: experiments.run_ablation("tau", **{"n_samples": 1, **o}),
             "ablate-init": lambda **o: experiments.run_ablation("init", **{"n_samples": 1, **o}),
             "crb": lambda **o: experiments.run_crb_experiment(**{"trials": 1, **o}),
+            "excess-risk": lambda **o: experiments.excess_risk_slope(**{"trials": 1, **o}),
         }[driver]
         with pytest.raises(experiments.InvalidOptionError):
             run(**options)
@@ -199,25 +205,89 @@ class TestFddDriver:
 
 
 class TestAblationDriver:
-    def test_single_grid_point_matches_fdd(self):
-        ab = experiments.run_ablation(
-            "tau", grid=(1.0,), rounds=(3,), n_samples=3, seed=2
-        )
-        fdd = experiments.run_fdd_experiment(
-            rounds=(3,), n_samples=3, seed=2, tau=1.0,
-            methods=("spectral", "subspace-mle"),
-        )
-        ab_m = {
-            (r.trial, r.metric): r.value
-            for r in ab
-            if r.method == "subspace-mle[tau=1.0]"
-        }
-        fdd_m = {
-            (r.trial, r.metric): r.value for r in fdd if r.method == "subspace-mle"
-        }
-        assert ab_m == fdd_m
+    # d = 16 keeps 17 samples cheap; 17 crosses the 16-sample chunk into a lone one-sample chunk.
+    _SMALL = dict(rounds=(1, 4), n_samples=17, seed=2, d=16, n_rx=2, paths=2)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("r", [1, 2])
+    @pytest.mark.parametrize(
+        "kind, grid",
+        [("tau", (0.5, 1.0, 5.0)), ("init", ("identity", "random", "spectral"))],
+        ids=["tau", "init"],
+    )
+    def test_single_grid_point_matches_fdd(self, monkeypatch, kind, grid, r, workers):
+        """Every variant's rows have the bytes of its own ``run_fdd_experiment``, and no lift is written."""
+        lifts = []
+        simulate = experiments.model.simulate_problem
+
+        def keep_lift(*args, **kwargs):
+            history = simulate(*args, **kwargs)
+            lifts.append((history, history.effective_flat.copy()))
+            return history
+
+        monkeypatch.setattr(experiments.model, "simulate_problem", keep_lift)
+        kw = dict(self._SMALL, r=r, workers=workers)
+        ab = experiments.run_ablation(kind, grid=grid, **kw)
+        assert len(lifts) == kw["n_samples"]
+        assert all(h.effective_flat.tobytes() == before.tobytes() for h, before in lifts)
+        monkeypatch.undo()
+
+        def rows(run, method):
+            return [(x.T, x.trial, x.seed, x.metric, repr(x.value)) for x in run if x.method == method]
+
+        option = {"tau": "tau", "init": "mle_init"}[kind]
+        spectral = experiments.run_fdd_experiment(methods=("spectral",), **kw)
+        assert rows(ab, "spectral") == rows(spectral, "spectral")
+        for g in grid:
+            alone = experiments.run_fdd_experiment(methods=("subspace-mle",), **{option: g}, **kw)
+            assert rows(ab, f"subspace-mle[{kind}={g}]") == rows(alone, "subspace-mle")
+        assert len(ab) == len(rows(ab, "spectral")) * (len(grid) + 1)
         sum_ab = experiments.summarize_ablation(ab)
         assert all("improvement" in rec for rec in sum_ab)
+
+    @pytest.mark.parametrize(
+        "kind, grid",
+        [("tau", (1.0,)), ("tau", (0.1, 0.5, 1.0, 5.0)), ("init", ("random",)), ("init", None)],
+        ids=["tau-1", "tau-4", "init-1", "init-3"],
+    )
+    def test_each_sample_prepared_once(self, monkeypatch, kind, grid):
+        """One fdd loop and one design per sample, whatever the grid length."""
+        calls = {"run_fdd_experiment": 0, "_fdd_design": 0}
+
+        def counted(owner, name):
+            fn = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counted(experiments, "run_fdd_experiment")
+        counted(experiments.designs, "_fdd_design")
+        experiments.run_ablation(kind, grid=grid, rounds=(2,), n_samples=3, seed=0, d=16, n_rx=2, paths=2)
+        assert calls == {"run_fdd_experiment": 1, "_fdd_design": 3}
+
+    @pytest.mark.parametrize(
+        "kind, options, match",
+        [
+            ("tau", {"methods": ("mle",)}, "the tau ablation sets methods itself"),
+            ("init", {"methods": ("spectral", "mle")}, "the init ablation sets methods itself"),
+            ("init", {"mle_init": "random"}, "the init ablation sets mle_init itself"),
+            ("tau", {"tau": 5.0}, "the tau ablation sets tau itself"),
+            ("tau", {"tau": 5.0, "methods": ("mle",)}, "sets methods and tau itself"),
+            ("temperature", {}, "ablation kind must be tau or init, got 'temperature'"),
+        ],
+        ids=["tau-methods", "init-methods", "init-mle_init", "tau-tau", "tau-both", "unknown-kind"],
+    )
+    def test_option_the_grid_sets_refused_before_loading(self, monkeypatch, kind, options, match):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the options were checked")
+
+        monkeypatch.setattr(experiments, "_load_channels", no_work)
+        monkeypatch.setattr(experiments, "_run_tasks", no_work)
+        with pytest.raises(experiments.InvalidOptionError, match=match):
+            experiments.run_ablation(kind, n_samples=1, **options)
 
     def test_init_grid(self):
         rows = experiments.run_ablation(
@@ -331,7 +401,7 @@ class TestTheoryVerification:
         with pytest.raises(experiments.InvalidOptionError, match="round count"):
             experiments.excess_risk_slope(t_grid=t_grid, trials=1)
 
-    @pytest.mark.parametrize("option", ["moment_samples", "secant_samples", "slope_trials"])
+    @pytest.mark.parametrize("option", ["moment_samples", "secant_samples", "slope_trials", "workers"])
     @pytest.mark.parametrize("count", [0, -1])
     @pytest.mark.parametrize("include_slope", [True, False])
     def test_count_below_one_refused_before_any_check(self, monkeypatch, option, count, include_slope):

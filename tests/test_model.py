@@ -126,6 +126,23 @@ class TestPrefix:
         with pytest.raises(ValueError):
             prob.prefix(T)
 
+    def test_at_another_temperature(self, rng):
+        prob, x = random_problem(rng, T=5, tau=0.7, attach_cqi=True, rule="hard")
+        pre = prob.prefix(3, 5.0)
+        assert pre.tau == 5.0 and prob.tau == 0.7 and prob.prefix(3).tau == 0.7
+        for name in ("q_stack", "pmi_array", "cqi_array", "effective_flat"):
+            assert np.shares_memory(getattr(pre, name), getattr(prob, name))
+        rebuilt = model.EstimationProblem.from_arrays(
+            prob.q_stack[:3], prob.pmi_array[:3], prob.codebook, 5.0, prob.cqi_array[:3]
+        )
+        assert likelihood.nll(pre, x) == likelihood.nll(rebuilt, x)
+
+    @pytest.mark.parametrize("tau", [0.0, -1.0, np.inf, np.nan])
+    def test_bad_temperature_refused(self, rng, tau):
+        prob, _ = random_problem(rng, T=5)
+        with pytest.raises(ValueError, match="positive finite tau"):
+            prob.prefix(3, tau)
+
 
 class TestEffectiveCodeword:
     def test_identity_design_returns_codeword(self):
