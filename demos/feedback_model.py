@@ -28,7 +28,7 @@ print("hard PMI (argmax):", probe.pmi_array[0])
 
 # softmax_pmf returns every round's pmf at once, shape (T, N).
 for temp in (1.0, 0.3, 0.05):
-    pm = model.EstimationProblem.from_arrays(probe.q_stack, probe.pmi_array, codebook, temp)
+    pm = model.EstimationProblem.from_arrays([Q], probe.pmi_array, codebook, temp)
     print(f"softmax pmf at tau={temp}:", np.round(model.softmax_pmf(pm, h)[0], 3))
 
 # A full feedback history drawn from the softmax model, then the MLE.

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import _ROUND_BLOCK, EstimationProblem, _gains_from_proj, _project, _softmax
+from .model import _ROUND_BLOCK, EstimationProblem, _channel, _gains_from_proj, _project, _softmax
 
 __all__ = [
     "FisherMatrix",
@@ -150,7 +150,7 @@ def fisher(problem: EstimationProblem, h: np.ndarray) -> FisherMatrix:
         raise ValueError("Fisher matrix is defined for the single-stream model")
     tau = problem.tau
     h = np.asarray(h).ravel().astype(complex)
-    C = _project(problem, h[:, None])  # a_{t,i}^H h, round-major, (T*N, 1)
+    C = _project(problem, _channel(h, problem.d))  # a_{t,i}^H h, round-major, (T*N, 1)
     P = _softmax(_gains_from_proj(C, problem.codebook) / tau)
     A, d, k = problem.effective_flat, problem.d, _ROUND_BLOCK * problem.n_codewords
     G = np.empty((2 * d, A.shape[1]))

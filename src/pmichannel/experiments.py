@@ -194,6 +194,7 @@ def _mle_trials(
         rng = np.random.default_rng([seed, T, trial])
         qs = designs.haar_stiefel_stack(T, d, p, rng, real=real)
         problem = model.simulate_problem(qs, codebook, h, tau, rng, rule="softmax", radius=radius)
+        del qs  # the problem keeps the lift, not the stack
         x_hat, _ = likelihood.solve_mle(problem, cfg)
         scores = score(problem, x_hat[:, 0])
         dt = time.perf_counter() - t0

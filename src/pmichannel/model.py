@@ -42,6 +42,14 @@ def _as_matrix(x: np.ndarray) -> np.ndarray:
     return x[:, None] if x.ndim == 1 else x
 
 
+def _channel(x: np.ndarray, d: int) -> np.ndarray:
+    """A channel as a (d, m) matrix (``_as_matrix``), refused unless finite with d rows."""
+    X = _as_matrix(x)
+    if X.ndim != 2 or X.shape[0] != d or not np.all(np.isfinite(X)):
+        raise ValueError(f"channel must be finite with d={d} entries per column, got shape {X.shape}")
+    return X
+
+
 @dataclass(frozen=True)
 class Codebook:
     """Shared codebook in the reduced p-dimensional domain.
@@ -55,10 +63,11 @@ class Codebook:
 
     def __post_init__(self):
         V = np.asarray(self.V)
-        if V.ndim != 2:
-            raise ValueError("codebook must be a 2-D array")
-        if self.r < 1 or V.shape[1] % self.r != 0:
-            raise ValueError("codeword width r must divide the column count")
+        if V.ndim != 2 or V.shape[1] == 0 or not np.all(np.isfinite(V)):
+            raise ValueError("codebook must be a finite 2-D array with at least one codeword")
+        r = self.r
+        if isinstance(r, bool) or not isinstance(r, (int, np.integer)) or r < 1 or V.shape[1] % r:
+            raise ValueError(f"codeword width r must be a positive int dividing the column count, got {r!r}")
         norms = np.linalg.norm(V, axis=0)
         if self.r == 1 and not np.allclose(norms, 1.0, atol=1e-8):
             raise ValueError("single-stream codewords must have unit norm")
@@ -114,15 +123,15 @@ class FeedbackRound:
 class EstimationProblem:
     """Immutable feedback history of T rounds, codebook and model parameters.
 
-    The history is held as arrays: ``q_stack`` (T, d, p) reduction matrices,
-    ``pmi_array`` (T,) reported indices and ``cqi_array`` (T,) 32-bit
-    rounded CQI values, or None unless every round carries one.  ``radius``
-    is the norm bound of the constrained likelihood problem; it may be left
-    None and chosen at solve time.
+    The history is held as arrays: ``pmi_array`` (T,) reported indices,
+    ``cqi_array`` (T,) 32-bit rounded CQI values or None unless every round
+    carries one, and the (T, d, p) reduction matrices only as the lift
+    ``effective_flat`` and ``selected``: the problem holds no reference to
+    them.  ``radius`` is the norm bound of the constrained likelihood
+    problem; it may be left None and chosen at solve time.
 
     Build a problem from FeedbackRound records with the constructor, or from
-    arrays (which are not copied) with ``from_arrays``; both pass the same
-    batched validation.
+    arrays with ``from_arrays``; both pass the same batched validation.
     """
 
     def __init__(
@@ -155,12 +164,12 @@ class EstimationProblem:
         problem._validate(q_stack, pmi, cqi, codebook, tau, radius)
         return problem
 
-    def _validate(self, q_stack, pmi, cqi, codebook, tau, radius) -> None:
-        """The one boundary check; stores what it accepts."""
+    def _validate(self, q_stack, pmi, cqi, codebook, tau, radius, select=True) -> None:
+        """The one boundary check; stores what it accepts, the lift and, with ``select``, ``selected``."""
         q = np.asarray(q_stack)
         if q.ndim != 3 or q.shape[0] < 1:
             raise ValueError("q_stack must be a (T, d, p) array with T >= 1")
-        T, _, p = q.shape
+        T, d, p = q.shape
         if p != codebook.p:
             raise ValueError("codebook dimension does not match Q columns")
         if not _orthonormal(q):
@@ -178,10 +187,18 @@ class EstimationProblem:
             raise ValueError("temperature must be positive and finite")
         if radius is not None and not 0 < radius < np.inf:
             raise ValueError("radius must be positive and finite")
+        pmi, V = pmi.astype(np.intp, copy=False), codebook.V
+        # The lift: Q_t V of every round as (d, T*N*r) columns, for fast GEMMs;
+        # column t*N*r + j is column j of Q_t V.  One ``np.matmul`` per block of rounds.
+        A = np.empty((d, T, V.shape[1]), dtype=np.result_type(q, V))
+        for s in range(0, T, _ROUND_BLOCK):
+            np.matmul(q[s : s + _ROUND_BLOCK], V, out=A[:, s : s + _ROUND_BLOCK].transpose(1, 0, 2))
         self.__dict__.update(
-            q_stack=q, pmi_array=pmi.astype(np.intp, copy=False), cqi_array=cqi,
-            codebook=codebook, tau=tau, radius=radius,
+            pmi_array=pmi, cqi_array=cqi, codebook=codebook, tau=tau, radius=radius,
+            effective_flat=A.reshape(d, -1),
         )
+        if select:
+            self.__dict__["selected"] = _selected(q, pmi, codebook)
 
     def __setattr__(self, name, value):
         raise AttributeError("EstimationProblem is immutable")
@@ -195,27 +212,23 @@ class EstimationProblem:
         k = T * self.n_codewords * self.codebook.r
         out = EstimationProblem.__new__(EstimationProblem)
         out.__dict__.update(
-            q_stack=self.q_stack[:T],
-            pmi_array=self.pmi_array[:T],
-            cqi_array=None if self.cqi_array is None else self.cqi_array[:T],
-            codebook=self.codebook,
-            tau=tau,
-            radius=self.radius,
-            effective_flat=self.effective_flat[:, :k],
+            pmi_array=self.pmi_array[:T], cqi_array=None if self.cqi_array is None else self.cqi_array[:T],
+            codebook=self.codebook, tau=tau, radius=self.radius,
+            effective_flat=self.effective_flat[:, :k], selected=self.selected[:T],
         )
         return out
 
     @property
     def T(self) -> int:
-        return self.q_stack.shape[0]
+        return len(self.pmi_array)
 
     @property
     def d(self) -> int:
-        return self.q_stack.shape[1]
+        return self.effective_flat.shape[0]
 
     @property
     def p(self) -> int:
-        return self.q_stack.shape[2]
+        return self.codebook.p
 
     @property
     def n_codewords(self) -> int:
@@ -228,42 +241,20 @@ class EstimationProblem:
     @cached_property
     def dtype(self) -> type:
         """complex if the designs or the codebook are complex, else float."""
-        return complex if np.iscomplexobj(self.q_stack) or np.iscomplexobj(self.codebook.V) else float
-
-    @cached_property
-    def rounds(self) -> tuple:
-        """The history as FeedbackRound records."""
-        cqi = self.cqi_array.tolist() if self.has_cqi else [None] * self.T
-        return tuple(
-            FeedbackRound(Q, int(i), c) for Q, i, c in zip(self.q_stack, self.pmi_array, cqi)
-        )
-
-    @cached_property
-    def effective_flat(self) -> np.ndarray:
-        """Lifted codebook Q_t @ V of every round as (d, T*N*r) columns, for fast GEMMs,
-        written by one ``np.matmul`` per block of ``_ROUND_BLOCK`` rounds."""
-        q, V = self.q_stack, self.codebook.V
-        A = np.empty((self.d, self.T, V.shape[1]), dtype=np.result_type(q, V))
-        for s in range(0, self.T, _ROUND_BLOCK):
-            np.matmul(q[s : s + _ROUND_BLOCK], V, out=A[:, s : s + _ROUND_BLOCK].transpose(1, 0, 2))
-        return A.reshape(self.d, -1)
+        return complex if np.iscomplexobj(self.effective_flat) else float
 
     @cached_property
     def pmi_flat(self) -> np.ndarray:
         """Flat indices t*N + I_t of the reported entries of a C-ordered (T, N) array."""
         return np.arange(self.T) * self.n_codewords + self.pmi_array
 
-    @cached_property
-    def selected(self) -> np.ndarray:
-        """Lifted reported codewords Q_t V_{I_t}, shape (T, d, r).
 
-        One (d, p) x (p, r) product per round, so each entry has the bits of
-        ``Q_t @ codebook.codeword(I_t)``.
-        """
-        r = self.codebook.r
-        cols = self.pmi_array[:, None] * r + np.arange(r)
-        blocks = self.codebook.V[:, cols].transpose(1, 0, 2)  # (T, p, r): V_{I_t}
-        return np.matmul(self.q_stack, np.ascontiguousarray(blocks))
+def _selected(q: np.ndarray, pmi: np.ndarray, codebook: Codebook) -> np.ndarray:
+    """``selected``: the lifted reported codewords Q_t V_{I_t}, (T, d, r), one (d, p) x (p, r)
+    product per round, so each entry has the bits of ``Q_t @ codebook.codeword(I_t)``."""
+    cols = pmi[:, None] * codebook.r + np.arange(codebook.r)
+    blocks = np.ascontiguousarray(codebook.V[:, cols].transpose(1, 0, 2))  # (T, p, r): V_{I_t}
+    return np.matmul(q, blocks)
 
 
 def pmi_covariance(problem: EstimationProblem, basis: Optional[np.ndarray] = None) -> np.ndarray:
@@ -379,10 +370,9 @@ def simulate_problem(
         raise ValueError("softmax sampling needs an rng")
     q_stack = np.asarray(qs)
     T = len(q_stack)
-    problem = EstimationProblem.from_arrays(
-        q_stack, np.zeros(T, dtype=np.intp), codebook, tau, radius=radius
-    )
-    gains = all_gains(problem, x_true)
+    problem = EstimationProblem.__new__(EstimationProblem)
+    problem._validate(q_stack, np.zeros(T, dtype=np.intp), None, codebook, tau, radius, select=False)
+    gains = all_gains(problem, _channel(x_true, problem.d))
     if rule == "hard":
         pmi = np.argmax(gains, axis=1)
     else:
@@ -390,9 +380,10 @@ def simulate_problem(
         # Counting cdf entries <= u is searchsorted(cdf, u, side="right").
         pmi = np.minimum((cdf <= rng.random(T)[:, None]).sum(axis=1), codebook.n_codewords - 1)
     cqi = gains[np.arange(T), pmi].astype(np.float32).astype(float) if attach_cqi else None
+    del gains  # not held while ``selected`` is built
     # The validated placeholder PMIs give way to the simulated feedback,
     # which is in range by construction.
-    problem.__dict__.update(pmi_array=pmi, cqi_array=cqi)
+    problem.__dict__.update(pmi_array=pmi, cqi_array=cqi, selected=_selected(q_stack, pmi, codebook))
     return problem
 
 
@@ -405,5 +396,8 @@ def simulate_rounds(
     rule: str = "softmax",
     attach_cqi: bool = False,
 ) -> tuple:
-    """The feedback rounds of ``simulate_problem`` as FeedbackRound records."""
-    return simulate_problem(qs, codebook, x_true, tau, rng, rule, attach_cqi).rounds
+    """The feedback rounds of ``simulate_problem`` as FeedbackRound records over ``qs``."""
+    q = np.asarray(qs)
+    problem = simulate_problem(q, codebook, x_true, tau, rng, rule, attach_cqi)
+    cqi = problem.cqi_array.tolist() if attach_cqi else [None] * problem.T
+    return tuple(FeedbackRound(Q, int(i), c) for Q, i, c in zip(q, problem.pmi_array, cqi))

@@ -21,7 +21,7 @@ from pmichannel import (
     model,
     theory,
 )
-from conftest import random_problem
+from conftest import designed_problem, random_problem
 
 WORKERS = 4
 
@@ -99,10 +99,12 @@ def test_criterion_3_exact_crb_scaling():
     rng = np.random.default_rng(303)
     worst = 0.0
     for _ in range(5):
-        prob, h = random_problem(rng, d=5, p=4, n=4, T=8)
+        prob, h, q = designed_problem(rng, d=5, p=4, n=4, T=8)
         base = crb.crb_trace(crb.fisher(prob, h))
         for k in (2, 3, 5):
-            rep = model.EstimationProblem(prob.rounds * k, prob.codebook, prob.tau)
+            rep = model.EstimationProblem.from_arrays(
+                np.tile(q, (k, 1, 1)), np.tile(prob.pmi_array, k), prob.codebook, prob.tau
+            )
             val = crb.crb_trace(crb.fisher(rep, h))
             worst = max(worst, abs(val - base / k) / (base / k))
     elapsed = time.time() - t0
@@ -354,10 +356,10 @@ def test_criterion_12_fdd_chunk_boundaries(tmp_path, monkeypatch):
             solved = orig(problems, *args)
             for problem, (_, rep) in zip(problems, solved):
                 if name == "solve_mle":
-                    key = (problem.q_stack.tobytes(), args[1] is None)
+                    key = (problem.effective_flat.tobytes(), args[1] is None)
                     path = (rep.iterations, rep.stop_reason, rep.n_obj_evals, rep.n_grad_evals)
                 else:
-                    key = (problem.q_stack.tobytes(), name)
+                    key = (problem.effective_flat.tobytes(), name)
                     path = (rep.iterations, rep.stop_reason, rep.degenerate, rep.variant)
                 paths[tag][key] = path
             return solved

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pmichannel import baselines, designs, likelihood, metrics, model
-from conftest import pr_loss_grad, random_problem
+from conftest import designed_problem, pr_loss_grad, random_problem, records
 
 
 def _sin_max_angle(A, B):
@@ -21,18 +21,18 @@ class TestSpectral:
             assert _sin_max_angle(two, spec) < 1e-6
 
     def test_identical_rounds_match_t1(self, rng):
-        prob, x = random_problem(rng, d=5, p=3, n=3, T=1, rule="hard")
-        rep = model.EstimationProblem(prob.rounds * 4, prob.codebook, prob.tau)
+        prob, x, q = designed_problem(rng, d=5, p=3, n=3, T=1, rule="hard")
+        rep = model.EstimationProblem(records(prob, q) * 4, prob.codebook, prob.tau)
         a = baselines.spectral_estimate(prob, 1)
         b = baselines.spectral_estimate(rep, 1)
         np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_power_iteration_oracle(self, rng):
-        prob, _ = random_problem(rng, d=6, p=4, n=4, T=5, rule="hard")
+        prob, _, q = designed_problem(rng, d=6, p=4, n=4, T=5, rule="hard")
         est = baselines.spectral_estimate(prob, 1)
         # independent power iteration on the PMI sample covariance
         cov = np.zeros((6, 6), dtype=complex)
-        for rd in prob.rounds:
+        for rd in records(prob, q):
             e = rd.Q @ prob.codebook.codeword(rd.pmi)
             cov += e @ e.conj().T
         cov /= prob.T
@@ -43,8 +43,8 @@ class TestSpectral:
         assert abs(abs(np.vdot(v, est[:, 0])) - 1.0) < 1e-6
 
     def test_order_invariance(self, rng):
-        prob, _ = random_problem(rng, d=5, p=3, n=3, T=6, rule="hard")
-        shuffled = model.EstimationProblem(tuple(reversed(prob.rounds)), prob.codebook, prob.tau)
+        prob, _, q = designed_problem(rng, d=5, p=3, n=3, T=6, rule="hard")
+        shuffled = model.EstimationProblem(tuple(reversed(records(prob, q))), prob.codebook, prob.tau)
         np.testing.assert_allclose(
             baselines.spectral_estimate(prob, 2), baselines.spectral_estimate(shuffled, 2), atol=1e-12
         )
@@ -69,22 +69,23 @@ class TestAmSingle:
         assert rep.objective < 1e-8
 
     def test_zero_cqi_returns_zero(self, rng):
-        prob, _ = random_problem(rng, rule="hard")
-        rounds = tuple(model.FeedbackRound(Q=r.Q, pmi=r.pmi, cqi=0.0) for r in prob.rounds)
-        prob0 = model.EstimationProblem(rounds, prob.codebook, prob.tau)
+        prob, _, q = designed_problem(rng, rule="hard")
+        prob0 = model.EstimationProblem.from_arrays(
+            q, prob.pmi_array, prob.codebook, prob.tau, np.zeros(prob.T)
+        )
         est, _ = baselines.am_estimate_single(prob0, baselines.BaselineConfig(lambda_am=1.0))
         assert np.linalg.norm(est) == 0.0
 
     def test_single_round_exact_fit(self, rng):
-        prob, _ = random_problem(rng, d=5, p=3, n=3, T=1, rule="hard", attach_cqi=True)
+        prob, _, q = designed_problem(rng, d=5, p=3, n=3, T=1, rule="hard", attach_cqi=True)
         est, _ = baselines.am_estimate_single(prob, baselines.BaselineConfig(lambda_am=0.0))
-        b = prob.rounds[0].Q @ prob.codebook.codeword(prob.rounds[0].pmi)[:, 0]
-        assert abs(abs(np.vdot(b, est)) - np.sqrt(prob.rounds[0].cqi)) < 1e-10
+        b = q[0] @ prob.codebook.codeword(prob.pmi_array[0])[:, 0]
+        assert abs(abs(np.vdot(b, est)) - np.sqrt(prob.cqi_array[0])) < 1e-10
 
     def test_objective_monotone(self, rng):
-        prob, _ = random_problem(rng, d=6, p=4, n=4, T=8, rule="hard", attach_cqi=True)
+        prob, _, q = designed_problem(rng, d=6, p=4, n=4, T=8, rule="hard", attach_cqi=True)
         rows = np.stack(
-            [rd.Q @ prob.codebook.codeword(rd.pmi)[:, 0] for rd in prob.rounds]
+            [rd.Q @ prob.codebook.codeword(rd.pmi)[:, 0] for rd in records(prob, q)]
         )
         targets = np.sqrt(prob.cqi_array)
         lam = 0.3
@@ -169,11 +170,15 @@ class TestAmMultiReport:
         q1 = np.append(rng.standard_normal(3), 0.0)
         return np.linalg.qr(np.stack([q1, rng.standard_normal(4)], axis=1))[0]
 
-    def _problem(self):
+    def _problem(self, zero_cqi=False):
+        """Six first-column designs with hard feedback and CQI; all CQI zero if ``zero_cqi``."""
         rng = np.random.default_rng(1)
         qs = [self._first_column_design(rng) for _ in range(6)]
         cb = designs.identity_codebook(2, 1, 2)
-        return model.simulate_problem(qs, cb, rng.standard_normal((4, 2)), 1.0, rule="hard", attach_cqi=True)
+        prob = model.simulate_problem(qs, cb, rng.standard_normal((4, 2)), 1.0, rule="hard", attach_cqi=True)
+        if zero_cqi:
+            return model.EstimationProblem.from_arrays(qs, prob.pmi_array, cb, prob.tau, np.zeros(6))
+        return prob
 
     def test_singular_gram_of_an_earlier_stream_is_degenerate(self, monkeypatch):
         streams = _stream_reports(monkeypatch)
@@ -183,9 +188,7 @@ class TestAmMultiReport:
         assert rep.degenerate
 
     def test_collapsed_stream_is_degenerate(self, monkeypatch):
-        prob = self._problem()
-        rounds = tuple(model.FeedbackRound(Q=r.Q, pmi=r.pmi, cqi=0.0) for r in prob.rounds)
-        prob0 = model.EstimationProblem(rounds, prob.codebook, prob.tau)
+        prob0 = self._problem(zero_cqi=True)
         streams = _stream_reports(monkeypatch)
         with pytest.warns(baselines.DegenerateEstimateWarning, match="collapsed to zero"):
             H, rep = baselines.am_estimate_multi(prob0, 2, rng=np.random.default_rng(0))
@@ -208,9 +211,10 @@ class TestAmMultiReport:
 
 class TestSubspacePr:
     def test_zero_cqi_degenerate(self, rng):
-        prob, _ = random_problem(rng, d=6, p=3, n=3, T=4, rule="hard")
-        rounds = tuple(model.FeedbackRound(Q=r.Q, pmi=r.pmi, cqi=0.0) for r in prob.rounds)
-        prob0 = model.EstimationProblem(rounds, prob.codebook, prob.tau)
+        prob, _, q = designed_problem(rng, d=6, p=3, n=3, T=4, rule="hard")
+        prob0 = model.EstimationProblem.from_arrays(
+            q, prob.pmi_array, prob.codebook, prob.tau, np.zeros(prob.T)
+        )
         B = designs.haar_stiefel(6, 3, rng)
         with pytest.warns(baselines.DegenerateEstimateWarning):
             est, rep = baselines.subspace_pr_estimate(prob0, likelihood.SubspacePrior(B), 1)

@@ -5,10 +5,13 @@ at T on both sides of the block edges, and its traced memory is pinned at
 the CRB experiment's shape (T = 10000, d = 16, p = 4, complex).
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
-from pmichannel import crb, designs, likelihood, model
+from pmichannel import crb, designs, experiments, likelihood, model
 from conftest import qr_reference, ref_fisher, ref_lift, traced
 
 EDGES = [1, 1023, 1024, 1025, 2049]
@@ -55,7 +58,7 @@ def test_fisher_matches_one_shot(T, complex_):
     h = rng.standard_normal(5) + 1j * rng.standard_normal(5)
     q, cb = _stack(T, 5, 3, complex_), _codebook(3, 3, 1, complex_)
     problem = model.simulate_problem(q, cb, h, 0.4, rng)
-    assert crb.fisher(problem, h).F.tobytes() == ref_fisher(problem, h).tobytes()
+    assert crb.fisher(problem, h).F.tobytes() == ref_fisher(problem, q, h).tobytes()
 
 
 class TestOrthonormalityCheck:
@@ -116,3 +119,45 @@ class TestMemory:
         lift = problem.effective_flat
         _, peak = traced(lambda: crb.fisher(problem, h))
         assert peak <= 2.6 * lift.nbytes
+
+    def test_crb_task(self):
+        # The whole task: Haar draw, feedback, spectral-start MLE, Fisher and CRB.
+        # No design stack is held through the solve and Fisher peaks.
+        T, d, p = self.SHAPE
+        rows, peak = traced(lambda: experiments.run_crb_experiment(d, p, rounds=(T,), trials=1))
+        lift_nbytes = 16 * d * T * p  # complex (d, T*N), N = p codewords
+        assert len(rows) == 2 and peak <= 4 * lift_nbytes
+
+
+BUILDERS = {
+    "from_arrays": lambda q, cb: model.EstimationProblem.from_arrays(q, np.zeros(len(q), int), cb, 0.5),
+    "records": lambda q, cb: model.EstimationProblem([model.FeedbackRound(Q, 0) for Q in q], cb, 0.5),
+    "simulate_problem": lambda q, cb: model.simulate_problem(
+        q, cb, np.ones(q.shape[1]), 0.5, np.random.default_rng(0)
+    ),
+}
+
+
+def _held_arrays(problem):
+    """Every array a problem's attributes hold, with the arrays they view."""
+    out = []
+    for v in vars(problem).values():
+        while isinstance(v, np.ndarray):
+            out.append(v)
+            v = v.base
+    return out
+
+
+@pytest.mark.parametrize("build", BUILDERS)
+@pytest.mark.parametrize("prefix", [False, True])
+def test_problem_keeps_no_design_stack(build, prefix):
+    q, cb = _stack(4, 5, 3, True), _codebook(3, 3, 1, True)
+    shape, ref = q.shape, weakref.ref(q)
+    problem = BUILDERS[build](q, cb)
+    if prefix:
+        problem = problem.prefix(2)
+    del q
+    gc.collect()
+    assert ref() is None
+    assert all(a.shape != shape for a in _held_arrays(problem))
+    assert problem.selected.shape == (problem.T, 5, 1) and problem.T == (2 if prefix else 4)

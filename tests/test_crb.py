@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pmichannel import crb, designs, model
-from conftest import lifted, random_problem, ref_fisher
+from conftest import designed_problem, lifted, random_problem, records, ref_fisher
 
 
 class TestRealify:
@@ -52,6 +52,12 @@ class TestFisher:
         F = crb.fisher(prob, h)
         assert np.max(np.abs(F.F)) < 1e-12
 
+    def test_bad_channel_refused(self, rng):
+        prob, h = random_problem(rng)
+        for bad in (np.r_[h[:3], np.nan], np.r_[h[:3], np.inf], h[:3], np.r_[h, 0.0]):
+            with pytest.raises(ValueError, match="channel must be finite with d=4"):
+                crb.fisher(prob, bad)
+
     def test_zero_channel_gives_zero(self, rng):
         prob, _ = random_problem(rng)
         F = crb.fisher(prob, np.zeros(prob.d, dtype=complex))
@@ -59,14 +65,14 @@ class TestFisher:
         assert crb.crb_trace(F) == 0.0
 
     def test_enumeration_oracle(self, rng):
-        prob, h = random_problem(rng, d=3, p=2, n=2, T=2, tau=0.4)
+        prob, h, q = designed_problem(rng, d=3, p=2, n=2, T=2, tau=0.4)
         F = crb.fisher(prob, h)
         theta = crb.realify_vector(h)
         expected = np.zeros((6, 6))
         for t, pmf in enumerate(model.softmax_pmf(prob, h)):
             gs = []
             for i in range(prob.n_codewords):
-                a = lifted(prob, t, i)
+                a = lifted(prob, q, t, i)
                 gs.append(crb.realify(np.outer(a, a.conj())) @ theta)
             gs = np.stack(gs)
             mean = pmf @ gs
@@ -81,8 +87,8 @@ class TestFisher:
         # NumPy adds a row shorter than 8 in sequence, as fisher adds the
         # codeword planes, so the bits agree there; from 8 on it sums pairwise.
         rng = np.random.default_rng([31, n])
-        prob, h = random_problem(rng, d=n + 3, p=n + 1, n=n, T=40, tau=0.3)
-        F, ref = crb.fisher(prob, h).F, ref_fisher(prob, h)
+        prob, h, q = designed_problem(rng, d=n + 3, p=n + 1, n=n, T=40, tau=0.3)
+        F, ref = crb.fisher(prob, h).F, ref_fisher(prob, q, h)
         if n < 8:
             np.testing.assert_array_equal(F, ref)
         else:
@@ -202,17 +208,17 @@ class TestCrbTrace:
 
 class TestAdditivity:
     def test_fisher_adds_over_round_sets(self, rng):
-        prob, h = random_problem(rng, d=4, p=3, n=3, T=6)
+        prob, h, q = designed_problem(rng, d=4, p=3, n=3, T=6)
         F_all = crb.fisher(prob, h).F
-        first = model.EstimationProblem(prob.rounds[:2], prob.codebook, prob.tau)
-        rest = model.EstimationProblem(prob.rounds[2:], prob.codebook, prob.tau)
+        first = model.EstimationProblem(records(prob, q)[:2], prob.codebook, prob.tau)
+        rest = model.EstimationProblem(records(prob, q)[2:], prob.codebook, prob.tau)
         F_sum = crb.fisher(first, h).F + crb.fisher(rest, h).F
         np.testing.assert_allclose(F_all, F_sum, atol=1e-12)
 
     def test_replication_divides_crb_exactly(self, rng):
-        prob, h = random_problem(rng, d=4, p=4, n=4, T=10)
+        prob, h, q = designed_problem(rng, d=4, p=4, n=4, T=10)
         base = crb.crb_trace(crb.fisher(prob, h))
         for k in (2, 5):
-            rep = model.EstimationProblem(prob.rounds * k, prob.codebook, prob.tau)
+            rep = model.EstimationProblem(records(prob, q) * k, prob.codebook, prob.tau)
             val = crb.crb_trace(crb.fisher(rep, h))
             assert abs(val - base / k) <= 1e-10 * (base / k)

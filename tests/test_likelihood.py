@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pmichannel import designs, likelihood, metrics, model, theory
-from conftest import lifted, oracle_gains, random_problem
+from conftest import designed_problem, lifted, oracle_gains, random_problem
 
 
 def fd_gradient(problem, x, h=1e-6):
@@ -76,14 +76,13 @@ class TestGradient:
         assert np.linalg.norm(likelihood.nll_gradient(prob, np.zeros(prob.d))) == 0.0
 
     def test_real_matches_paper_formula(self, rng):
-        prob, x = random_problem(rng, complex_mode=False, d=3, p=3, n=3, T=2)
+        prob, x, q = designed_problem(rng, complex_mode=False, d=3, p=3, n=3, T=2)
         x = rng.standard_normal(3)
         expected = np.zeros(3)
         for t, pmf in enumerate(model.softmax_pmf(prob, x)):
-            i_sel = prob.rounds[t].pmi
-            a_sel = lifted(prob, t, i_sel)
+            a_sel = lifted(prob, q, t, prob.pmi_array[t])
             for j in range(prob.n_codewords):
-                a = lifted(prob, t, j)
+                a = lifted(prob, q, t, j)
                 A_diff = np.outer(a, a) - np.outer(a_sel, a_sel)
                 expected += (2 / prob.tau) * pmf[j] * (A_diff @ x)
         expected /= prob.T
@@ -166,10 +165,10 @@ class TestHessianReal:
         H_sample = likelihood.nll_hessian_real(prob, h)
         corr = np.zeros((d, d))
         for t, pmf in enumerate(model.softmax_pmf(prob, h)):
-            a_sel = lifted(prob, t, prob.rounds[t].pmi)
+            a_sel = lifted(prob, qs, t, prob.pmi_array[t])
             corr += np.outer(a_sel, a_sel)
             for i in range(n):
-                a = lifted(prob, t, i)
+                a = lifted(prob, qs, t, i)
                 corr -= pmf[i] * np.outer(a, a)
         H_pop = H_sample + (2.0 / (tau * T)) * corr
         lam_min = np.linalg.eigvalsh(H_pop)[0]
@@ -178,11 +177,11 @@ class TestHessianReal:
 
 class TestSolveMle:
     def test_single_round_aligns_with_selected_codeword(self, rng):
-        prob, _ = random_problem(rng, d=6, p=4, n=4, T=1, tau=1.0, radius=20.0)
+        prob, _, q = designed_problem(rng, d=6, p=4, n=4, T=1, tau=1.0, radius=20.0)
         x, rep = likelihood.solve_mle(
             prob, likelihood.MleConfig(init="spectral", max_iters=100)
         )
-        a = lifted(prob, 0, prob.rounds[0].pmi)
+        a = lifted(prob, q, 0, prob.pmi_array[0])
         corr = abs(np.vdot(a, x[:, 0])) / np.linalg.norm(x)
         assert corr > 0.99
 
@@ -449,12 +448,12 @@ class TestPopulationExcessRisk:
         from scipy.special import logsumexp, softmax
 
         for _ in range(10):
-            prob, h = random_problem(rng, d=4, p=3, n=3, T=3)
+            prob, h, q = designed_problem(rng, d=4, p=3, n=3, T=3)
             x = rng.standard_normal(4) + 1j * rng.standard_normal(4)
             risk = likelihood.population_excess_risk(prob, h, x)
             enum = 0.0
-            gains_x = oracle_gains(prob, x) / prob.tau
-            gains_h = oracle_gains(prob, h) / prob.tau
+            gains_x = oracle_gains(prob, q, x) / prob.tau
+            gains_h = oracle_gains(prob, q, h) / prob.tau
             for t in range(prob.T):
                 pmf, gx, gh = softmax(gains_h[t]), gains_x[t], gains_h[t]
                 for i in range(3):
@@ -569,11 +568,10 @@ class TestShortRowSum:
         assert np.all(lse == np.log(z) + scores.max(axis=1))
 
 
-def _spectral(prob, basis=None, hi=10.0):
-    """``prob``'s spectral start on the ball of radius hi, from the stacked ``_start`` of one problem."""
-    prob = model.EstimationProblem.from_arrays(
-        prob.q_stack, prob.pmi_array, prob.codebook, prob.tau, radius=hi
-    )
+def _spectral(prob, q, basis=None, hi=10.0):
+    """``prob``'s spectral start on the ball of radius hi, from the stacked ``_start`` of one problem
+    rebuilt over its design stack q."""
+    prob = model.EstimationProblem.from_arrays(q, prob.pmi_array, prob.codebook, prob.tau, radius=hi)
     stack = likelihood._stacked(prob, prob.pmi_flat[None], prob.effective_flat[None])
     lift = (lambda Z: Z) if basis is None else (lambda Z: np.stack([basis @ z for z in Z]))
     cfg = likelihood.MleConfig(init="spectral")
@@ -602,18 +600,18 @@ class TestSpectralScan:
     def test_matches_full_nll_scan(self, prior, complex_mode):
         rng = np.random.default_rng([7, prior, complex_mode])
         for _ in range(10):
-            prob, _ = random_problem(rng, d=6, p=3, n=3, T=80, complex_mode=complex_mode)
+            prob, _, q = designed_problem(rng, d=6, p=3, n=3, T=80, complex_mode=complex_mode)
             basis = designs.haar_stiefel(6, 4, rng, real=not complex_mode) if prior else None
             for hi in (0.5, 10.0):
                 np.testing.assert_array_equal(
-                    _spectral(prob, basis, hi), _scan_reference(prob, basis, hi)
+                    _spectral(prob, q, basis, hi), _scan_reference(prob, basis, hi)
                 )
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_candidates_are_never_chosen(self, rng):
         # alpha^2 overflows for alpha > 1e154, so the top of this grid gives NaN objectives.
-        prob, _ = random_problem(rng, d=5, p=3, n=3, T=40)
-        x0 = _spectral(prob, hi=1e300)
+        prob, _, q = designed_problem(rng, d=5, p=3, n=3, T=40)
+        x0 = _spectral(prob, q, hi=1e300)
         assert np.all(np.isfinite(x0))
         np.testing.assert_array_equal(x0, _scan_reference(prob, None, 1e300))
 
@@ -627,13 +625,13 @@ class TestSpectralScan:
         )
 
     def test_first_minimum_wins(self, rng, monkeypatch):
-        prob, _ = random_problem(rng, d=5, p=3, n=3, T=20)
+        prob, _, q = designed_problem(rng, d=5, p=3, n=3, T=20)
         X = designs.eigvecs_descending(model.pmi_covariance(prob), 1)
         self._scripted(monkeypatch, [5.0, np.nan, 2.0, np.inf, 1.0, 1.0] + [3.0] * 35)
-        np.testing.assert_array_equal(_spectral(prob), np.geomspace(0.05, 10.0, 41)[4] * X)
+        np.testing.assert_array_equal(_spectral(prob, q), np.geomspace(0.05, 10.0, 41)[4] * X)
 
     def test_all_non_finite_returns_unscaled_direction(self, rng, monkeypatch):
-        prob, _ = random_problem(rng, d=5, p=3, n=3, T=20)
+        prob, _, q = designed_problem(rng, d=5, p=3, n=3, T=20)
         X = designs.eigvecs_descending(model.pmi_covariance(prob), 1)
         self._scripted(monkeypatch, [np.nan, np.inf] * 20 + [np.nan])
-        np.testing.assert_array_equal(_spectral(prob), X)
+        np.testing.assert_array_equal(_spectral(prob, q), X)

@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from pmichannel import baselines, crb, designs, likelihood, model
-from conftest import pr_loss_grad, random_problem
+from conftest import designed_problem, pr_loss_grad, random_problem, records
 
 SETTINGS = settings(max_examples=25, deadline=None)
 
@@ -14,11 +14,12 @@ rounds = st.integers(1, 6)
 
 
 def _problem(seed, d, T, r=1, **kw):
+    """(problem, x, rng, q): a random problem, its channel, the rng after the draws, the designs."""
     rng = np.random.default_rng(seed)
     p = int(rng.integers(r, d + 1))
     n = int(rng.integers(1, p // r + 1))
-    prob, x = random_problem(rng, d=d, p=p, n=n, T=T, r=r, **kw)
-    return prob, x, rng
+    prob, x, q = designed_problem(rng, d=d, p=p, n=n, T=T, r=r, **kw)
+    return prob, x, rng, q
 
 
 def _close(a, b):
@@ -28,14 +29,14 @@ def _close(a, b):
 @SETTINGS
 @given(seed=seeds, d=dims, T=rounds, phi=st.floats(0.0, 2 * np.pi))
 def test_nll_phase_invariance(seed, d, T, phi):
-    prob, x, _ = _problem(seed, d, T)
+    prob, x, _, _ = _problem(seed, d, T)
     _close(likelihood.nll(prob, x * np.exp(1j * phi)), likelihood.nll(prob, x))
 
 
 @SETTINGS
 @given(seed=seeds, d=st.integers(2, 5), T=rounds)
 def test_nll_right_unitary_invariance(seed, d, T):
-    prob, _, rng = _problem(seed, d, T, r=2)
+    prob, _, rng, _ = _problem(seed, d, T, r=2)
     X = rng.standard_normal((d, 2)) + 1j * rng.standard_normal((d, 2))
     U, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
     _close(likelihood.nll(prob, X @ U), likelihood.nll(prob, X))
@@ -44,10 +45,10 @@ def test_nll_right_unitary_invariance(seed, d, T):
 @SETTINGS
 @given(seed=seeds, d=dims, T=rounds)
 def test_round_permutation_invariance(seed, d, T):
-    prob, x, rng = _problem(seed, d, T)
+    prob, x, rng, q = _problem(seed, d, T)
     perm = rng.permutation(T)
     shuffled = model.EstimationProblem.from_arrays(
-        prob.q_stack[perm], prob.pmi_array[perm], prob.codebook, prob.tau
+        q[perm], prob.pmi_array[perm], prob.codebook, prob.tau
     )
     _close(likelihood.nll(shuffled, 1.5 * x), likelihood.nll(prob, 1.5 * x))
     _close(likelihood.nll_gradient(shuffled, 1.5 * x), likelihood.nll_gradient(prob, 1.5 * x))
@@ -57,17 +58,18 @@ def test_round_permutation_invariance(seed, d, T):
 @SETTINGS
 @given(seed=seeds, d=dims, T=rounds, alpha=st.floats(-3.0, 3.0))
 def test_gains_quadratic_scaling(seed, d, T, alpha):
-    prob, x, _ = _problem(seed, d, T)
+    prob, x, _, _ = _problem(seed, d, T)
     _close(model.all_gains(prob, alpha * x), alpha**2 * model.all_gains(prob, x))
 
 
 @SETTINGS
 @given(seed=seeds, d=dims, T=st.integers(2, 6), data=st.data())
 def test_prefix_matches_rebuilt_problem(seed, d, T, data):
-    prob, x, _ = _problem(seed, d, T, rule="hard", attach_cqi=True, radius=2.0)
+    prob, x, _, q = _problem(seed, d, T, rule="hard", attach_cqi=True, radius=2.0)
     k = data.draw(st.integers(1, T))
     pre = prob.prefix(k)
-    rebuilt = model.EstimationProblem(prob.rounds[:k], prob.codebook, prob.tau, radius=2.0)
+    rebuilt = model.EstimationProblem(records(prob, q)[:k], prob.codebook, prob.tau, radius=2.0)
+    assert pre.selected.tobytes() == rebuilt.selected.tobytes()
     np.testing.assert_array_equal(model.all_gains(pre, x), model.all_gains(rebuilt, x))
     assert likelihood.nll(pre, 2 * x) == likelihood.nll(rebuilt, 2 * x)
     np.testing.assert_array_equal(
@@ -79,7 +81,7 @@ def test_prefix_matches_rebuilt_problem(seed, d, T, data):
 @SETTINGS
 @given(seed=seeds, d=dims, T=rounds, scale=st.floats(0.1, 3.0))
 def test_fisher_psd_and_gauge_null(seed, d, T, scale):
-    prob, x, _ = _problem(seed, d, T)
+    prob, x, _, _ = _problem(seed, d, T)
     fm = crb.fisher(prob, scale * x)
     lam = np.linalg.eigvalsh(fm.F)
     # F sums T rounds, so its roundoff is T times the per-round noise floor.
@@ -118,7 +120,7 @@ def _assert_gauge_free(X, G):
 @SETTINGS
 @given(seed=seeds, d=dims, T=rounds, r=st.integers(1, 2), complex_mode=st.booleans())
 def test_descent_gradients_are_gauge_free(seed, d, T, r, complex_mode):
-    prob, _, rng = _problem(seed, d, T, r=r, complex_mode=complex_mode, attach_cqi=True)
+    prob, _, rng, _ = _problem(seed, d, T, r=r, complex_mode=complex_mode, attach_cqi=True)
     X = _draw(rng, (d, r), complex_mode)
     _assert_gauge_free(X, likelihood.nll_gradient(prob, X))
     # The phase-retrieval losses, bound as ``subspace_pr_estimate`` binds them.

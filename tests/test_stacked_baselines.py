@@ -45,8 +45,7 @@ def _stack(seed, B, r, T, complex_mode, d=5, p=3, n=3, zero_cqi=(), singular=())
         H = rng.standard_normal((d, r)) + (1j * rng.standard_normal((d, r)) if complex_mode else 0.0)
         problem = model.simulate_problem(qs, cb, H, 0.5, rng, rule="softmax", attach_cqi=True)
         if b in zero_cqi:
-            rounds = tuple(model.FeedbackRound(Q=rd.Q, pmi=rd.pmi, cqi=0.0) for rd in problem.rounds)
-            problem = model.EstimationProblem(rounds, cb, problem.tau)
+            problem = model.EstimationProblem.from_arrays(qs, problem.pmi_array, cb, problem.tau, np.zeros(T))
         problems.append(problem)
     priors = [
         likelihood.SubspacePrior(designs.haar_stiefel(d, 3, rng, real=not complex_mode))
