@@ -23,6 +23,7 @@ from .model import (
     _covariance,
     _gains_from_proj,
     _orthonormal,
+    _positive_int,
     _project,
     _reduced,
     _row_lse,
@@ -56,8 +57,8 @@ class SubspacePrior:
 
     def __post_init__(self):
         B = np.asarray(self.B)
-        if B.ndim != 2:
-            raise ValueError("basis must be 2-D")
+        if B.ndim != 2 or B.shape[1] == 0:
+            raise ValueError(f"basis must be a 2-D (d, k) array with k >= 1, got shape {B.shape}")
         if not _orthonormal(B[None]):
             raise ValueError("basis columns must be orthonormal")
         object.__setattr__(self, "B", B)
@@ -68,8 +69,8 @@ class SubspacePrior:
 
 
 def _check_stop_rule(max_iters: int, rel_tol: float) -> None:
-    if max_iters < 1:
-        raise ValueError("need at least one iteration")
+    if not _positive_int(max_iters):
+        raise ValueError(f"max_iters must be a positive int, got {max_iters!r}")
     if not 0.0 < rel_tol < np.inf:
         raise ValueError(f"relative tolerance must be finite and positive, got {rel_tol}")
 
@@ -80,17 +81,20 @@ class MleConfig:
 
     ``init`` is one of "identity" (first columns of an identity matrix),
     "random" (a Haar Stiefel draw from ``default_rng(0)``), "spectral"
-    (dominant eigenvectors of the PMI sample covariance, with a 1-D
-    objective scan over the scale) or "explicit" (use ``x0``).  The first
-    iteration searches from the step tau/(4 R^2) both ways: it halves while
-    the objective rises, otherwise it doubles while the objective strictly
-    improves.  Every later iteration first tries the Barzilai-Borwein step
-    <s, s>/Re<s, y> of the last move s and gradient change y (twice the last
-    accepted step when Re<s, y> <= 0), clamped to [1e-20, 1e9] tau/(4 R^2),
-    and halves it while the objective rises.  The solve stops after
-    ``max_iters`` >= 1 iterations, or at the first whose unaligned relative
-    change ||S_new - S||_F / ||S||_F is below the finite, positive ``rel_tol``.
-    ``n_streams`` (default: the codebook's r) is in 1..d, or 1..k under a prior.
+    (dominant eigenvectors of the PMI sample covariance, scaled to the first
+    objective minimum on a 41-point grid, found by a Fibonacci search that
+    falls back to all 41 values on a near-tie or a non-finite value) or
+    "explicit" (use ``x0``: a finite (dim, m) matrix, or a (dim,) vector when
+    m = 1).  The first iteration searches from the step tau/(4 R^2) both
+    ways: it halves while the objective rises, otherwise it doubles while the
+    objective strictly improves.  Every later iteration first tries the
+    Barzilai-Borwein step <s, s>/Re<s, y> of the last move s and gradient
+    change y (twice the last accepted step when Re<s, y> <= 0), clamped to
+    [1e-20, 1e9] tau/(4 R^2), and halves it while the objective rises.  The
+    solve stops after ``max_iters`` iterations (a positive int), or at the
+    first whose unaligned relative change ||S_new - S||_F / ||S||_F is below
+    the finite, positive ``rel_tol``.  ``n_streams`` = m (default: the
+    codebook's r) is an int in 1..d, or 1..k under a prior.
     A stacked solve applies one config, ``x0`` included, to all its problems.
     """
 
@@ -104,8 +108,8 @@ class MleConfig:
         _check_stop_rule(self.max_iters, self.rel_tol)
         if self.init not in ("identity", "random", "spectral", "explicit"):
             raise ValueError(f"unknown initialization {self.init!r}")
-        if self.n_streams is not None and self.n_streams < 1:
-            raise ValueError(f"need at least one stream, got {self.n_streams}")
+        if self.n_streams is not None and not _positive_int(self.n_streams):
+            raise ValueError(f"n_streams must be a positive int, got {self.n_streams!r}")
 
 
 @dataclass
@@ -117,8 +121,9 @@ class MleReport:
     search may take many, a later iteration takes one plus one per halving
     of its Barzilai-Borwein step.  ``n_grad_evals`` counts the gradients
     (one at the start and one per iteration, each one GEMM); the spectral
-    start's scale scan is in neither.  ``nll`` is the objective at
-    the returned estimate, taken from the carried projections.
+    start's scale search (at most 8 objective values, plus all 41 on its
+    fallback) is in neither.  ``nll`` is the objective at the returned
+    estimate, taken from the carried projections.
     ``rel_change`` is the last iteration's unaligned ||S_new - S||_F / ||S||_F.
     A stacked solve gives each problem the report of its own solve.
     """
@@ -153,10 +158,11 @@ def _stacked(problem: EstimationProblem, pmi: np.ndarray, lift: Optional[np.ndar
     )
 
 
-def _value_from_scores(problem, scores: np.ndarray) -> tuple[np.ndarray, tuple]:
-    """NLL of a (T, N) score matrix, or the B NLLs of a stack, and the gradient's ``(ex, z)``."""
+def _value_from_scores(problem, scores: np.ndarray, picked=None) -> tuple[np.ndarray, tuple]:
+    """NLL of a (T, N) score matrix or a stack, and ``(ex, z)``; ``picked`` gives the reported scores if gathered."""
     ex, z, lse = _row_lse(scores)
-    return np.add.reduce(lse - scores.take(problem.pmi_flat), axis=-1) / problem.T, (ex, z)
+    picked = scores.take(problem.pmi_flat) if picked is None else picked
+    return np.add.reduce(lse - picked, axis=-1) / problem.T, (ex, z)
 
 
 def _value_from_proj(problem, C: np.ndarray) -> tuple[np.ndarray, tuple]:
@@ -389,11 +395,11 @@ def _descend(X, data, value, gradient, step0: list, max_iters: int, rel_tol: flo
     return [results[b] for b in labels]
 
 
-# The spectral start scans its 41 scales in blocks of at most this many score
-# entries (32 KB) counted over the whole stack, and at least one scale: one
-# fdd problem (T*N <= 160) takes one or two blocks, a stack of 8 up to 14, and
-# excess-risk's from T = 1000 on and crb's one scale per block.
-_SCAN_BLOCK = 2**12
+# The spectral start compares two scan values only if they differ by more than this share of
+# the larger one times 1 + the scan's largest b s.  A round's term lse(b s_t) - b s_{t,I_t} is
+# exactly log z_t when I_t holds the row max, else at least log 2, so its relative error is a
+# few ulps of 1 + b s + log N, plus a few of log T in the mean: far below half the gap.
+_SCAN_MARGIN = 1e-9
 
 
 def _spectral(reduced: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -411,31 +417,46 @@ def _start(problems, config: MleConfig, bases: Optional[list], m: int, stack, li
 
     Identity, random and explicit starts are one matrix for all.  A spectral start
     is ``_spectral``'s X at the first NLL minimizer alpha in geomspace(0.05, radius
-    or 10, 41), or X if none is finite; one projection serves the scan (gains(aX) =
-    a^2 gains(X)), run in blocks of at most ``_SCAN_BLOCK`` entries of the stack.  A
-    radius left None is 10 ||S||_F; a start outside its ball is rescaled onto it.
-    Each problem gets the bits of a start computed alone.
+    or 10, 41), or X if none is finite; one projection serves every scale (gains(aX)
+    = a^2 gains(X)), of which a Fibonacci search visits at most 8 (plus all 41 on its
+    fallback).  A radius left None is 10 ||S||_F; a start outside its ball is
+    rescaled onto it.  Each problem gets the bits of a start computed alone.
     """
     p0, n = problems[0], len(problems)
     if config.init == "spectral":
         X = _spectral(np.stack([_reduced(pb, B) for pb, B in zip(problems, bases or [None] * n)]), m)[1]
         scores = _gains_from_proj(_project(stack, lift(X)), p0.codebook) / p0.tau
-        alphas = np.stack([np.geomspace(0.05, pb.radius or 10.0, 41) for pb in problems], axis=1)
-        a2 = (alphas * alphas)[..., None, None]
-        # A block of k scales is a (k, B, T, N) stack: scale j's reported entries sit j B T N on.
-        k = max(1, _SCAN_BLOCK // scores.size)
-        at = stack.pmi_flat + np.arange(0, k * scores.size, scores.size)[:, None, None]
-        views = {j: SimpleNamespace(T=p0.T, pmi_flat=at[:j]) for j in (k, 41 % k or k)}
-        blocks = (a2[i : i + k] for i in range(0, 41, k))
-        f = np.concatenate([_value_from_scores(views[len(a)], a * scores)[0] for a in blocks])
-        f[np.isnan(f)] = np.inf
-        best = alphas[f.argmin(axis=0), np.arange(n)][:, None, None]
-        S = np.where((f.min(axis=0) < np.inf)[:, None, None], best * X, X)
+        # Codeword-major, so ``_row_lse`` copies nothing, and the reported entries gathered once.
+        by_codeword, picked = np.ascontiguousarray(scores.mT).mT, scores.take(stack.pmi_flat)
+        alphas = np.stack([np.geomspace(0.05, pb.radius or 10.0, 41) for pb in problems])
+        a2, rows = alphas * alphas, np.arange(n)
+        tol = _SCAN_MARGIN * (1.0 + a2.max(axis=1) * scores.max(axis=(-2, -1)))
+
+        def f(j):  # each problem's NLL at its own scale index j, +inf past the grid
+            a = a2[rows, np.minimum(j, 40), None]
+            return np.where(j > 40, np.inf, _value_from_scores(stack, a[..., None] * by_codeword, a * picked)[0])
+
+        # Kiefer's Fibonacci search on the grid padded with +inf to F_10 = 55 indices, in lockstep: x is
+        # each problem's best index in its open bracket (lo, lo + length).  The exact NLL is convex in
+        # b = alpha^2, which is monotone in the index, so it falls to its minimizers, then rises.  A
+        # comparison decided by more than tol orders the exact values as the computed ones, so every
+        # exact minimizer stays in the bracket, and the last x beats both ends of its last bracket, hence
+        # every grid value: the full scan's first minimum.  Closer or non-finite takes the full scan.
+        lo, x, bad = np.full(n, -1), np.full(n, 20), np.zeros(n, bool)
+        fx = f(x)
+        for length in (55, 34, 21, 13, 8, 5, 3):
+            y = 2 * lo + length - x
+            fy = f(y) if (y <= 40).any() else np.full(n, np.inf)
+            bad |= (y <= 40) & ~(np.abs(fy - fx) > tol * np.maximum(fx, fy))
+            lo = np.where((fy < fx) == (y < x), lo, np.minimum(x, y))
+            x, fx = np.where(fy < fx, y, x), np.minimum(fx, fy)
+        if bad.any():  # NaN reads +inf here, as it did in the full scan
+            full = np.fmin(np.stack([f(np.full(n, j)) for j in range(41)]), np.inf)
+            x, bad = np.where(bad, full.argmin(axis=0), x), bad & (full.min(axis=0) == np.inf)
+        S = np.where(bad[:, None, None], X, alphas[rows, x][:, None, None] * X)
     else:
         dim = p0.d if bases is None else bases[0].shape[1]
         if config.init == "explicit":
-            if config.x0 is None:
-                raise ValueError("explicit initialization needs x0")
             S = _as_matrix(np.asarray(config.x0, dtype=p0.dtype))
         elif config.init == "identity":
             S = np.eye(dim, m, dtype=p0.dtype)
@@ -511,9 +532,13 @@ def solve_mle(
     config = config or MleConfig()
     single, problems, priors = _as_stack(problem, prior)
     p0, n = problems[0], len(problems)
-    m = config.n_streams or p0.codebook.r
-    if m > (p0.d if priors[0] is None else priors[0].k):
+    m, dim = config.n_streams or p0.codebook.r, p0.d if priors[0] is None else priors[0].k
+    if m > dim:
         raise ValueError(f"{m} streams exceed the dimension of the solve")
+    x0 = None if config.x0 is None else _as_matrix(config.x0)
+    if config.init == "explicit" and (x0 is None or x0.shape != (dim, m) or not np.isfinite(x0).all()):
+        got = "none" if x0 is None else f"shape {np.shape(config.x0)}"
+        raise ValueError(f"explicit initialization needs a finite x0 of shape ({dim}, {m}), got {got}")
     A = p0.effective_flat[None] if n == 1 else np.stack([pb.effective_flat for pb in problems])
     pmi = np.stack([pb.pmi_flat for pb in problems])
     # With one column, NumPy's use of BLAS, and so the bits, of a product

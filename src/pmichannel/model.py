@@ -30,6 +30,11 @@ _ORTHO_TOL = 1e-10
 _ROUND_BLOCK = 1024  # rounds per block of the kernels that fill a large-T output block by block
 
 
+def _positive_int(value) -> bool:
+    """Whether ``value`` is an int or ``np.integer`` of at least 1; a bool is not."""
+    return not isinstance(value, bool) and isinstance(value, (int, np.integer)) and value >= 1
+
+
 def _orthonormal(q: np.ndarray) -> bool:
     """Whether each matrix of a (T, d, p) stack has Q^H Q = I to ``_ORTHO_TOL`` per entry (NaN fails)."""
     blocks = (q[s : s + _ROUND_BLOCK] for s in range(0, len(q), _ROUND_BLOCK))
@@ -66,7 +71,7 @@ class Codebook:
         if V.ndim != 2 or V.shape[1] == 0 or not np.all(np.isfinite(V)):
             raise ValueError("codebook must be a finite 2-D array with at least one codeword")
         r = self.r
-        if isinstance(r, bool) or not isinstance(r, (int, np.integer)) or r < 1 or V.shape[1] % r:
+        if not _positive_int(r) or V.shape[1] % r:
             raise ValueError(f"codeword width r must be a positive int dividing the column count, got {r!r}")
         norms = np.linalg.norm(V, axis=0)
         if self.r == 1 and not np.allclose(norms, 1.0, atol=1e-8):
@@ -315,9 +320,10 @@ def _row_lse(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     comes back as its transposed (T, N) view, which is not C-contiguous:
     NumPy adds a row shorter than 8 in sequence, so the codeword-major sum
     e_0 + e_1 + ... has the bits of the row-wise ``sum(axis=1)``.  From
-    N = 8 on NumPy adds each row pairwise, so exp and the sum stay in the
-    (T, N) layout and ``ex`` is C-contiguous.  Each matrix of a stack gets
-    the bits it gets alone.
+    N = 8 on NumPy adds each row pairwise, so exp and the sum run in the
+    (T, N) layout and ``ex`` is C-contiguous.  Codeword-major scores (the
+    .mT of a C-ordered (N, T) array) skip the copy, with the same bits.
+    Each matrix of a stack gets the bits it gets alone.
     """
     by_codeword = np.ascontiguousarray(scores.swapaxes(-1, -2))
     # The ufunc reductions are the ndarray max and sum without their wrappers.
@@ -326,7 +332,7 @@ def _row_lse(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         ex_by_codeword = np.exp(by_codeword - mx[..., None, :])
         ex, z = ex_by_codeword.swapaxes(-1, -2), np.add.reduce(ex_by_codeword, axis=-2)
     else:
-        ex = np.exp(scores - mx[..., None])
+        ex = np.exp(np.subtract(scores, mx[..., None], order="C"))
         z = np.add.reduce(ex, axis=-1)
     return ex, z, np.log(z) + mx
 

@@ -615,23 +615,59 @@ class TestSpectralScan:
         assert np.all(np.isfinite(x0))
         np.testing.assert_array_equal(x0, _scan_reference(prob, None, 1e300))
 
-    def _scripted(self, monkeypatch, values):
-        # The scan evaluates its scales in stacked blocks; each block takes
-        # the next values of the script, one per scale.
-        calls = iter(values)
-        monkeypatch.setattr(
-            likelihood, "_value_from_scores",
-            lambda problem, scores: (np.array([next(calls) for _ in scores]).reshape(-1, 1), None),
-        )
+    def _scripted(self, monkeypatch, prob, X, values):
+        # Scale j of geomspace(0.05, 10, 41) reads values[j], in whatever order the
+        # search asks for it; the scale is read off the score matrix.  Returns the
+        # list of scale indices asked for.
+        top, a2, asked = model.all_gains(prob, X).max() / prob.tau, np.geomspace(0.05, 10.0, 41) ** 2, []
+
+        def scripted(problem, scores, picked=None):
+            asked.extend(int(np.abs(np.log(s.max() / top / a2)).argmin()) for s in scores)
+            return np.array([values[j] for j in asked[-len(scores):]]), None
+
+        monkeypatch.setattr(likelihood, "_value_from_scores", scripted)
+        return asked
 
     def test_first_minimum_wins(self, rng, monkeypatch):
         prob, _, q = designed_problem(rng, d=5, p=3, n=3, T=20)
         X = designs.eigvecs_descending(model.pmi_covariance(prob), 1)
-        self._scripted(monkeypatch, [5.0, np.nan, 2.0, np.inf, 1.0, 1.0] + [3.0] * 35)
+        self._scripted(monkeypatch, prob, X, [5.0, np.nan, 2.0, np.inf, 1.0, 1.0] + [3.0] * 35)
         np.testing.assert_array_equal(_spectral(prob, q), np.geomspace(0.05, 10.0, 41)[4] * X)
 
     def test_all_non_finite_returns_unscaled_direction(self, rng, monkeypatch):
         prob, _, q = designed_problem(rng, d=5, p=3, n=3, T=20)
         X = designs.eigvecs_descending(model.pmi_covariance(prob), 1)
-        self._scripted(monkeypatch, [np.nan, np.inf] * 20 + [np.nan])
+        self._scripted(monkeypatch, prob, X, [np.nan, np.inf] * 20 + [np.nan])
         np.testing.assert_array_equal(_spectral(prob, q), X)
+
+    # Unimodal scripts whose search meets a tie, a gap below the margin or a
+    # non-finite value: the full scan's first minimum wins, after all 41 scales.
+    _FALLBACKS = {
+        "plateau": [5.0 - 0.1 * j for j in range(10)] + [4.0] * 31,
+        "dip below the margin": [2.0] * 25 + [2.0 - 1e-12] + [2.0] * 15,
+        "gap at the margin": [3.0 - 0.1 * j for j in range(20)] + [1.0 + 1e-10 * (j - 19) for j in range(20, 41)],
+        "non-finite probe": [3.0 - 0.1 * j for j in range(20)] + [np.nan] + [1.0 + 0.1 * j for j in range(20)],
+        "overflow at the top": [2.0 - 0.01 * j for j in range(30)] + [1.0] + [np.inf] * 10,
+    }
+
+    @pytest.mark.parametrize("case", sorted(_FALLBACKS))
+    def test_tie_or_non_finite_value_takes_the_full_scan(self, rng, monkeypatch, case):
+        prob, _, q = designed_problem(rng, d=5, p=3, n=3, T=20)
+        X = designs.eigvecs_descending(model.pmi_covariance(prob), 1)
+        values = self._FALLBACKS[case]
+        f = np.where(np.isnan(values), np.inf, values)
+        asked = self._scripted(monkeypatch, prob, X, values)
+        np.testing.assert_array_equal(_spectral(prob, q), np.geomspace(0.05, 10.0, 41)[f.argmin()] * X)
+        assert asked[-41:] == list(range(41)) and len(asked) <= 41 + 8
+
+    def test_unimodal_values_take_the_search_alone(self, rng, monkeypatch):
+        prob, _, q = designed_problem(rng, d=5, p=3, n=3, T=20)
+        X = designs.eigvecs_descending(model.pmi_covariance(prob), 1)
+        grid = np.geomspace(0.05, 10.0, 41)
+        for best in range(41):
+            # Slopes 1 and sqrt(2) on the two sides: no two scales tie.
+            values = [1.0 + (best - j if j < best else np.sqrt(2.0) * (j - best)) for j in range(41)]
+            asked = self._scripted(monkeypatch, prob, X, values)
+            # rtol: the top scale's start is rescaled onto the ball of radius 10.
+            np.testing.assert_allclose(_spectral(prob, q), grid[best] * X, rtol=1e-14)
+            assert len(asked) == len(set(asked)) <= 8

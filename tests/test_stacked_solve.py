@@ -160,8 +160,8 @@ def _reference_start(problem, config, basis, m):
     """One problem's start, computed alone: S, radius, ||S||_F and A^H lift(S).
 
     The per-problem code that ``likelihood._start`` stacks: one covariance,
-    one 2-D eigendecomposition and one scan per problem, with norms from
-    ``np.linalg.norm``.
+    one 2-D eigendecomposition and one full 41-scale scan per problem, with
+    norms from ``np.linalg.norm``.
     """
     dim = problem.d if basis is None else basis.shape[1]
     dtype = problem.dtype
@@ -177,11 +177,7 @@ def _reference_start(problem, config, basis, m):
         scores = model.all_gains(problem, X if basis is None else basis @ X) / problem.tau
         alphas = np.geomspace(0.05, hi, 41)
         a2, sel = (alphas * alphas)[:, None], scores.take(problem.pmi_flat)
-        n = max(1, likelihood._SCAN_BLOCK // scores.size)
-        f = np.concatenate([
-            np.add.reduce(model._row_lse(a[..., None] * scores)[2] - a * sel, axis=-1) / problem.T
-            for a in (a2[i : i + n] for i in range(0, 41, n))
-        ])
+        f = np.add.reduce(model._row_lse(a2[..., None] * scores)[2] - a2 * sel, axis=-1) / problem.T
         f[np.isnan(f)] = np.inf
         S = alphas[np.argmin(f)] * X if f.min() < np.inf else X
     radius = problem.radius if problem.radius is not None else 10.0 * float(np.linalg.norm(S))
@@ -250,13 +246,52 @@ def test_stacked_start_equals_one_problem_starts(seed, B, T, r, complex_mode, pr
 
 @pytest.mark.parametrize("B", [1, 3])
 @pytest.mark.parametrize("complex_mode", [False, True])
-def test_stacked_spectral_start_at_one_scale_per_block(B, complex_mode):
-    # At T = 1400 one problem's scores (4200 entries) exceed a scan block, so
-    # the 41 scales are 41 blocks, as at excess-risk's T >= 1000.
+def test_stacked_spectral_start_at_large_T(B, complex_mode):
+    # T = 1400, as at excess-risk's T >= 1000.
     problems, _ = _stack(21, B, 3, 1, complex_mode, T=1400)
     cfg = likelihood.MleConfig(init="spectral")
     for priors in (None, _eig_priors(21, B, 5, 3, complex_mode)):
         _assert_start_equals_references(problems, cfg, priors, 1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    T=st.sampled_from([1, 2, 7, 40, 150]),
+    n=st.integers(1, 9),
+    r=st.sampled_from([1, 2]),
+    tau=st.sampled_from([0.05, 0.5, 2.0]),
+    complex_mode=st.booleans(),
+    prior=st.booleans(),
+    radii=st.lists(st.sampled_from([None, 0.01, 0.049, 0.3, 2.0, 4.0, 60.0]), min_size=1, max_size=4),
+)
+def test_search_picks_the_full_scan_index(seed, T, n, r, tau, complex_mode, prior, radii):
+    # Stacks of mixed balls: radius None scans up to 10, one below 0.05 scans a
+    # descending grid.  The stacked search start equals the full scan's start byte for byte.
+    problems, _ = _stack(seed, len(radii), n, r, complex_mode, d=6, T=T, tau=tau, radii=radii)
+    priors = _eig_priors(seed, len(radii), 6, 4, complex_mode) if prior else None
+    _assert_start_equals_references(problems, likelihood.MleConfig(init="spectral"), priors, r)
+
+
+def test_search_evaluates_at_most_9_scales_at_excess_risk_shapes(monkeypatch):
+    # excess_risk_slope's problems: d = 6, identity codebook p = N = 3, tau = 0.5, radius 2.
+    real, counts = likelihood._value_from_scores, []
+
+    def spy(problem, scores, picked=None):
+        counts[-1] += picked is not None  # the scan passes its gathered reported scores
+        return real(problem, scores, picked)
+
+    monkeypatch.setattr(likelihood, "_value_from_scores", spy)
+    rng = np.random.default_rng(5)
+    cb = designs.identity_codebook(3, 3)
+    for T in (250, 1000, 4000):
+        for _ in range(4):
+            h = rng.standard_normal(6)
+            qs = designs.haar_stiefel_stack(T, 6, 3, rng, real=True)
+            problem = model.simulate_problem(qs, cb, h / np.linalg.norm(h), 0.5, rng, radius=2.0)
+            counts.append(0)
+            likelihood.solve_mle(problem, likelihood.MleConfig(init="spectral", max_iters=1))
+    assert max(counts) <= 9, counts
 
 
 def test_stacked_spectral_start_makes_one_eigendecomposition(monkeypatch):

@@ -406,6 +406,9 @@ class TestZeroIterates:
 _BAD_STOP_RULES = [
     {"max_iters": 0},
     {"max_iters": -3},
+    {"max_iters": 2.5},
+    {"max_iters": True},
+    {"max_iters": "3"},
     {"rel_tol": 0.0},
     {"rel_tol": -1e-3},
     {"rel_tol": math.nan},
@@ -434,10 +437,44 @@ class TestConfigBoundaries:
         with pytest.raises(ValueError, match="initialization"):
             baselines.BaselineConfig(init="identity")
 
-    @pytest.mark.parametrize("n_streams", [0, -1])
+    @pytest.mark.parametrize("n_streams", [0, -1, 1.5, True, np.float64(2.0)])
     def test_mle_config_refuses_fewer_than_one_stream(self, n_streams):
         with pytest.raises(ValueError, match="stream"):
             likelihood.MleConfig(n_streams=n_streams)
+
+    def test_numpy_integer_counts_are_accepted(self):
+        problem, _ = random_problem(np.random.default_rng(4), d=4, T=6)
+        cfg = likelihood.MleConfig(max_iters=np.int64(2), n_streams=np.int32(2))
+        X, rep = likelihood.solve_mle(problem, cfg)
+        assert X.shape == (4, 2) and rep.iterations <= 2
+        baselines.BaselineConfig(max_iters=np.int64(2))
+
+    def test_prior_with_no_column_is_refused(self):
+        with pytest.raises(ValueError, match=r"\(4, 0\)"):
+            likelihood.SubspacePrior(np.zeros((4, 0)))
+
+    @pytest.mark.parametrize("k", [None, 2])
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_explicit_start_must_be_finite_and_shaped(self, monkeypatch, k, m):
+        rng = np.random.default_rng(4)
+        problem, _ = random_problem(rng, d=4, T=6)
+        prior = None if k is None else likelihood.SubspacePrior(designs.haar_stiefel(4, k, rng))
+        dim = k or 4
+        good = np.ones((dim, m))
+        likelihood.solve_mle(problem, likelihood.MleConfig(init="explicit", x0=good, n_streams=m, max_iters=1), prior)
+        if m == 1:
+            likelihood.solve_mle(problem, likelihood.MleConfig(init="explicit", x0=good[:, 0], max_iters=1), prior)
+
+        def no_work(*args):
+            raise AssertionError("the solve started")
+
+        monkeypatch.setattr(likelihood, "_start", no_work)
+        nan = good.copy()
+        nan[0, 0] = np.nan
+        for x0 in (None, np.ones(dim + 1), np.ones((dim, m + 1)), np.ones((dim + 2, m)), nan, np.full((dim, m), np.inf)):
+            cfg = likelihood.MleConfig(init="explicit", x0=x0, n_streams=m)
+            with pytest.raises(ValueError, match=rf"finite x0 of shape \({dim}, {m}\)"):
+                likelihood.solve_mle(problem, cfg, prior)
 
     def test_mle_config_refuses_unknown_init(self):
         with pytest.raises(ValueError, match="initialization"):
