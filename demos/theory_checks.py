@@ -20,7 +20,7 @@ records = experiments.run_theory_verification(
 width = max(len(r["check"]) for r in records)
 for rec in records:
     mark = "pass" if rec["passed"] else "FAIL"
-    print(f"[{mark}] {rec['check']:<{width}}  value={rec['value']:.4g}  threshold={rec['threshold']:.4g}")
+    print(f"[{mark}] {rec['check']:<{width}}  value={rec['value']:.4g}  threshold={rec['threshold']:.4g}  rule={rec['rule']}")
 
 failed = [r for r in records if not r["passed"]]
 print(f"\n{len(records) - len(failed)}/{len(records)} checks passed")

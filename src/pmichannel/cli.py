@@ -221,8 +221,8 @@ def _cmd_verify(opts: dict) -> int:
     out.mkdir(parents=True, exist_ok=True)
     experiments.write_summary_csv(records, out / "report.csv")
     for rec in records:
-        status = "pass" if rec["passed"] else "FAIL"
-        print(f"[{status}] {rec['check']}: value={rec['value']:.4g} threshold={rec['threshold']:.4g}")
+        print("[{}] {check}: value={value:.4g} threshold={threshold:.4g} rule={rule}".format(
+            "pass" if rec["passed"] else "FAIL", **rec))
     print(f"wrote {out}/report.csv")
     return 0 if all(rec["passed"] for rec in records) else 1
 

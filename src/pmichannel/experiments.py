@@ -8,6 +8,7 @@ depend on worker count or execution order.
 from __future__ import annotations
 
 import math
+import operator
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -518,33 +519,41 @@ def summarize_ablation(rows: Sequence[ExperimentResult]) -> list:
 # Theory verification
 # ----------------------------------------------------------------------
 
+# How a check's value must compare with its threshold; the slope's rule is its
+# band.  A rule's text has no comma: report.csv is written unquoted.
+_SLOPE_BAND = "in [-1.15; -0.85]"
+_PASS_RULES = {
+    "<": operator.lt, "<=": operator.le, ">=": operator.ge,
+    _SLOPE_BAND: lambda value, _: -1.15 <= value <= -0.85,
+}
+
+
+def _central_diff(f, x: np.ndarray, units: Sequence, h: float = 1e-6) -> list:
+    """(f(x + h u e_i) - f(x - h u e_i)) / 2h along each coordinate e_i of the vector x, one array per unit u."""
+    steps = h * np.eye(len(x), dtype=np.result_type(x, *units))
+    return [np.array([(f(x + u * e) - f(x - u * e)) / (2 * h) for e in steps]) for u in units]
+
+
 def _fd_gradient_realified(problem, x, h=1e-6):
-    """Central finite differences of the NLL in realified coordinates."""
-    x = np.asarray(x)
-    complex_mode = np.iscomplexobj(x) or problem.dtype is complex
-    shape = x.shape
-    out = np.zeros(shape, dtype=complex if complex_mode else float)
-    it = np.nditer(np.zeros(shape), flags=["multi_index"])
-    for _ in it:
-        idx = it.multi_index
-        for unit in (1.0, 1j) if complex_mode else (1.0,):
-            e = np.zeros(shape, dtype=out.dtype)
-            e[idx] = unit
-            fp = likelihood.nll(problem, x + h * e)
-            fm = likelihood.nll(problem, x - h * e)
-            deriv = (fp - fm) / (2 * h)
-            out[idx] += deriv * unit
-    return out
+    """Central finite differences of the NLL at a vector x in realified coordinates."""
+    units = (1.0, 1j) if np.iscomplexobj(x) or problem.dtype is complex else (1.0,)
+    diffs = _central_diff(lambda y: likelihood.nll(problem, y), np.asarray(x), units, h)
+    return sum(u * diff for u, diff in zip(units, diffs))
 
 
-def _random_problem(rng, d, p, n, T, tau, complex_mode, r=1):
-    V = designs.haar_stiefel(p, n * r, rng, real=not complex_mode)
-    cb = model.Codebook(V=V, r=r)
+def _random_problem(rng, d_hi, T, tau, complex_mode):
+    """A softmax-feedback problem of random shape and its unit-norm channel.
+
+    Draws d in [2, d_hi), p in [1, d], n in [2, p] (1 if p = 1) and, if T is
+    None, T in [1, 4], then a Haar codebook, T Haar designs and the channel.
+    """
+    d = int(rng.integers(2, d_hi))
+    p = int(rng.integers(1, d + 1))
+    n = int(rng.integers(2, p + 1)) if p > 1 else 1
+    T = int(rng.integers(1, 5)) if T is None else T
+    cb = model.Codebook(V=designs.haar_stiefel(p, n, rng, real=not complex_mode))
     qs = designs.haar_stiefel_stack(T, d, p, rng, real=not complex_mode)
-    if complex_mode:
-        x_true = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    else:
-        x_true = rng.standard_normal(d)
+    x_true = rng.standard_normal(d) + 1j * rng.standard_normal(d) if complex_mode else rng.standard_normal(d)
     x_true /= np.linalg.norm(x_true)
     return model.simulate_problem(qs, cb, x_true, tau, rng, rule="softmax"), x_true
 
@@ -595,8 +604,9 @@ def run_theory_verification(
 ) -> list:
     """Execute every analytic-identity check and report measured values.
 
-    Returns records {check, value, threshold, passed}; the CLI maps any
-    failure to a nonzero exit code.  A sample, trial or worker count below 1
+    Returns records {check, value, threshold, passed, rule}: ``passed`` is
+    the rule (``_PASS_RULES``) applied to the value and threshold, and the
+    CLI maps any failure to a nonzero exit code.  A sample, trial or worker count below 1
     is refused before any check runs: with no samples a moment check has no
     deviation to report.
     """
@@ -607,70 +617,44 @@ def run_theory_verification(
     rng = np.random.default_rng([seed, 13])
     records = []
 
-    def add(check: str, value: float, threshold: float, passed: bool):
-        records.append(
-            {"check": check, "value": float(value), "threshold": threshold, "passed": bool(passed)}
-        )
+    def add(check: str, value: float, threshold: float, rule: str):
+        value = float(value)
+        passed = bool(_PASS_RULES[rule](value, threshold))
+        records.append(dict(check=check, value=value, threshold=threshold, passed=passed, rule=rule))
 
     # Gauge and rotation equivariance over random designs.
-    worst_gauge = 0.0
-    worst_rot = 0.0
+    worst_gauge = worst_rot = 0.0
     for _ in range(100):
-        d = int(rng.integers(2, 9))
-        p = int(rng.integers(1, d + 1))
-        n = int(rng.integers(2, p + 1)) if p > 1 else 1
-        problem, h = _random_problem(rng, d, p, n, T=int(rng.integers(1, 5)), tau=0.7, complex_mode=True)
-        F = crb.fisher(problem, h)
-        worst_gauge = max(worst_gauge, crb.gauge_nullity(F))
-        phi = float(rng.uniform(0, 2 * np.pi))
-        worst_rot = max(worst_rot, crb.rotation_equivariance_check(problem, h, phi))
-    add("gauge_nullity", worst_gauge, 1e-10, worst_gauge <= 1e-10)
-    add("rotation_equivariance", worst_rot, 1e-10, worst_rot <= 1e-10)
+        problem, h = _random_problem(rng, 9, None, 0.7, True)
+        worst_gauge = max(worst_gauge, crb.gauge_nullity(crb.fisher(problem, h)))
+        worst_rot = max(worst_rot, crb.rotation_equivariance_check(problem, h, float(rng.uniform(0, 2 * np.pi))))
+    add("gauge_nullity", worst_gauge, 1e-10, "<=")
+    add("rotation_equivariance", worst_rot, 1e-10, "<=")
 
     # Gradient and Hessian against finite differences.
-    worst_grad = 0.0
-    worst_hess = 0.0
+    worst_grad = worst_hess = 0.0
     for _ in range(10):
         cm = bool(rng.integers(0, 2))
-        d = int(rng.integers(2, 6))
-        p = int(rng.integers(1, d + 1))
-        n = int(rng.integers(2, p + 1)) if p > 1 else 1
-        problem, _ = _random_problem(rng, d, p, n, T=3, tau=0.8, complex_mode=cm)
-        x = rng.standard_normal(d) + (1j * rng.standard_normal(d) if cm else 0.0)
+        problem, _ = _random_problem(rng, 6, 3, 0.8, cm)
+        x = rng.standard_normal(problem.d) + (1j * rng.standard_normal(problem.d) if cm else 0.0)
         x = 0.7 * x / np.linalg.norm(x)
-        g = likelihood.nll_gradient(problem, x)
-        fd = _fd_gradient_realified(problem, x)
-        denom = max(np.linalg.norm(fd), 1e-12)
-        worst_grad = max(worst_grad, float(np.linalg.norm(g - fd) / denom))
+        g, fd = likelihood.nll_gradient(problem, x), _fd_gradient_realified(problem, x)
+        worst_grad = max(worst_grad, float(np.linalg.norm(g - fd) / max(np.linalg.norm(fd), 1e-12)))
         if not cm:
             H = likelihood.nll_hessian_real(problem, x)
-            eps = 1e-6
-            Hfd = np.zeros_like(H)
-            for i in range(d):
-                e = np.zeros(d)
-                e[i] = eps
-                Hfd[:, i] = (
-                    likelihood.nll_gradient(problem, x + e) - likelihood.nll_gradient(problem, x - e)
-                ) / (2 * eps)
+            Hfd = _central_diff(lambda y: likelihood.nll_gradient(problem, y), x, (1.0,))[0]
             worst_hess = max(worst_hess, float(np.max(np.abs(H - 0.5 * (Hfd + Hfd.T)))))
-    add("gradient_fd", worst_grad, 1e-6, worst_grad < 1e-6)
-    add("hessian_fd", worst_hess, 1e-5, worst_hess < 1e-5)
+    add("gradient_fd", worst_grad, 1e-6, "<")
+    add("hessian_fd", worst_hess, 1e-5, "<")
 
     # Loss-equivalence and KL identities.
-    worst_eq = 0.0
-    worst_kl = 0.0
+    worst_eq = worst_kl = 0.0
     for _ in range(25):
         cm = bool(rng.integers(0, 2))
-        d = int(rng.integers(2, 6))
-        p = int(rng.integers(1, d + 1))
-        n = int(rng.integers(2, p + 1)) if p > 1 else 1
-        problem, h = _random_problem(rng, d, p, n, T=3, tau=0.6, complex_mode=cm)
-        x = rng.standard_normal(d) + (1j * rng.standard_normal(d) if cm else 0.0)
-        nll_val = likelihood.nll(problem, x)
-        lhs = likelihood.relaxed_loss(problem, x)
-        rhs = problem.tau * nll_val - problem.tau * np.log(problem.n_codewords)
-        worst_eq = max(worst_eq, abs(lhs - rhs) / max(1.0, abs(rhs)))
-        risk = likelihood.population_excess_risk(problem, h, x)
+        problem, h = _random_problem(rng, 6, 3, 0.6, cm)
+        x = rng.standard_normal(problem.d) + (1j * rng.standard_normal(problem.d) if cm else 0.0)
+        rhs = problem.tau * likelihood.nll(problem, x) - problem.tau * np.log(problem.n_codewords)
+        worst_eq = max(worst_eq, abs(likelihood.relaxed_loss(problem, x) - rhs) / max(1.0, abs(rhs)))
         gx = model.all_gains(problem, x) / problem.tau
         gh = model.all_gains(problem, h) / problem.tau
         # The reference log-sum-exp is written out here, not taken from
@@ -678,60 +662,48 @@ def run_theory_verification(
         mx, mh = gx.max(axis=1, keepdims=True), gh.max(axis=1, keepdims=True)
         lse_x = np.log(np.exp(gx - mx).sum(axis=1, keepdims=True)) + mx
         lse_h = np.log(np.exp(gh - mh).sum(axis=1, keepdims=True)) + mh
-        terms = model.softmax_pmf(problem, h) * ((lse_x - gx) - (lse_h - gh))
-        enum = terms.sum() / problem.T
-        worst_kl = max(worst_kl, abs(risk - enum))
-    add("loss_equivalence", worst_eq, 1e-10, worst_eq <= 1e-10)
-    add("kl_identity", worst_kl, 1e-12, worst_kl <= 1e-12)
+        enum = (model.softmax_pmf(problem, h) * ((lse_x - gx) - (lse_h - gh))).sum() / problem.T
+        worst_kl = max(worst_kl, abs(likelihood.population_excess_risk(problem, h, x) - enum))
+    add("loss_equivalence", worst_eq, 1e-10, "<=")
+    add("kl_identity", worst_kl, 1e-12, "<=")
 
-    # Probability floor certification.
+    # Probability floor certification on the ball of radius 1.5.
     ok = True
     for _ in range(100):
-        d = int(rng.integers(2, 7))
-        p = int(rng.integers(1, d + 1))
-        n = int(rng.integers(2, p + 1)) if p > 1 else 1
-        R = 1.5
-        problem, _ = _random_problem(rng, d, p, n, T=2, tau=0.7, complex_mode=False)
-        x = rng.standard_normal(d)
-        x *= rng.uniform(0, R) / np.linalg.norm(x)
-        floor = theory.p_min_value(problem.n_codewords, R, problem.tau)
+        problem, _ = _random_problem(rng, 7, 2, 0.7, False)
+        x = rng.standard_normal(problem.d)
+        x *= rng.uniform(0, 1.5) / np.linalg.norm(x)
+        floor = theory.p_min_value(problem.n_codewords, 1.5, problem.tau)
         ok = ok and model.softmax_pmf(problem, x).min() >= floor
-    add("p_min_floor", 1.0 if ok else 0.0, 1.0, ok)
+    add("p_min_floor", 1.0 if ok else 0.0, 1.0, ">=")
 
     # Moment identities.
     rep = theory.sphere_fourth_moment_check(5, moment_samples, np.random.default_rng([seed, 17]))
-    add("sphere_fourth_moment", rep.max_dev_se, 4.0, rep.max_dev_se <= 4.0)
+    add("sphere_fourth_moment", rep.max_dev_se, 4.0, "<=")
     rep2 = theory.secant_expectation_check(
         designs.identity_codebook(2, 2), 4, secant_samples, np.random.default_rng([seed, 19])
     )
-    add("secant_expectation", rep2.max_dev_se, 4.0, rep2.max_dev_se <= 4.0)
+    add("secant_expectation", rep2.max_dev_se, 4.0, "<=")
 
     # Secant certification on a Haar design.
     rng_s = np.random.default_rng([seed, 23])
-    d, p, n, T = 6, 3, 3, 300
-    cbr = designs.identity_codebook(p, n)
-    h = rng_s.standard_normal(d)
+    h = rng_s.standard_normal(6)
     h /= np.linalg.norm(h)
-    qs = designs.haar_stiefel_stack(T, d, p, rng_s, real=True)
-    sec = theory.certify_secant(qs, cbr, h, trials=200, rng=rng_s)
-    add("secant_operator_vs_kappa0", sec.operator_min, sec.kappa0_stated, sec.certified)
-    add(
-        "secant_random_vs_operator",
-        sec.random_min - sec.operator_min,
-        -1e-8,
-        sec.random_min >= sec.operator_min - 1e-8,
-    )
+    qs = designs.haar_stiefel_stack(300, 6, 3, rng_s, real=True)
+    sec = theory.certify_secant(qs, designs.identity_codebook(3, 3), h, trials=200, rng=rng_s)
+    add("secant_operator_vs_kappa0", sec.operator_min, sec.kappa0_stated, ">=")
+    add("secant_random_vs_operator", sec.random_min - sec.operator_min, -1e-8, ">=")
 
     # Rank-one distance bound sweep.
     ok = all(
         theory.rank1_distance_bound_check(rng.standard_normal(5), rng.standard_normal(5))
         for _ in range(10_000)
     )
-    add("rank1_distance_bound", 1.0 if ok else 0.0, 1.0, ok)
+    add("rank1_distance_bound", 1.0 if ok else 0.0, 1.0, ">=")
 
     if include_slope:
         slope, _ = excess_risk_slope(trials=slope_trials, seed=seed, workers=workers)
-        add("excess_risk_slope", slope, -1.0, -1.15 <= slope <= -0.85)
+        add("excess_risk_slope", slope, -1.0, _SLOPE_BAND)
     return records
 
 

@@ -120,10 +120,12 @@ class MleReport:
     from carried projections without a new one: the first iteration's two-way
     search may take many, a later iteration takes one plus one per halving
     of its Barzilai-Borwein step.  ``n_grad_evals`` counts the gradients
-    (one at the start and one per iteration, each one GEMM); the spectral
-    start's scale search (at most 8 objective values, plus all 41 on its
-    fallback) is in neither.  ``nll`` is the objective at the returned
-    estimate, taken from the carried projections.
+    (one at the start and one per iteration, each one GEMM).  The spectral
+    start's scale search is in neither: ``n_scale_evals`` counts its
+    objective values (at most 8, plus all 41 if ``scale_fallback``, 0 for
+    another start), and ``scale_fallback`` tells whether a near-tie or a
+    non-finite value sent it to the full scan.  ``nll`` is the objective at
+    the returned estimate, taken from the carried projections.
     ``rel_change`` is the last iteration's unaligned ||S_new - S||_F / ||S||_F.
     A stacked solve gives each problem the report of its own solve.
     """
@@ -135,6 +137,8 @@ class MleReport:
     radius: float
     n_obj_evals: int
     n_grad_evals: int
+    n_scale_evals: int
+    scale_fallback: bool
     coefficients: Optional[np.ndarray] = None
 
 
@@ -413,14 +417,15 @@ def _spectral(reduced: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _start(problems, config: MleConfig, bases: Optional[list], m: int, stack, lift) -> tuple:
-    """Projected starts of a stack: S (B, dim, m), radii, ``_norms(S)`` and C = A^H lift(S).
+    """Projected starts of a stack: S (B, dim, m), radii, C = A^H lift(S) and each problem's scan record.
 
     Identity, random and explicit starts are one matrix for all.  A spectral start
     is ``_spectral``'s X at the first NLL minimizer alpha in geomspace(0.05, radius
     or 10, 41), or X if none is finite; one projection serves every scale (gains(aX)
     = a^2 gains(X)), of which a Fibonacci search visits at most 8 (plus all 41 on its
     fallback).  A radius left None is 10 ||S||_F; a start outside its ball is
-    rescaled onto it.  Each problem gets the bits of a start computed alone.
+    rescaled onto it.  Each problem gets the bits of a start computed alone.  A scan
+    record is (scales evaluated, fell back), (0, False) off the spectral start.
     """
     p0, n = problems[0], len(problems)
     if config.init == "spectral":
@@ -432,9 +437,10 @@ def _start(problems, config: MleConfig, bases: Optional[list], m: int, stack, li
         a2, rows = alphas * alphas, np.arange(n)
         tol = _SCAN_MARGIN * (1.0 + a2.max(axis=1) * scores.max(axis=(-2, -1)))
 
-        def f(j):  # each problem's NLL at its own scale index j, +inf past the grid
-            a = a2[rows, np.minimum(j, 40), None]
-            return np.where(j > 40, np.inf, _value_from_scores(stack, a[..., None] * by_codeword, a * picked)[0])
+        def f(j, at=slice(None)):  # the NLL of the problems ``at`` at their own scale indices j, +inf past 40
+            a = a2[at][rows[: len(j)], np.minimum(j, 40), None]
+            value = _value_from_scores(stack, a[..., None] * by_codeword[at], a * picked[at])[0]
+            return np.where(j > 40, np.inf, value)
 
         # Kiefer's Fibonacci search on the grid padded with +inf to F_10 = 55 indices, in lockstep: x is
         # each problem's best index in its open bracket (lo, lo + length).  The exact NLL is convex in
@@ -442,17 +448,21 @@ def _start(problems, config: MleConfig, bases: Optional[list], m: int, stack, li
         # comparison decided by more than tol orders the exact values as the computed ones, so every
         # exact minimizer stays in the bracket, and the last x beats both ends of its last bracket, hence
         # every grid value: the full scan's first minimum.  Closer or non-finite takes the full scan.
-        lo, x, bad = np.full(n, -1), np.full(n, 20), np.zeros(n, bool)
+        lo, x, bad, evals = np.full(n, -1), np.full(n, 20), np.zeros(n, bool), np.ones(n, int)
         fx = f(x)
         for length in (55, 34, 21, 13, 8, 5, 3):
             y = 2 * lo + length - x
-            fy = f(y) if (y <= 40).any() else np.full(n, np.inf)
-            bad |= (y <= 40) & ~(np.abs(fy - fx) > tol * np.maximum(fx, fy))
+            on = y <= 40
+            fy = f(y) if on.any() else np.full(n, np.inf)
+            evals += on
+            bad |= on & ~(np.abs(fy - fx) > tol * np.maximum(fx, fy))
             lo = np.where((fy < fx) == (y < x), lo, np.minimum(x, y))
             x, fx = np.where(fy < fx, y, x), np.minimum(fx, fy)
-        if bad.any():  # NaN reads +inf here, as it did in the full scan
-            full = np.fmin(np.stack([f(np.full(n, j)) for j in range(41)]), np.inf)
-            x, bad = np.where(bad, full.argmin(axis=0), x), bad & (full.min(axis=0) == np.inf)
+        scans = list(zip((evals + 41 * bad).tolist(), bad.tolist()))
+        if bad.any():  # only the problems that fell back scan all 41; NaN reads +inf, as in that scan
+            at = np.flatnonzero(bad)
+            full = np.fmin(np.stack([f(np.full(at.size, j), at) for j in range(41)]), np.inf)
+            x[at], bad[at] = full.argmin(axis=0), full.min(axis=0) == np.inf
         S = np.where(bad[:, None, None], X, alphas[rows, x][:, None, None] * X)
     else:
         dim = p0.d if bases is None else bases[0].shape[1]
@@ -462,15 +472,14 @@ def _start(problems, config: MleConfig, bases: Optional[list], m: int, stack, li
             S = np.eye(dim, m, dtype=p0.dtype)
         else:
             S = haar_stiefel(dim, m, np.random.default_rng(0), real=p0.dtype is float)
-        S = np.repeat(S[None], n, axis=0)
+        S, scans = np.repeat(S[None], n, axis=0), [(0, False)] * n
     nrm = _norms(S)
     radii = [10.0 * a if pb.radius is None else pb.radius for pb, a in zip(problems, nrm)]
     if any(r <= 0 for r in radii):
         raise ValueError("radius must be positive")
     if any(map(float.__gt__, nrm, radii)):
         S = S * np.array([r / a if a > r else 1.0 for a, r in zip(nrm, radii)]).reshape(-1, 1, 1)
-        nrm = _norms(S)
-    return S, radii, nrm, _project(stack, lift(S))
+    return S, radii, _project(stack, lift(S)), scans
 
 
 def _as_stack(problem, prior=None) -> tuple:
@@ -569,14 +578,15 @@ def solve_mle(
         return np.concatenate((G, _project(stack_of(data), lift(data, G))), axis=1)
 
     # Per-problem scalars are Python numbers, as in a one-problem solve.
-    S, radii, _, C = _start(problems, config, bases, m, view[1], lambda Z: lift(data, Z))
+    S, radii, C, scans = _start(problems, config, bases, m, view[1], lambda Z: lift(data, Z))
     k = S.shape[1]
     step0 = [pb.tau / (4.0 * r**2) for pb, r in zip(problems, radii)]
     # That first step can be far too small, so iteration 1 also doubles it (two_way).
     solved = _descend(np.concatenate((S, C), axis=1), data, value, gradient, step0, config.max_iters,
                       config.rel_tol, direction=direction, radius=radii, two_way=True, own=True)
     results = [
-        (S if B is None else B @ S, MleReport(it, f, rel, stop, r, trials, it + 1, None if B is None else S))
-        for (S, f, it, rel, stop, trials), r, B in zip(solved, radii, bases or [None] * n)
+        (S if B is None else B @ S,
+         MleReport(it, f, rel, stop, r, trials, it + 1, *scan, None if B is None else S))
+        for (S, f, it, rel, stop, trials), r, B, scan in zip(solved, radii, bases or [None] * n, scans)
     ]
     return results[0] if single else results

@@ -16,7 +16,7 @@ import numpy as np
 
 from .designs import haar_stiefel_stack
 from .metrics import dist
-from .model import Codebook
+from .model import Codebook, _orthonormal, _positive_int
 
 __all__ = [
     "TheoryConstants",
@@ -101,32 +101,20 @@ def traceless_symmetric_basis(d: int) -> np.ndarray:
     """Orthonormal basis of symmetric traceless d x d matrices.
 
     Built from consecutive diagonal differences E_ii - E_{i+1,i+1}
-    (orthonormalized) plus the symmetrized off-diagonal pairs; returned as
-    an (m, d, d) array with m = d(d+1)/2 - 1.
+    (Gram-Schmidt in order) plus the symmetrized off-diagonal pairs (i < j,
+    row-major); returned as an (m, d, d) array with m = d(d+1)/2 - 1.
     """
-    if d < 2:
-        return np.zeros((0, d, d))
-    mats = []
-    diag = []
-    for i in range(d - 1):
-        v = np.zeros(d)
-        v[i], v[i + 1] = 1.0, -1.0
-        diag.append(v)
-    # Gram-Schmidt on the diagonal vectors (they are traceless already).
     ortho = []
-    for v in diag:
+    for v in np.eye(d)[:-1] - np.eye(d)[1:]:
         for u in ortho:
             v = v - (u @ v) * u
-        v /= np.linalg.norm(v)
-        ortho.append(v)
-    for v in ortho:
-        mats.append(np.diag(v))
-    for i in range(d):
-        for j in range(i + 1, d):
-            M = np.zeros((d, d))
-            M[i, j] = M[j, i] = 1.0 / math.sqrt(2.0)
-            mats.append(M)
-    return np.stack(mats)
+        ortho.append(v / np.linalg.norm(v))
+    i, j = np.triu_indices(d, 1)
+    k = np.arange(len(ortho), len(ortho) + len(i))
+    basis = np.zeros((len(ortho) + len(i), d, d))
+    basis[: len(ortho), range(d), range(d)] = np.reshape(ortho, (len(ortho), d))
+    basis[k, i, j] = basis[k, j, i] = 1.0 / math.sqrt(2.0)
+    return basis
 
 
 @dataclass(frozen=True)
@@ -169,13 +157,24 @@ def certify_secant(
     traceless symmetric subspace and the smallest ratio
     (1/T) sum_{t,i,j} <A_{t,i} - A_{t,j}, xx^T - hh^T>^2 / ||xx^T - hh^T||_F^2
     over random probes x, together with the stated and proof-side reference
-    constants for Haar designs.
+    constants for Haar designs.  ``trials=0`` gives the operator alone.
+    A complex or multi-stream codebook, complex or non-orthonormal designs,
+    designs that are not (T, d, p), a channel without d finite real entries
+    and a negative ``trials`` raise ValueError before any work.
     """
+    qs, h = np.stack([np.asarray(Q) for Q in qs]), np.asarray(h).ravel()
+    if codebook.r != 1 or any(map(np.iscomplexobj, (codebook.V, qs, h))):
+        raise ValueError("the secant certificate takes a real single-stream codebook, designs and channel")
+    if qs.ndim != 3 or qs.shape[2] != codebook.p or h.shape != qs.shape[1:2] or not np.isfinite(h).all():
+        shapes = f"got {qs.shape} and {h.shape}"
+        raise ValueError(f"need (T, d, {codebook.p}) designs and d finite channel entries, {shapes}")
+    if not _orthonormal(qs):
+        raise ValueError("design matrices must have orthonormal columns")
+    if isinstance(trials, bool) or not _positive_int(trials + 1):
+        raise ValueError(f"trials must be a nonnegative int, got {trials!r}")
     rng = rng or np.random.default_rng(0)
-    qs = np.stack([np.asarray(Q) for Q in qs]).astype(float)
-    h = np.asarray(h, dtype=float).ravel()
-    d = qs.shape[1]
-    T = qs.shape[0]
+    qs, h = qs.astype(float), h.astype(float)
+    T, d = qs.shape[:2]
     N = codebook.n_codewords
     R = radius if radius is not None else 2.0 * max(np.linalg.norm(h), 1.0)
 
@@ -218,6 +217,25 @@ class MomentReport:
     samples: int
 
 
+def _monte_carlo(draw, samples: int, batch: int, target) -> tuple[np.ndarray, float]:
+    """|mean - target| over ``samples`` draws, and its worst ratio to the standard error (+inf if only it is 0).
+
+    ``draw(n)`` takes n <= ``batch`` more samples and returns their sum and the sum of their squares.
+    """
+    if not _positive_int(samples):
+        raise ValueError(f"samples must be a positive int, got {samples!r}")
+    total = total_sq = 0.0
+    for start in range(0, samples, batch):
+        s, sq = draw(min(batch, samples - start))
+        total, total_sq = total + s, total_sq + sq
+    mean = total / samples
+    se = np.sqrt(np.maximum(total_sq / samples - mean**2, 0.0) / samples)
+    dev = np.abs(mean - target)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dev_se = np.where(se > 0, dev / se, np.where(dev > 0, np.inf, 0.0))
+    return dev, float(np.max(dev_se))
+
+
 def sphere_fourth_moment_check(
     d: int, samples: int, rng: Optional[np.random.Generator] = None
 ) -> MomentReport:
@@ -228,37 +246,24 @@ def sphere_fourth_moment_check(
     index quadruples, and the worst relative deviation among nonzero targets.
     """
     rng = rng or np.random.default_rng(0)
-    sum_m = np.zeros((d * d, d * d))
-    sum_sq = np.zeros((d * d, d * d))
-    done = 0
-    batch = min(samples, 100_000)
-    while done < samples:
-        n = min(batch, samples - done)
+
+    def draw(n):
         g = rng.standard_normal((n, d))
         u = g / np.linalg.norm(g, axis=1, keepdims=True)
         M = np.einsum("si,sj->sij", u, u).reshape(n, d * d)
-        sum_m += M.T @ M
         P = M**2
-        sum_sq += P.T @ P
-        done += n
-    mean = sum_m / samples
-    var = np.maximum(sum_sq / samples - mean**2, 0.0)
-    se = np.sqrt(var / samples)
+        return M.T @ M, P.T @ P
 
-    idx = np.arange(d)
-    di = np.equal.outer(idx, idx).astype(float)
+    di = np.eye(d)
     target = (
         np.einsum("ij,kl->ijkl", di, di)
         + np.einsum("ik,jl->ijkl", di, di)
         + np.einsum("il,jk->ijkl", di, di)
     ).reshape(d * d, d * d) / (d * (d + 2))
-
-    dev = np.abs(mean - target)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dev_se = np.where(se > 0, dev / se, 0.0)
+    dev, dev_se = _monte_carlo(draw, samples, 100_000, target)
     nonzero = target > 0
     rel = np.max(dev[nonzero] / target[nonzero]) if np.any(nonzero) else 0.0
-    return MomentReport(max_dev_se=float(np.max(dev_se)), max_rel_dev=float(rel), samples=samples)
+    return MomentReport(max_dev_se=dev_se, max_rel_dev=float(rel), samples=samples)
 
 
 def secant_expectation_check(
@@ -277,34 +282,17 @@ def secant_expectation_check(
         raise ValueError("the expectation identity is for single-stream codewords")
     rng = rng or np.random.default_rng(0)
     V = codebook.V.astype(float)
-    p = codebook.p
     basis = traceless_symmetric_basis(d)
-    m = basis.shape[0]
-    G = V.T @ V
-    mu_v = float(np.sum(2.0 * (1.0 - G**2))) / m
+    mu_v = float(np.sum(2.0 * (1.0 - (V.T @ V) ** 2))) / basis.shape[0]
 
-    n_basis = m
-    sum_vals = np.zeros(n_basis)
-    sum_sqs = np.zeros(n_basis)
-    done = 0
-    batch = min(samples, 20_000)
-    while done < samples:
-        n = min(batch, samples - done)
-        Q = haar_stiefel_stack(n, d, p, rng, real=True)
-        quad = _codeword_coords(Q, V, basis)
-        nn = quad.shape[1]
-        vals = 2.0 * nn * np.sum(quad**2, axis=1) - 2.0 * np.sum(quad, axis=1) ** 2
-        sum_vals += vals.sum(axis=0)
-        sum_sqs += (vals**2).sum(axis=0)
-        done += n
-    mean = sum_vals / samples
-    var = np.maximum(sum_sqs / samples - mean**2, 0.0)
-    se = np.sqrt(var / samples)
-    dev = np.abs(mean - mu_v)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dev_se = np.where(se > 0, dev / se, np.where(dev > 0, np.inf, 0.0))
+    def draw(n):
+        quad = _codeword_coords(haar_stiefel_stack(n, d, codebook.p, rng, real=True), V, basis)
+        vals = 2.0 * quad.shape[1] * np.sum(quad**2, axis=1) - 2.0 * np.sum(quad, axis=1) ** 2
+        return vals.sum(axis=0), (vals**2).sum(axis=0)
+
+    dev, dev_se = _monte_carlo(draw, samples, 20_000, mu_v)
     rel = float(np.max(dev) / mu_v) if mu_v > 0 else float(np.max(dev))
-    return MomentReport(max_dev_se=float(np.max(dev_se)), max_rel_dev=rel, samples=samples)
+    return MomentReport(max_dev_se=dev_se, max_rel_dev=rel, samples=samples)
 
 
 def rank1_distance_bound_check(x: np.ndarray, h: np.ndarray) -> bool:

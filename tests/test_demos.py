@@ -40,3 +40,14 @@ def test_readme_python_blocks_run(tmp_path):
     for code in blocks:
         subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env, check=True)
     assert list(tmp_path.iterdir()) == []
+
+
+def test_theory_checks_demo_runs(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    runpy.run_path(str(DEMOS / "theory_checks.py"), run_name="__main__")
+    out = capsys.readouterr().out
+    rows = re.findall(r"^\[pass\] (\w+) +value=\S+  threshold=\S+  rule=(.+)$", out, re.M)
+    assert len(rows) == 13
+    assert rows[0] == ("gauge_nullity", "<=") and rows[-1] == ("excess_risk_slope", "in [-1.15; -0.85]")
+    assert "\n13/13 checks passed\n" in out
+    assert list(tmp_path.iterdir()) == []

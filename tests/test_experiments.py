@@ -1,7 +1,9 @@
+import dataclasses
 import importlib
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +12,7 @@ import numpy as np
 import pytest
 
 import pmichannel
-from pmichannel import cli, crb, experiments
+from pmichannel import cli, crb, experiments, theory
 from pmichannel.dataset import ChannelDataset, read_dataset, write_dataset
 
 
@@ -417,6 +419,87 @@ class TestTheoryVerification:
             monkeypatch.setattr(experiments.theory, name, no_check)
         with pytest.raises(experiments.InvalidOptionError, match=option):
             experiments.run_theory_verification(**{option: count, "include_slope": include_slope})
+
+
+# The report's rules, read here from their text, apart from the driver's table.
+_COMPARE = {"<": lambda v, t: v < t, "<=": lambda v, t: v <= t, ">=": lambda v, t: v >= t}
+_SMALL_THEORY = ["--seed", "0", "--moment-samples", "20000", "--secant-samples", "5000", "--slope-trials", "2"]
+
+
+def _rule_holds(rule: str, value: float, threshold: float) -> bool:
+    band = re.fullmatch(r"in \[(\S+); (\S+)\]", rule)
+    return float(band[1]) <= value <= float(band[2]) if band else _COMPARE[rule](value, threshold)
+
+
+def _theory_report(out: Path, *patches) -> tuple:
+    """(exit status, report.csv rows split at commas) of a small verify-theory run under the patches."""
+    with pytest.MonkeyPatch.context() as mp:
+        for patch in patches:
+            mp.setattr(*patch)
+        status = cli.main(["verify-theory", *_SMALL_THEORY, "--out", str(out)])
+    lines = (out / "report.csv").read_text().splitlines()
+    assert lines[0] == "check,value,threshold,passed,rule"
+    return status, [line.split(",") for line in lines[1:]]
+
+
+@pytest.fixture(scope="module")
+def theory_report(tmp_path_factory):
+    return _theory_report(tmp_path_factory.mktemp("theory"))
+
+
+_real_certify_secant = theory.certify_secant
+
+
+def _secant_probes_below_operator(*args, **kwargs):
+    rep = _real_certify_secant(*args, **kwargs)
+    return dataclasses.replace(rep, random_min=rep.operator_min - 1e-7)
+
+
+def _sphere_off_by_five_se(*args):
+    return theory.MomentReport(max_dev_se=5.0, max_rel_dev=0.0, samples=1)
+
+
+class TestTheoryReport:
+    def test_every_row_carries_a_rule_that_gives_passed(self, theory_report):
+        status, rows = theory_report
+        assert status == 0 and len(rows) == 13
+        for row in rows:
+            check, value, threshold, passed, rule = row
+            assert passed == str(_rule_holds(rule, float(value), float(threshold))), check
+        rules = ["<=", "<=", "<", "<", "<=", "<=", ">=", "<=", "<=", ">=", ">=", ">=", "in [-1.15; -0.85]"]
+        assert [row[4] for row in rows] == rules
+
+    @pytest.mark.parametrize(
+        "value, threshold, rule, passed",
+        [
+            (1e-10, 1e-10, "<=", True), (1e-6, 1e-6, "<", False), (-1e-8, -1e-8, ">=", True),
+            (-1.15, -1.0, "in [-1.15; -0.85]", True), (-0.85, -1.0, "in [-1.15; -0.85]", True),
+            (-0.849, -1.0, "in [-1.15; -0.85]", False), (-1.151, -1.0, "in [-1.15; -0.85]", False),
+            (float("nan"), 1.0, ">=", False), (float("nan"), -1.0, "in [-1.15; -0.85]", False),
+        ],
+    )
+    def test_rule_table(self, value, threshold, rule, passed):
+        assert experiments._PASS_RULES[rule](value, threshold) is passed
+        assert _rule_holds(rule, value, threshold) is passed
+
+    @pytest.mark.parametrize(
+        "check, patch",
+        [
+            ("gauge_nullity", (crb, "gauge_nullity", lambda F: 1.0)),
+            ("gradient_fd", (experiments, "_fd_gradient_realified", lambda problem, x: np.zeros_like(x))),
+            ("p_min_floor", (theory, "p_min_value", lambda N, R, tau: 2.0)),
+            ("sphere_fourth_moment", (theory, "sphere_fourth_moment_check", _sphere_off_by_five_se)),
+            ("secant_random_vs_operator", (theory, "certify_secant", _secant_probes_below_operator)),
+            ("rank1_distance_bound", (theory, "rank1_distance_bound_check", lambda x, h: False)),
+            ("excess_risk_slope", (experiments, "excess_risk_slope", lambda **kw: (-0.5, []))),
+        ],
+    )
+    def test_a_failing_check_flips_only_its_row(self, theory_report, tmp_path, capsys, check, patch):
+        status, rows = _theory_report(tmp_path, patch)
+        assert status == 1
+        changed = [new for old, new in zip(theory_report[1], rows) if old != new]
+        assert [row[0] for row in changed] == [check] and changed[0][3] == "False"
+        assert f"[FAIL] {check}: " in capsys.readouterr().out
 
 
 class TestCli:

@@ -568,15 +568,20 @@ class TestShortRowSum:
         assert np.all(lse == np.log(z) + scores.max(axis=1))
 
 
-def _spectral(prob, q, basis=None, hi=10.0):
-    """``prob``'s spectral start on the ball of radius hi, from the stacked ``_start`` of one problem
-    rebuilt over its design stack q."""
+def _spectral_start(prob, q, basis=None, hi=10.0):
+    """``prob``'s spectral start on the ball of radius hi and its scan record (scales evaluated,
+    fell back), from the stacked ``_start`` of one problem rebuilt over its design stack q."""
     prob = model.EstimationProblem.from_arrays(q, prob.pmi_array, prob.codebook, prob.tau, radius=hi)
     stack = likelihood._stacked(prob, prob.pmi_flat[None], prob.effective_flat[None])
     lift = (lambda Z: Z) if basis is None else (lambda Z: np.stack([basis @ z for z in Z]))
     cfg = likelihood.MleConfig(init="spectral")
     bases = None if basis is None else [basis]
-    return likelihood._start([prob], cfg, bases, prob.codebook.r, stack, lift)[0][0]
+    S, _, _, scans = likelihood._start([prob], cfg, bases, prob.codebook.r, stack, lift)
+    return S[0], scans[0]
+
+
+def _spectral(prob, q, basis=None, hi=10.0):
+    return _spectral_start(prob, q, basis, hi)[0]
 
 
 def _scan_reference(prob, basis, hi):
@@ -657,8 +662,10 @@ class TestSpectralScan:
         values = self._FALLBACKS[case]
         f = np.where(np.isnan(values), np.inf, values)
         asked = self._scripted(monkeypatch, prob, X, values)
-        np.testing.assert_array_equal(_spectral(prob, q), np.geomspace(0.05, 10.0, 41)[f.argmin()] * X)
+        start, scan = _spectral_start(prob, q)
+        np.testing.assert_array_equal(start, np.geomspace(0.05, 10.0, 41)[f.argmin()] * X)
         assert asked[-41:] == list(range(41)) and len(asked) <= 41 + 8
+        assert scan == (len(asked), True)
 
     def test_unimodal_values_take_the_search_alone(self, rng, monkeypatch):
         prob, _, q = designed_problem(rng, d=5, p=3, n=3, T=20)
@@ -668,6 +675,8 @@ class TestSpectralScan:
             # Slopes 1 and sqrt(2) on the two sides: no two scales tie.
             values = [1.0 + (best - j if j < best else np.sqrt(2.0) * (j - best)) for j in range(41)]
             asked = self._scripted(monkeypatch, prob, X, values)
+            start, scan = _spectral_start(prob, q)
             # rtol: the top scale's start is rescaled onto the ball of radius 10.
-            np.testing.assert_allclose(_spectral(prob, q), grid[best] * X, rtol=1e-14)
+            np.testing.assert_allclose(start, grid[best] * X, rtol=1e-14)
             assert len(asked) == len(set(asked)) <= 8
+            assert scan == (len(asked), False)

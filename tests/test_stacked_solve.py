@@ -47,7 +47,8 @@ def _fields(X, rep):
     coeffs = None if coeffs is None else (coeffs.shape, coeffs.tobytes())
     return (
         X.shape, X.tobytes(), rep.iterations, float.hex(rep.nll), float.hex(rep.rel_change),
-        rep.stop_reason, rep.radius, rep.n_obj_evals, rep.n_grad_evals, coeffs,
+        rep.stop_reason, rep.radius, rep.n_obj_evals, rep.n_grad_evals, rep.n_scale_evals,
+        rep.scale_fallback, coeffs,
     )
 
 
@@ -157,7 +158,7 @@ def test_non_finite_objective_names_the_problem():
 
 
 def _reference_start(problem, config, basis, m):
-    """One problem's start, computed alone: S, radius, ||S||_F and A^H lift(S).
+    """One problem's start, computed alone: S, radius and A^H lift(S).
 
     The per-problem code that ``likelihood._start`` stacks: one covariance,
     one 2-D eigendecomposition and one full 41-scale scan per problem, with
@@ -184,7 +185,7 @@ def _reference_start(problem, config, basis, m):
     nrm = float(np.linalg.norm(S))
     S = S * (radius / nrm) if nrm > radius else S
     C = model._project(problem, S if basis is None else basis @ S)
-    return S, radius, float(np.linalg.norm(S)), C
+    return S, radius, C
 
 
 def _eig_priors(seed, B, d, k, complex_mode):
@@ -197,8 +198,8 @@ def _eig_priors(seed, B, d, k, complex_mode):
     return priors
 
 
-def _start_bytes(S, radius, nrm, C):
-    return S.shape, S.tobytes(), float.hex(radius), float.hex(nrm), C.shape, C.tobytes()
+def _start_bytes(S, radius, C):
+    return S.shape, S.tobytes(), float.hex(radius), C.shape, C.tobytes()
 
 
 def _assert_start_equals_references(problems, cfg, priors, m):
@@ -212,12 +213,12 @@ def _assert_start_equals_references(problems, cfg, priors, m):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(likelihood, "_start", spy)
         likelihood.solve_mle(problems, replace(cfg, max_iters=1), priors)
-    [(S, radii, nrm, C)] = seen
-    assert len(S) == len(radii) == len(nrm) == len(C) == len(problems)
+    [(S, radii, C, scans)] = seen
+    assert len(S) == len(radii) == len(C) == len(scans) == len(problems)
     for b, problem in enumerate(problems):
         basis = None if priors is None else priors[b].B
         want = _reference_start(problem, cfg, basis, m)
-        assert _start_bytes(S[b], radii[b], nrm[b], C[b]) == _start_bytes(*want), f"problem {b}"
+        assert _start_bytes(S[b], radii[b], C[b]) == _start_bytes(*want), f"problem {b}"
 
 
 @settings(max_examples=80, deadline=None)
@@ -242,6 +243,42 @@ def test_stacked_start_equals_one_problem_starts(seed, B, T, r, complex_mode, pr
         shape = (4 if prior else 6,) + (() if r == 1 else (r,))
         x0 = rng.standard_normal(shape) + (1j * rng.standard_normal(shape) if complex_mode else 0.0)
     _assert_start_equals_references(problems, likelihood.MleConfig(init=init, x0=x0), priors, r)
+
+
+def test_fallback_scans_only_the_problems_that_fell_back(monkeypatch):
+    # At T = 1 a problem whose report is the spectral direction's best codeword has an
+    # NLL that underflows to 0 at the top scales, a tie that sends its search to the
+    # full scan; here problems 3 and 4 of the stack fall back and the others do not.
+    problems, _ = _stack(3, 6, 3, 1, False, T=1)
+    cfg = likelihood.MleConfig(init="spectral")
+    rows, real = [], likelihood._value_from_scores
+
+    def spy(problem, scores, picked=None):
+        rows.append(len(scores))
+        return real(problem, scores, picked)
+
+    pmi, lift = np.stack([pb.pmi_flat for pb in problems]), np.stack([pb.effective_flat for pb in problems])
+    with monkeypatch.context() as mp:
+        mp.setattr(likelihood, "_value_from_scores", spy)
+        _, _, _, scans = likelihood._start(problems, cfg, None, 1, likelihood._stacked(problems[0], pmi, lift),
+                                           lambda Z: Z)
+    assert [fell for _, fell in scans] == [False, False, False, True, True, False]
+    # The search evaluates the whole stack in lockstep; the full scan, the two that fell back.
+    searched = len(rows) - 41
+    assert rows == [6] * searched + [2] * 41 and searched <= 8
+    assert all(evals <= searched for evals, fell in scans if not fell)
+    assert all(searched + 41 >= evals > 41 for evals, fell in scans if fell)
+    _assert_start_equals_references(problems, cfg, None, 1)
+    reports = _assert_stack_equals_singles(problems, replace(cfg, max_iters=3))
+    assert [(rep.n_scale_evals, rep.scale_fallback) for rep in reports] == scans
+
+
+def test_other_starts_record_no_scale_search():
+    problems, priors = _stack(4, 3, 3, 1, True)
+    for init in ("identity", "random"):
+        for prior in (None, priors):
+            reports = _assert_stack_equals_singles(problems, likelihood.MleConfig(init=init, max_iters=2), prior)
+            assert all((rep.n_scale_evals, rep.scale_fallback) == (0, False) for rep in reports)
 
 
 @pytest.mark.parametrize("B", [1, 3])

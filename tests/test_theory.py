@@ -69,7 +69,31 @@ class TestConstantsBundle:
         assert tc.hessian_lipschitz == 48 * 1.5**3 / 0.6**3 + 24 * 1.5 / 0.6**2
 
 
+def _reference_basis(d):
+    """Gram-Schmidt of E_ii - E_{i+1,i+1} in order, then (E_ij + E_ji)/sqrt(2) for i < j, row by row."""
+    mats, ortho = [], []
+    for i in range(d - 1):
+        v = np.zeros(d)
+        v[i], v[i + 1] = 1.0, -1.0
+        for u in ortho:
+            v = v - (u @ v) * u
+        ortho.append(v / np.linalg.norm(v))
+        mats.append(np.diag(ortho[-1]))
+    for i in range(d):
+        for j in range(i + 1, d):
+            M = np.zeros((d, d))
+            M[i, j] = M[j, i] = 1.0 / np.sqrt(2.0)
+            mats.append(M)
+    return np.array(mats).reshape(len(mats), d, d)
+
+
 class TestTracelessBasis:
+    @pytest.mark.parametrize("d", range(0, 9))
+    def test_bytes_match_reference_gram_schmidt(self, d):
+        basis = theory.traceless_symmetric_basis(d)
+        want = _reference_basis(d)
+        assert (basis.shape, basis.dtype, basis.tobytes()) == (want.shape, want.dtype, want.tobytes())
+
     def test_orthonormal_and_traceless(self):
         for d in (2, 3, 5):
             basis = theory.traceless_symmetric_basis(d)
@@ -161,7 +185,104 @@ class TestCertifySecant:
         assert abs(rep.random_min - expected) < 1e-10
 
 
+class TestCertifySecantRefusals:
+    """Bad input is refused with ValueError before the probe generator is touched."""
+
+    def _args(self):
+        rng = np.random.default_rng(4)
+        qs = designs.haar_stiefel_stack(5, 4, 2, rng, real=True)
+        return qs, designs.identity_codebook(2, 2), rng.standard_normal(4)
+
+    @pytest.mark.parametrize(
+        "case, match",
+        [
+            ("complex codebook", "real single-stream codebook"),
+            ("multi-stream codebook", "real single-stream codebook"),
+            ("complex designs", "single-stream codebook, designs"),
+            ("complex channel", "designs and channel"),
+            ("scaled designs", "orthonormal"),
+            ("non-orthonormal round", "orthonormal"),
+            ("NaN design", "orthonormal"),
+            ("designs of another p", r"\(T, d, 2\)"),
+            ("2-D designs", r"\(T, d, 2\)"),
+            ("short channel", "channel entries"),
+            ("NaN channel", "channel entries"),
+            ("negative trials", "nonnegative int"),
+            ("fractional trials", "nonnegative int"),
+            ("bool trials", "nonnegative int"),
+        ],
+    )
+    def test_refused(self, case, match):
+        qs, cb, h = self._args()
+        trials = 10
+        if case == "complex codebook":
+            cb = designs.dft_codebook(2)
+        elif case == "multi-stream codebook":
+            cb = designs.identity_codebook(2, 1, r=2)
+        elif case == "complex designs":
+            qs = qs * np.exp(0.3j)
+        elif case == "complex channel":
+            h = h + 1e-3j
+        elif case == "scaled designs":
+            qs = qs * 2
+        elif case == "non-orthonormal round":
+            qs[2, 0, 0] += 1e-3
+        elif case == "NaN design":
+            qs[1, 1, 1] = np.nan
+        elif case == "designs of another p":
+            qs = designs.haar_stiefel_stack(5, 4, 3, np.random.default_rng(0), real=True)
+        elif case == "2-D designs":
+            qs = qs[:, :, 0]
+        elif case == "short channel":
+            h = h[:3]
+        elif case == "NaN channel":
+            h[0] = np.nan
+        else:
+            trials = {"negative trials": -1, "fractional trials": 2.5, "bool trials": True}[case]
+        rng = np.random.default_rng(1)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match=match):
+            theory.certify_secant(qs, cb, h, trials=trials, rng=rng)
+        assert rng.bit_generator.state == before
+
+    def test_column_channel_and_integer_trials_accepted(self):
+        qs, cb, h = self._args()
+        a = theory.certify_secant(qs, cb, h, trials=np.int64(3), rng=np.random.default_rng(2))
+        b = theory.certify_secant(list(qs), cb, h[:, None], trials=3, rng=np.random.default_rng(2))
+        assert a == b
+
+
 class TestMomentChecks:
+    @pytest.mark.parametrize("samples", [0, -5, 2.5])
+    def test_no_samples_refused(self, samples):
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match="samples must be a positive int"):
+            theory.sphere_fourth_moment_check(3, samples, rng)
+        with pytest.raises(ValueError, match="samples must be a positive int"):
+            theory.secant_expectation_check(designs.identity_codebook(2, 2), 3, samples, rng)
+        assert rng.bit_generator.state == before
+
+    def test_deviation_without_standard_error_is_infinite(self):
+        # Every sample equals 1: the standard error is 0, so a deviation reads +inf
+        # standard errors, and no deviation reads 0.
+        def draw(n):
+            return np.full(2, float(n)), np.full(2, float(n))
+
+        assert theory._monte_carlo(draw, 10, 4, np.array([0.5, 1.0]))[1] == np.inf
+        dev, dev_se = theory._monte_carlo(draw, 10, 4, 1.0)
+        assert dev_se == 0.0 and np.all(dev == 0.0)
+
+    def test_batches_cover_every_sample(self):
+        sizes = []
+
+        def draw(n):
+            sizes.append(n)
+            return np.zeros(1), np.zeros(1)
+
+        theory._monte_carlo(draw, 10, 4, 0.0)
+        assert sizes == [4, 4, 2]
+
     def test_sphere_d1_exact(self):
         rep = theory.sphere_fourth_moment_check(1, 500, np.random.default_rng(0))
         assert rep.max_dev_se == 0.0
