@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .designs import haar_stiefel
-from .likelihood import _as_stack, _check_stop_rule, _descend, _norms, _spectral
+from .likelihood import _as_stack, _check_stop_rule, _descend, _norms, _pmi_eig, _spectral
 from .model import EstimationProblem, _reduced
 
 __all__ = [
@@ -113,19 +113,18 @@ def spectral_estimate(problem, r: Optional[int] = None):
     At T = 1 the column space equals range(Q_1 V_{I_1}), i.e. the two-stage
     precoding estimate.  A sequence of problems of one shape gives a list of
     estimates from one batched eigendecomposition, each with the bits of its
-    own call.
+    own call.  The decomposition is ``likelihood._pmi_eig``'s, kept on the
+    problem; its eigenvalues decide the rank warning.
     """
     single, problems, _ = _as_stack(problem)
     r = r if r is not None else problems[0].codebook.r
-    covs, X = _spectral(np.stack([_reduced(pb) for pb in problems]), r)
-    for w in np.linalg.eigvalsh(covs)[:, ::-1]:
+    out = []
+    for w, U in _pmi_eig(problems):
         if r > np.sum(w > w[0] * 1e-12):
-            warnings.warn(
-                "requested more beams than the PMI covariance rank; "
-                "extra columns filled from the eigenbasis",
-                DegenerateEstimateWarning,
-            )
-    return X[0] if single else list(X)
+            msg = "requested more beams than the PMI covariance rank; extra columns filled from the eigenbasis"
+            warnings.warn(msg, DegenerateEstimateWarning)
+        out.append(U[:, :r].copy())
+    return out[0] if single else out
 
 
 def _am_phase_ls_loop(rows, targets, lam: float, x0, max_iters: int, rel_tol: float) -> list:

@@ -57,8 +57,9 @@ def _options(ap: argparse.ArgumentParser, args: argparse.Namespace) -> dict:
     """The config file's keys, then the flags given on top; nothing else.
 
     Options left unset take the driver's own defaults; samples and a dataset
-    (whose file sets the count) exclude each other.  A config key must
-    name one of the subcommand's flags; ``samples`` becomes ``n_samples``.
+    (whose file sets the count) exclude each other, as do slope trials and
+    skip-slope.  A config key must name one of the subcommand's flags;
+    ``samples`` becomes ``n_samples``.
     A list-valued flag's key takes a JSON list or the flag's comma string,
     either one parsed by the flag's own converter.  A scalar flag's key takes
     a JSON number or string, passed to the converter as the flag's text would
@@ -96,6 +97,8 @@ def _options(ap: argparse.ArgumentParser, args: argparse.Namespace) -> dict:
     opts.update({k: v for k, v in flags.items() if v is not None})
     if "samples" in opts and "dataset" in opts:
         ap.error(f"{args.command}: samples cannot be given with a dataset, whose file sets the count")
+    if opts.get("skip_slope") and "slope_trials" in opts:
+        ap.error(f"{args.command}: slope trials cannot be given with skip-slope, which runs none")
     if "samples" in opts:
         opts["n_samples"] = opts.pop("samples")
     return opts

@@ -361,8 +361,8 @@ def run_fdd_experiment(
     divide 8.
 
     A task takes ``_FDD_CHUNK`` (16) samples and makes one stacked call per
-    (T, method) for every method, so a row's wall time is its slice's time
-    over the sample count plus the row's own beam precision.  Rows come in
+    (T, method) for every method, and one beam-precision call over the slice's
+    estimates, so a row's wall time is its share of both.  Rows come in
     sample, T, method order.  The solves hold the GIL, so ``workers`` gains little
     (see ``_FDD_CHUNK``).  A ``dataset`` file sets the sample count, not ``n_samples``.
     ``run_ablation`` passes ``_variants`` of (label, method, tau, init) in place of
@@ -396,6 +396,7 @@ def run_fdd_experiment(
 
     def task(chunk: range) -> list:
         histories, priors, svds = zip(*(prepare(i) for i in chunk))
+        Us, ss = (np.stack(a) for a in zip(*svds))
         out = {i: [] for i in chunk}
         for T in rounds:
             problems = [history.prefix(T) for history in histories]
@@ -409,12 +410,11 @@ def run_fdd_experiment(
                 rngs = [np.random.default_rng([seed, 5, i, T]) for i in chunk] if multi else None
                 views = [h.prefix(T, v_tau) for h in histories] if v_tau is not None else problems
                 ests = _fdd_estimates(method, views, priors, r, rngs, v_init or mle_init)
-                share = (time.perf_counter() - t0) / len(chunk)
-                for j, i in enumerate(chunk):
-                    if ests[j] is not None:
-                        t0 = time.perf_counter()
-                        bp = metrics._beam_precision(ests[j], *svds[j])
-                        dt = share + time.perf_counter() - t0
+                have, t1 = [j for j, est in enumerate(ests) if est is not None], time.perf_counter()
+                if have:
+                    bps = metrics._beam_precision(np.stack([ests[j] for j in have]), Us[have], ss[have])
+                    dt = (t1 - t0) / len(chunk) + (time.perf_counter() - t1) / len(have)
+                    for i, bp in zip((chunk[j] for j in have), bps):
                         out[i].append(ExperimentResult(label, T, i, seed, "beam_precision", bp, dt))
         return [row for i in chunk for row in out[i]]
 
@@ -608,12 +608,10 @@ def run_theory_verification(
     the rule (``_PASS_RULES``) applied to the value and threshold, and the
     CLI maps any failure to a nonzero exit code.  A sample, trial or worker count below 1
     is refused before any check runs: with no samples a moment check has no
-    deviation to report.
+    deviation to report.  ``slope_trials`` is read, and checked, only with ``include_slope``.
     """
-    _check_counts(
-        moment_samples=moment_samples, secant_samples=secant_samples,
-        slope_trials=slope_trials, workers=workers,
-    )
+    slope = {"slope_trials": slope_trials} if include_slope else {}
+    _check_counts(moment_samples=moment_samples, secant_samples=secant_samples, workers=workers, **slope)
     rng = np.random.default_rng([seed, 13])
     records = []
 

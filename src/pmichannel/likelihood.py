@@ -319,7 +319,11 @@ def _descend(X, data, value, gradient, step0: list, max_iters: int, rel_tol: flo
     and the state ``gradient(data, Z, state)`` needs at an accepted point.
     The step and stop rules are ``MleConfig``'s, with step0 for tau/(4 R^2),
     the iteration-1 doubling only if ``two_way`` and +inf for the change from
-    a zero S.  Returns (S, objective, iterations, rel_change, stop_reason,
+    a zero S.  After an iteration's first trial, each round gives each of the g
+    problems still searching, of the n in the stack, its next n // g halvings
+    (or doublings), none past its clamp, in one ``_trial`` of at most n rows,
+    and accepts the step the sequential rule would; ``trials`` counts the steps
+    that rule tries.  Returns (S, objective, iterations, rel_change, stop_reason,
     trials) per problem; NumericalFailureError names its label in ``ids``
     (default: its position).  ``own`` lets compaction overwrite data's arrays (``_keep``).
     """
@@ -337,28 +341,38 @@ def _descend(X, data, value, gradient, step0: list, max_iters: int, rel_tol: flo
         rose = list(map(float.__gt__, f_new, f))
         go = [i for i in range(n) if (s[i] > s_min[i] if rose[i] else up and s[i] < s_max[i])]
         while go:
-            # Each round tries the next step of every problem still searching.
-            step = [s[i] / 2.0 if rose[i] else 2.0 * s[i] for i in go]
+            q, plan = n // len(go), []
+            for i in go:
+                t, steps = s[i], []
+                while len(steps) < q and (t > s_min[i] if rose[i] else t < s_max[i]):
+                    t = t / 2.0 if rose[i] else 2.0 * t
+                    steps.append(t)
+                plan.append(steps)
+            step = [t for steps in plan for t in steps]
             if len(go) == n:
                 f_t, state_t, nrm_t, Z_t = _trial(value, data, X, D, step, k, radius, None)
             else:
-                at = np.array(go)
-                sub = radius and [radius[i] for i in go]
+                at = np.repeat(go, list(map(len, plan)))
+                sub = radius and [radius[i] for i in at]
                 f_t, state_t, nrm_t, Z_t = _trial(value, data, X[at], D[at], step, k, sub, at)
-            took, nxt = [], []
-            for j, i in enumerate(go):
-                extra[i] += 1
-                if rose[i] or f_t[j] < f_new[i]:
-                    took.append(j)
-                    s[i], f_new[i], nrm_new[i] = step[j], f_t[j], nrm_t[j]
-                    if (f_t[j] > f[i] and s[i] > s_min[i]) if rose[i] else s[i] < s_max[i]:
-                        nxt.append(i)
+            # Walk each problem's steps as the sequential rule would; it never tries those after its stop.
+            took, nxt, start = {}, [], 0
+            for i, steps in zip(go, plan):
+                for j, t in enumerate(steps, start):
+                    extra[i] += 1
+                    if not (rose[i] or f_t[j] < f_new[i]):
+                        break
+                    took[i], s[i], f_new[i], nrm_new[i] = j, t, f_t[j], nrm_t[j]
+                    if not ((f_t[j] > f[i] and t > s_min[i]) if rose[i] else t < s_max[i]):
+                        break
+                else:
+                    nxt.append(i)
+                start += len(steps)
             if len(took) == n:
                 Z, state = Z_t, state_t
             elif took:
-                at = np.array([go[j] for j in took])
                 for arr, val in zip((Z, *state), (Z_t, *state_t)):
-                    arr[at] = val if len(took) == len(go) else val[took]
+                    arr[list(took)] = val[list(took.values())]
             go = nxt
         if not all(map(math.isfinite, f_new)):
             bad = next(b for b, f_i in zip(ids, f_new) if not math.isfinite(f_i))
@@ -409,11 +423,24 @@ _SCAN_MARGIN = 1e-9
 def _spectral(reduced: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Covariances of a (B, T, n, r) stack of ``model._reduced`` codewords and their top m eigenvectors.
 
-    The one spectral kernel, for the spectral baseline and the starts of ``solve_mle``,
-    AM and phase retrieval; each problem gets its own call's bits.
+    The one spectral kernel: each problem gets its own call's bits.  ``_pmi_eig`` takes it
+    without a basis; the starts under one (``solve_mle``'s and phase retrieval's) call it directly.
     """
     covs = _covariance(reduced)
     return covs, eigvecs_descending(covs, m)
+
+
+def _pmi_eig(problems) -> list:
+    """(eigenvalues, eigenvectors) of each problem's basis-free ``pmi_covariance``, both descending:
+    all of ``_spectral``'s eigenvectors and their Rayleigh quotients, kept on the problem, so
+    the spectral baseline and starts decompose it once; the rest of the stack in one batched call."""
+    new = [pb for pb in problems if "pmi_eig" not in pb.__dict__]
+    if new:
+        covs, U = _spectral(np.stack([pb.selected for pb in new]), new[0].d)
+        w = np.einsum("...ji,...ji->...i", U.conj(), covs @ U).real
+        for pb, pair in zip(new, zip(w, U)):
+            pb.__dict__["pmi_eig"] = pair
+    return [pb.pmi_eig for pb in problems]
 
 
 def _start(problems, config: MleConfig, bases: Optional[list], m: int, stack, lift) -> tuple:
@@ -429,7 +456,8 @@ def _start(problems, config: MleConfig, bases: Optional[list], m: int, stack, li
     """
     p0, n = problems[0], len(problems)
     if config.init == "spectral":
-        X = _spectral(np.stack([_reduced(pb, B) for pb, B in zip(problems, bases or [None] * n)]), m)[1]
+        X = (np.stack([U[:, :m] for _, U in _pmi_eig(problems)]) if bases is None
+             else _spectral(np.stack([_reduced(pb, B) for pb, B in zip(problems, bases)]), m)[1])
         scores = _gains_from_proj(_project(stack, lift(X)), p0.codebook) / p0.tau
         # Codeword-major, so ``_row_lse`` copies nothing, and the reported entries gathered once.
         by_codeword, picked = np.ascontiguousarray(scores.mT).mT, scores.take(stack.pmi_flat)
@@ -437,10 +465,9 @@ def _start(problems, config: MleConfig, bases: Optional[list], m: int, stack, li
         a2, rows = alphas * alphas, np.arange(n)
         tol = _SCAN_MARGIN * (1.0 + a2.max(axis=1) * scores.max(axis=(-2, -1)))
 
-        def f(j, at=slice(None)):  # the NLL of the problems ``at`` at their own scale indices j, +inf past 40
-            a = a2[at][rows[: len(j)], np.minimum(j, 40), None]
-            value = _value_from_scores(stack, a[..., None] * by_codeword[at], a * picked[at])[0]
-            return np.where(j > 40, np.inf, value)
+        def f(j, at=slice(None)):  # the NLL of the problems ``at`` at their own scale indices j
+            a = a2[at][rows[: len(j)], j, None]
+            return _value_from_scores(stack, a[..., None] * by_codeword[at], a * picked[at])[0]
 
         # Kiefer's Fibonacci search on the grid padded with +inf to F_10 = 55 indices, in lockstep: x is
         # each problem's best index in its open bracket (lo, lo + length).  The exact NLL is convex in
@@ -452,8 +479,10 @@ def _start(problems, config: MleConfig, bases: Optional[list], m: int, stack, li
         fx = f(x)
         for length in (55, 34, 21, 13, 8, 5, 3):
             y = 2 * lo + length - x
-            on = y <= 40
-            fy = f(y) if on.any() else np.full(n, np.inf)
+            on, fy = y <= 40, np.full(n, np.inf)  # only a probe on the grid is evaluated
+            if on.any():
+                at = slice(None) if on.all() else np.flatnonzero(on)
+                fy[at] = f(y[at], at)
             evals += on
             bad |= on & ~(np.abs(fy - fx) > tol * np.maximum(fx, fy))
             lo = np.where((fy < fx) == (y < x), lo, np.minimum(x, y))

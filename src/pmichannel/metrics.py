@@ -45,7 +45,7 @@ def beam_precision(h_hat: np.ndarray, H: np.ndarray) -> float:
     vectors of H and Qhat an orthonormal basis of h_hat's column space, so
     the metric ignores the power scaling of the estimate.
     """
-    return _beam_precision(h_hat, *_channel_svd(H))
+    return _beam_precision(np.asarray(h_hat)[None], *(a[None] for a in _channel_svd(H)))[0]
 
 
 def _channel_svd(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -58,10 +58,10 @@ def _channel_svd(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return U, s
 
 
-def _beam_precision(h_hat: np.ndarray, U: np.ndarray, s: np.ndarray) -> float:
-    """``beam_precision`` from the channel's ``_channel_svd``, for many estimates of one channel."""
-    Hh = np.asarray(h_hat)
-    Q, _ = np.linalg.qr(Hh[:, None] if Hh.ndim == 1 else Hh)
-    num = np.sum(np.abs(U.conj().T @ Q) ** 2 * (s**2)[:, None])
-    return float(num / np.sum(s[: Q.shape[1]] ** 2))
-
+def _beam_precision(h_hats: np.ndarray, U: np.ndarray, s: np.ndarray) -> list:
+    """``beam_precision`` of B estimates, a (B, d) or (B, d, r) stack, from their channels' stacked
+    ``_channel_svd``s, (B, d, q) and (B, q): one batched QR, each value with the bits of its own call."""
+    Hh = np.asarray(h_hats)
+    Q, _ = np.linalg.qr(Hh[..., None] if Hh.ndim == 2 else Hh)
+    num = np.add.reduce((np.abs(U.conj().mT @ Q) ** 2 * (s**2)[..., None]).reshape(len(Q), -1), axis=1)
+    return (num / np.add.reduce(s[:, : Q.shape[2]] ** 2, axis=1)).tolist()

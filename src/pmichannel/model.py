@@ -136,7 +136,9 @@ class EstimationProblem:
     problem; it may be left None and chosen at solve time.
 
     Build a problem from FeedbackRound records with the constructor, or from
-    arrays with ``from_arrays``; both pass the same batched validation.
+    arrays with ``from_arrays``; both pass the same batched validation.  The
+    decomposition of its basis-free PMI covariance is kept as ``pmi_eig``
+    (see ``likelihood._pmi_eig``) once a spectral method has made it.
     """
 
     def __init__(

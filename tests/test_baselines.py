@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,40 @@ class TestSpectral:
         with pytest.warns(baselines.DegenerateEstimateWarning):
             est = baselines.spectral_estimate(prob, 3)
         assert est.shape == (6, 3)
+
+    @pytest.mark.parametrize("complex_mode", [False, True])
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_rank_warning_follows_the_covariance_rank(self, complex_mode, width):
+        # The warning reads the kept decomposition's eigenvalues; it fires exactly where the
+        # covariance's own eigvalsh puts the rank below the requested beams.
+        rng = np.random.default_rng([41, width, complex_mode])
+        for T in (1, 2, 3, 5):
+            prob, _ = random_problem(rng, d=6, p=4, n=2, r=width, T=T, rule="hard", complex_mode=complex_mode)
+            w = np.linalg.eigvalsh(model.pmi_covariance(prob))[::-1]
+            rank = int(np.sum(w > w[0] * 1e-12))
+            for r in range(1, 7):
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    baselines.spectral_estimate(prob, r)
+                assert [w.category for w in caught] == [baselines.DegenerateEstimateWarning] * (r > rank)
+
+    def test_rank_warning_from_a_kept_decomposition(self, rng):
+        # The MLE's spectral start decomposes the covariance first; the baseline then
+        # decomposes nothing and warns from the problem's kept eigenvalues.
+        prob, _ = random_problem(rng, d=6, p=3, n=3, T=1, rule="hard")
+        likelihood.solve_mle(prob, likelihood.MleConfig(init="spectral", max_iters=1))
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            for name in ("eigh", "eigvalsh"):
+                mp.setattr(np.linalg, name, lambda *args, name=name: calls.append(name))
+            with pytest.warns(baselines.DegenerateEstimateWarning):
+                est = baselines.spectral_estimate(prob, 3)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                one = baselines.spectral_estimate(prob, 1)
+        assert calls == [] and est.shape == (6, 3)
+        alone = designs.eigvecs_descending(model.pmi_covariance(prob), 1)
+        assert one.tobytes() == est[:, :1].tobytes() == alone.tobytes()
 
 
 class TestAmSingle:

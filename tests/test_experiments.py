@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import pmichannel
-from pmichannel import cli, crb, experiments, theory
+from pmichannel import baselines, cli, crb, experiments, likelihood, theory
 from pmichannel.dataset import ChannelDataset, read_dataset, write_dataset
 
 
@@ -43,6 +43,28 @@ class TestFddDriver:
         assert {r.T for r in two} == {1}
         spec = [r for r in rows if r.method == "spectral"]
         assert {r.T for r in spec} == {1, 3}
+
+    def test_slice_decomposes_each_covariance_once(self, monkeypatch):
+        # spectral, mle's start and, at r = 1, am's start share each problem's decomposition
+        # of its basis-free PMI covariance (d = 32); the starts under a prior (k = 8) take
+        # their own.  spectral_estimate makes no eigvalsh: its warning reads the kept eigenvalues.
+        shapes, real = [], likelihood.eigvecs_descending
+        monkeypatch.setattr(likelihood, "eigvecs_descending", lambda A, k: shapes.append(A.shape) or real(A, k))
+        inside, eigvalsh, real_spectral, real_eigvalsh = [], [], baselines.spectral_estimate, np.linalg.eigvalsh
+
+        def spectral(*args):
+            inside.append(True)
+            try:
+                return real_spectral(*args)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(baselines, "spectral_estimate", spectral)
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda A: eigvalsh.append(bool(inside)) or real_eigvalsh(A))
+        rows = experiments.run_fdd_experiment(rounds=(1, 5), n_samples=3, r=1, seed=0)
+        assert {r.method for r in rows} == set(experiments.FDD_METHODS)
+        assert sum(B for B, d, _ in shapes if d == 32) == 3 * 2
+        assert eigvalsh and not any(eigvalsh)
 
     def test_missing_cqi_flags_skip(self):
         rows = experiments.run_fdd_experiment(
@@ -417,6 +439,11 @@ class TestTheoryVerification:
             "rank1_distance_bound_check", "p_min_value",
         ):
             monkeypatch.setattr(experiments.theory, name, no_check)
+        if option == "slope_trials" and not include_slope:
+            # Without the slope no trial runs, so its count is not read.
+            with pytest.raises(AssertionError, match="a check ran"):
+                experiments.run_theory_verification(**{option: count, "include_slope": include_slope})
+            return
         with pytest.raises(experiments.InvalidOptionError, match=option):
             experiments.run_theory_verification(**{option: count, "include_slope": include_slope})
 
@@ -851,6 +878,32 @@ class TestCli:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith("usage: ") and "verify-theory: " in err and "at least 1" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "flags, config",
+        [
+            (["--skip-slope", "--slope-trials", "7"], None),
+            ([], {"skip_slope": True, "slope_trials": 7}),
+            (["--skip-slope"], {"slope_trials": 7}),
+        ],
+    )
+    def test_slope_trials_with_skip_slope_is_a_usage_error(self, tmp_path, capsys, monkeypatch, flags, config):
+        # With the slope skipped no trial runs, so a trial count would be ignored.
+        def no_check(*args, **kwargs):
+            raise AssertionError("a check ran before the options were checked")
+
+        monkeypatch.setattr(experiments, "_random_problem", no_check)
+        argv = ["verify-theory", *flags, "--out", str(tmp_path / "o")]
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            argv += ["--config", str(cfg)]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "pmichannel: error: verify-theory: slope trials cannot be given with skip-slope" in err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(

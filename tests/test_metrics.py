@@ -163,7 +163,25 @@ class TestBeamPrecision:
             U, s = metrics._channel_svd(H)
             for est in estimates:
                 want = reference(est, H)
-                assert metrics._beam_precision(est, U, s) == metrics.beam_precision(est, H) == want
+                stacked = metrics._beam_precision(est[None], U[None], s[None])
+                assert stacked == [metrics.beam_precision(est, H)] == [want]
+
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_stacked_call_gives_each_estimate_its_own_bits(self, r):
+        # run_fdd_experiment makes one call per slice: B estimates of B channels, complex.
+        rng = np.random.default_rng([37, r])
+
+        def draw(*shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        Hs = [draw(32, 4) for _ in range(16)]
+        svds = [metrics._channel_svd(H) for H in Hs]
+        U, s = (np.stack(a) for a in zip(*svds))
+        for ests in ([draw(32, r) for _ in Hs], [draw(32) for _ in Hs] if r == 1 else []):
+            if ests:
+                want = [metrics.beam_precision(est, H) for est, H in zip(ests, Hs)]
+                got = metrics._beam_precision(np.stack(ests), U, s)
+                assert [float.hex(v) for v in got] == [float.hex(v) for v in want]
 
 
 def _layouts(rng, cols, complex_mode):

@@ -388,7 +388,7 @@ def _descent_fields(S, f, iterations, rel, stop, trials):
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    B=st.integers(2, 5),
+    B=st.integers(2, 16),
     k=st.integers(1, 5),
     m=st.integers(1, 2),
     complex_mode=st.booleans(),
@@ -414,6 +414,78 @@ def test_descend_stack_equals_one_problem_runs(
             X0[b : b + 1], tuple(a[b : b + 1] for a in data), value, gradient, step0[b : b + 1], *one
         )
         assert _descent_fields(*stacked[b]) == _descent_fields(*want), f"problem {b} of the stack"
+
+
+def _trial_rounds(monkeypatch) -> list:
+    """A spy on ``_trial``: each round's (stack size, steps, rows' problems or None)."""
+    rounds, real = [], likelihood._trial
+
+    def spy(value, data, X, D, s, k, radius, at):
+        rounds.append((len(data[0]), list(s), None if at is None else at.tolist()))
+        return real(value, data, X, D, s, k, radius, at)
+
+    monkeypatch.setattr(likelihood, "_trial", spy)
+    return rounds
+
+
+def test_descend_rounds_fill_the_stack(monkeypatch):
+    # After an iteration's first trial, each of the g problems still searching gets its next
+    # n // g steps in one round: doublings in the two-way iteration 1, halvings later.
+    X0, data, value, gradient, direction, step0, radii = _quadratics(3, 16, 4, 2, True, True)
+    rounds = _trial_rounds(monkeypatch)
+    stacked = likelihood._descend(X0, data, value, gradient, step0, 30, 1e-9, direction, radii, True)
+    monkeypatch.undo()
+    assert all(len(steps) <= n for n, steps, _ in rounds)
+    ran = {"doubled": False, "halved": False}
+    for _, steps, at in rounds:
+        for a, b, i, j in zip(steps, steps[1:], at or [], (at or [])[1:]):
+            ran["doubled"] |= i == j and b == 2.0 * a
+            ran["halved"] |= i == j and b == a / 2.0
+    assert ran == {"doubled": True, "halved": True}
+    for b in range(16):
+        one = (30, 1e-9, direction, radii[b : b + 1], True)
+        [want] = likelihood._descend(
+            X0[b : b + 1], tuple(a[b : b + 1] for a in data), value, gradient, step0[b : b + 1], *one
+        )
+        assert _descent_fields(*stacked[b]) == _descent_fields(*want), f"problem {b} of the stack"
+
+
+def test_fdd_slice_solve_takes_fewer_rounds(monkeypatch):
+    # One fdd slice's stacked MLE (16 samples, r = 2, T = 5, seed 0).  With one step per
+    # problem per round the search took 362 rounds; filling the stack takes about half.
+    calls, orig = [], likelihood.solve_mle
+
+    def spy(problems, *args):
+        calls.append((list(problems), *args))
+        return orig(problems, *args)
+
+    monkeypatch.setattr(likelihood, "solve_mle", spy)
+    experiments.run_fdd_experiment(rounds=(5,), n_samples=16, methods=("mle",), r=2, seed=0)
+    monkeypatch.undo()
+    [(problems, *args)] = calls
+    rounds = _trial_rounds(monkeypatch)
+    solved = likelihood.solve_mle(problems, *args)
+    assert all(len(steps) <= n for n, steps, _ in rounds)
+    assert len(rounds) < 362
+    # Every row a report counts was evaluated, and some were evaluated ahead of the rule.
+    assert sum(len(steps) for _, steps, _ in rounds) > sum(rep.n_obj_evals for _, rep in solved)
+
+
+def test_search_evaluates_only_the_probes_on_the_grid(monkeypatch):
+    # Mixed balls put some problems' probes past index 40, on the +inf padding: those problems
+    # sit the round out, so the rows the scan evaluates are the scales the reports count.
+    real, rows = likelihood._value_from_scores, []
+
+    def spy(problem, scores, picked=None):
+        rows.append(0 if picked is None else len(scores))  # the scan passes its gathered reported scores
+        return real(problem, scores, picked)
+
+    monkeypatch.setattr(likelihood, "_value_from_scores", spy)
+    for seed in range(12):
+        problems, _ = _stack(seed, 5, 3, 1, False, T=8, radii=[0.01, 0.3, 4.0, 100.0, None])
+        rows.clear()
+        solved = likelihood.solve_mle(problems, likelihood.MleConfig(init="spectral", max_iters=1))
+        assert sum(rows) == sum(rep.n_scale_evals for _, rep in solved), f"seed {seed}"
 
 
 @pytest.mark.parametrize("method", ["mle", "subspace-mle"])
