@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .designs import haar_stiefel
-from .likelihood import _as_stack, _check_stop_rule, _descend, _norms, _pmi_eig, _spectral
+from .likelihood import _as_stack, _check_stop_rule, _check_streams, _descend, _norms, _pmi_eig, _spectral
 from .model import EstimationProblem, _reduced
 
 __all__ = [
@@ -114,10 +114,11 @@ def spectral_estimate(problem, r: Optional[int] = None):
     precoding estimate.  A sequence of problems of one shape gives a list of
     estimates from one batched eigendecomposition, each with the bits of its
     own call.  The decomposition is ``likelihood._pmi_eig``'s, kept on the
-    problem; its eigenvalues decide the rank warning.
+    problem; its eigenvalues decide the rank warning.  ``r`` (default: the
+    codebook's width) is an int in 1..d.
     """
     single, problems, _ = _as_stack(problem)
-    r = r if r is not None else problems[0].codebook.r
+    r = _check_streams(problems[0].codebook.r if r is None else r, problems[0].d)
     out = []
     for w, U in _pmi_eig(problems):
         if r > np.sum(w > w[0] * 1e-12):
@@ -224,7 +225,8 @@ def am_estimate_multi(problem, r: int, config: Optional[BaselineConfig] = None, 
 
     Stream k is solved in the orthogonal complement of the previously
     returned columns with per-stream targets eta_t / r and random
-    initialization, then normalized, so the output has orthonormal columns.
+    initialization, then normalized, so the output has orthonormal columns;
+    ``r`` is an int in 1..d.
     The report sums the streams' iterations and gives the last stream's
     objective; it reads "max-iters" if any stream hit the cap and is
     degenerate if any stream's gram was singular or its solution collapsed
@@ -234,12 +236,11 @@ def am_estimate_multi(problem, r: int, config: Optional[BaselineConfig] = None, 
     """
     config = config or BaselineConfig()
     single, problems, _ = _as_stack(problem)
+    d, dtype = problems[0].d, problems[0].dtype
+    _check_streams(r, d)
     rngs = _rngs(rng, len(problems), config.seed)
     eta = np.stack([_require_cqi(pb) for pb in problems])
     lam = config.lambda_am if config.lambda_am is not None else (1.0 if r == 1 else 100.0)
-    d, dtype = problems[0].d, problems[0].dtype
-    if not 1 <= r <= d:
-        raise ValueError(f"stream count must be in 1..{d}, got {r}")
     # Each problem draws its streams' starts in stream order, as its own call does.
     u0 = [[haar_stiefel(d - k, 1, g, real=dtype is float)[:, 0] for k in range(r)] for g in rngs]
     n = len(problems)
@@ -327,7 +328,8 @@ def subspace_pr_estimate(
     Runs gradient descent on the intensity loss (Wirtinger flow) and/or the
     amplitude loss (amplitude flow) from a subspace-aware spectral
     initialization; "best-of-both" keeps whichever solution has the lower
-    amplitude residual.  Returns ``(B S, BaselineReport)``.  A sequence of
+    amplitude residual; ``r`` (default: the codebook's width) is an int in
+    1..k.  Returns ``(B S, BaselineReport)``.  A sequence of
     problems of one shape, with one prior or one each, is solved as one
     stacked descent per loss into a list of such pairs, each with the bits of
     its own call; a problem whose CQI values all vanish takes the zero
@@ -335,7 +337,7 @@ def subspace_pr_estimate(
     """
     config = config or BaselineConfig()
     single, problems, priors = _as_stack(problem, prior)
-    r = r if r is not None else problems[0].codebook.r
+    r = _check_streams(problems[0].codebook.r if r is None else r, priors[0].k)
     etas = [_require_cqi(pb) for pb in problems]
     Ms = [_reduced(pb, pr.B) for pb, pr in zip(problems, priors)]  # M_t = B^H Q_t V_{I_t}
     out, live = [None] * len(problems), []

@@ -179,14 +179,20 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _cmd_crb(opts: dict) -> int:
+def _write_rows(opts: dict, run, summarize) -> tuple:
+    """Check ``--out``, run a row driver, then write its results, timings and summary CSVs."""
     out = _writable(opts.pop("out", "results"))
-    rows = experiments.run_crb_experiment(**opts)
+    rows = run(**opts)
     out.mkdir(parents=True, exist_ok=True)
     experiments.write_results_csv(rows, out / "results.csv")
     experiments.write_timings_csv(rows, out / "timings.csv")
-    summary = experiments.summarize_crb(rows)
+    summary = summarize(rows)
     experiments.write_summary_csv(summary, out / "summary.csv")
+    return out, summary
+
+
+def _cmd_crb(opts: dict) -> int:
+    out, summary = _write_rows(opts, experiments.run_crb_experiment, experiments.summarize_crb)
     c = experiments.fit_inverse_t(
         np.array([rec["T"] for rec in summary]), np.array([rec["crb"] for rec in summary])
     )
@@ -195,24 +201,8 @@ def _cmd_crb(opts: dict) -> int:
     return 0
 
 
-def _cmd_fdd(opts: dict) -> int:
-    out = _writable(opts.pop("out", "results"))
-    rows = experiments.run_fdd_experiment(**opts)
-    out.mkdir(parents=True, exist_ok=True)
-    experiments.write_results_csv(rows, out / "results.csv")
-    experiments.write_timings_csv(rows, out / "timings.csv")
-    experiments.write_summary_csv(experiments.summarize_fdd(rows), out / "summary.csv")
-    print(f"wrote {out}/results.csv and summary.csv")
-    return 0
-
-
-def _cmd_ablate(opts: dict, kind: str) -> int:
-    out = _writable(opts.pop("out", "results"))
-    rows = experiments.run_ablation(kind, **opts)
-    out.mkdir(parents=True, exist_ok=True)
-    experiments.write_results_csv(rows, out / "results.csv")
-    experiments.write_timings_csv(rows, out / "timings.csv")
-    experiments.write_summary_csv(experiments.summarize_ablation(rows), out / "summary.csv")
+def _cmd_rows(run, summarize, opts: dict) -> int:
+    out, _ = _write_rows(opts, run, summarize)
     print(f"wrote {out}/results.csv and summary.csv")
     return 0
 
@@ -251,9 +241,9 @@ def _cmd_dataset_inspect(path: str) -> int:
 
 _COMMANDS = {
     "crb-experiment": _cmd_crb,
-    "fdd-experiment": _cmd_fdd,
-    "ablate-tau": lambda opts: _cmd_ablate(opts, "tau"),
-    "ablate-init": lambda opts: _cmd_ablate(opts, "init"),
+    "fdd-experiment": partial(_cmd_rows, experiments.run_fdd_experiment, experiments.summarize_fdd),
+    "ablate-tau": partial(_cmd_rows, partial(experiments.run_ablation, "tau"), experiments.summarize_ablation),
+    "ablate-init": partial(_cmd_rows, partial(experiments.run_ablation, "init"), experiments.summarize_ablation),
     "verify-theory": _cmd_verify,
     "dataset-make": _cmd_dataset_make,
 }

@@ -40,7 +40,6 @@ __all__ = [
 ]
 
 FDD_METHODS = ("two-stage", "spectral", "am", "subspace-pr", "mle", "subspace-mle")
-_CQI_METHODS = {"am", "subspace-pr"}
 _DESIGN_SCHEMES = ("haar-random", "structured-outer-inner")
 _MLE_INITS = ("identity", "random", "spectral")
 
@@ -295,14 +294,12 @@ def _load_channels(
 
 
 def _fdd_estimates(
-    method: str, problems: list, priors: Sequence, r: int, rngs: list, mle_init: Optional[str]
-) -> list:
-    """Every sample's estimate of one (T, method) slice, or None where the method does not apply.
-
-    Each method takes one stacked call for the whole slice.
-    """
+    method: str, problems: list, priors: Sequence, r: int, rngs: list, init: Optional[str]
+) -> Optional[list]:
+    """Every sample's estimate of one (T, method) slice from one stacked call, or None where the
+    method does not apply (two-stage past one round).  An MLE ``init`` of None is the method's own."""
     if method == "two-stage":
-        return [baselines.two_stage_estimate(pb) if pb.T == 1 else None for pb in problems]
+        return [baselines.two_stage_estimate(pb) for pb in problems] if problems[0].T == 1 else None
     if method == "spectral":
         return baselines.spectral_estimate(problems, r)
     if method == "am":
@@ -317,7 +314,7 @@ def _fdd_estimates(
         # With one round the likelihood is minimized along the reported
         # effective codeword, which the spectral start hits exactly;
         # identity-column starts have no gradient toward unseen directions.
-        init = mle_init or ("spectral" if problems[0].T == 1 or method == "mle" else "identity")
+        init = init or ("spectral" if problems[0].T == 1 or method == "mle" else "identity")
         cfg = likelihood.MleConfig(init=init, n_streams=r)
         solved = likelihood.solve_mle(problems, cfg, priors if method == "subspace-mle" else None)
     return [est for est, _ in solved]
@@ -329,13 +326,13 @@ def _fdd_estimates(
 # do not: on a 2-vCPU VM 16 samples at r = 1 and 2 took 0.50 s in one chunk and 0.59 s
 # (0.65 s on 2 workers) in chunks of 8, for a traced peak of 6.3 MB against 3.4 MB.
 _FDD_CHUNK = 16
+_FDD_RADIUS = 4.0  # the MLE's ball radius on every fdd problem
 
 
 def run_fdd_experiment(
     d: int = 32,
     n_rx: int = 4,
     r: int = 1,
-    k: int = 8,
     tau: float = 1.0,
     rounds: Sequence[int] = (1, 5, 10, 20),
     n_samples: int = 100,
@@ -345,20 +342,17 @@ def run_fdd_experiment(
     seed: int = 0,
     dataset: Optional[str] = None,
     workers: int = 1,
-    mle_init: Optional[str] = None,
-    attach_cqi: bool = True,
-    radius: float = 4.0,
     *,
     _variants: Sequence[tuple] = (),
 ) -> list:
     """Beam precision of every method versus the number of feedback rounds.
 
-    PMIs follow the hard argmax rule on the full receive channel; CQI is
-    attached (32-bit rounded) for the magnitude-based baselines.  Designs
+    PMIs follow the hard argmax rule on the full receive channel, with CQI
+    (32-bit rounded) always attached for the magnitude-based baselines.  Designs
     start from the codebook-compatible first round and are nested, so every
-    T-round problem is a prefix of one simulated max(rounds)-round history.
-    The DFT codebook has the first round's dimension (8 ports), so r must
-    divide 8.
+    T-round problem is a prefix of one simulated max(rounds)-round history.  Their
+    8-port basis (the top uplink eigenvectors) is the subspace prior, the MLE's
+    radius is ``_FDD_RADIUS`` and the one DFT codebook is 8-port, so r must divide 8.
 
     A task takes ``_FDD_CHUNK`` (16) samples and makes one stacked call per
     (T, method) for every method, and one beam-precision call over the slice's
@@ -366,7 +360,7 @@ def run_fdd_experiment(
     sample, T, method order.  The solves hold the GIL, so ``workers`` gains little
     (see ``_FDD_CHUNK``).  A ``dataset`` file sets the sample count, not ``n_samples``.
     ``run_ablation`` passes ``_variants`` of (label, method, tau, init) in place of
-    ``methods``; a None tau or init is the run's own.
+    ``methods``; a None tau is the run's own, a None init the method's own.
     """
     _check_rounds(rounds)
     _check_tau([tau])
@@ -375,24 +369,19 @@ def run_fdd_experiment(
         raise InvalidOptionError(f"r must divide {designs.TYPE1_PORTS}, got {r}")
     _check_choice("design scheme", [scheme], _DESIGN_SCHEMES)
     _check_choice("method", methods, FDD_METHODS)
-    if mle_init is not None:
-        _check_choice("initialization", [mle_init], _MLE_INITS)
     variants = _variants or [(m, m, None, None) for m in methods]
     channels = _load_channels(dataset, n_samples, d, n_rx, paths, seed)
     t_max = max(rounds)
+    cb = designs.dft_codebook(designs.TYPE1_PORTS, r)
 
     def prepare(sample_index: int) -> tuple:
         H, Sigma = channels[sample_index]
         rng = np.random.default_rng([seed, 4, sample_index])
         # One eigendecomposition serves the prior and every design round.
-        U = designs.eigvecs_descending(Sigma, max(k, designs.TYPE1_PORTS))
-        prior = likelihood.SubspacePrior(U[:, :k])
-        qs = designs._fdd_design(U[:, : designs.TYPE1_PORTS], t_max, scheme == "haar-random", rng)
-        cb = designs.dft_codebook(qs[0].shape[1], r)
-        history = model.simulate_problem(
-            qs, cb, H, tau, rule="hard", attach_cqi=attach_cqi, radius=radius
-        )
-        return history, prior, metrics._channel_svd(H)
+        U = designs.eigvecs_descending(Sigma, designs.TYPE1_PORTS)
+        qs = designs._fdd_design(U, t_max, scheme == "haar-random", rng)
+        history = model.simulate_problem(qs, cb, H, tau, rule="hard", attach_cqi=True, radius=_FDD_RADIUS)
+        return history, likelihood.SubspacePrior(U), metrics._channel_svd(H)
 
     def task(chunk: range) -> list:
         histories, priors, svds = zip(*(prepare(i) for i in chunk))
@@ -401,20 +390,14 @@ def run_fdd_experiment(
         for T in rounds:
             problems = [history.prefix(T) for history in histories]
             for label, method, v_tau, v_init in variants:
-                if method in _CQI_METHODS and not problems[0].has_cqi:
-                    for i in chunk:
-                        out[i].append(ExperimentResult(label, T, i, seed, "skipped", 1.0, 0.0))
-                    continue
                 t0 = time.perf_counter()
-                multi = method == "am" and r > 1
-                rngs = [np.random.default_rng([seed, 5, i, T]) for i in chunk] if multi else None
+                rngs = [np.random.default_rng([seed, 5, i, T]) for i in chunk] if method == "am" and r > 1 else None
                 views = [h.prefix(T, v_tau) for h in histories] if v_tau is not None else problems
-                ests = _fdd_estimates(method, views, priors, r, rngs, v_init or mle_init)
-                have, t1 = [j for j, est in enumerate(ests) if est is not None], time.perf_counter()
-                if have:
-                    bps = metrics._beam_precision(np.stack([ests[j] for j in have]), Us[have], ss[have])
-                    dt = (t1 - t0) / len(chunk) + (time.perf_counter() - t1) / len(have)
-                    for i, bp in zip((chunk[j] for j in have), bps):
+                ests = _fdd_estimates(method, views, priors, r, rngs, v_init)
+                if ests is not None:
+                    bps = metrics._beam_precision(np.stack(ests), Us, ss)
+                    dt = (time.perf_counter() - t0) / len(chunk)
+                    for i, bp in zip(chunk, bps):
                         out[i].append(ExperimentResult(label, T, i, seed, "beam_precision", bp, dt))
         return [row for i in chunk for row in out[i]]
 
@@ -475,12 +458,11 @@ def run_ablation(
     variants of one ``run_fdd_experiment`` loop, which prepares each sample
     once; a variant's rows have the bytes of its own fdd run, since the hard
     PMI rule does not read tau.  ``fdd_kwargs`` go to that driver, except
-    ``methods`` and the option the grid sweeps, which are refused.
+    ``methods`` and the swept ``tau`` or ``init``, which are refused.
     """
-    swept = {"tau": "tau", "init": "mle_init"}
-    if kind not in swept:
+    if kind not in ("tau", "init"):
         raise InvalidOptionError(f"ablation kind must be tau or init, got {kind!r}")
-    clash = sorted({"methods", swept[kind]} & fdd_kwargs.keys())
+    clash = sorted({"methods", kind} & fdd_kwargs.keys())
     if clash:
         raise InvalidOptionError(f"the {kind} ablation sets {' and '.join(clash)} itself")
     if kind == "tau":

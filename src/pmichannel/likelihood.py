@@ -68,6 +68,15 @@ class SubspacePrior:
         return self.B.shape[1]
 
 
+def _check_streams(m, dim) -> int:
+    """``m``, refused with ValueError unless a stream count in 1..dim (a positive int)."""
+    if not _positive_int(m):
+        raise ValueError(f"stream count must be a positive int, got {m!r}")
+    if m > dim:
+        raise ValueError(f"{m} streams exceed the dimension {dim} of the estimate")
+    return m
+
+
 def _check_stop_rule(max_iters: int, rel_tol: float) -> None:
     if not _positive_int(max_iters):
         raise ValueError(f"max_iters must be a positive int, got {max_iters!r}")
@@ -108,8 +117,8 @@ class MleConfig:
         _check_stop_rule(self.max_iters, self.rel_tol)
         if self.init not in ("identity", "random", "spectral", "explicit"):
             raise ValueError(f"unknown initialization {self.init!r}")
-        if self.n_streams is not None and not _positive_int(self.n_streams):
-            raise ValueError(f"n_streams must be a positive int, got {self.n_streams!r}")
+        if self.n_streams is not None:
+            _check_streams(self.n_streams, np.inf)
 
 
 @dataclass
@@ -571,8 +580,7 @@ def solve_mle(
     single, problems, priors = _as_stack(problem, prior)
     p0, n = problems[0], len(problems)
     m, dim = config.n_streams or p0.codebook.r, p0.d if priors[0] is None else priors[0].k
-    if m > dim:
-        raise ValueError(f"{m} streams exceed the dimension of the solve")
+    _check_streams(m, dim)
     x0 = None if config.x0 is None else _as_matrix(config.x0)
     if config.init == "explicit" and (x0 is None or x0.shape != (dim, m) or not np.isfinite(x0).all()):
         got = "none" if x0 is None else f"shape {np.shape(config.x0)}"

@@ -60,8 +60,12 @@ def _channel_svd(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _beam_precision(h_hats: np.ndarray, U: np.ndarray, s: np.ndarray) -> list:
     """``beam_precision`` of B estimates, a (B, d) or (B, d, r) stack, from their channels' stacked
-    ``_channel_svd``s, (B, d, q) and (B, q): one batched QR, each value with the bits of its own call."""
+    ``_channel_svd``s, (B, d, q) and (B, q): one batched QR, each value with the bits of its own call.
+    A Q column whose |R_jj| is at most max(d, r) eps times the largest spans nothing and adds 0."""
     Hh = np.asarray(h_hats)
-    Q, _ = np.linalg.qr(Hh[..., None] if Hh.ndim == 2 else Hh)
+    Q, R = np.linalg.qr(Hh[..., None] if Hh.ndim == 2 else Hh)
+    rjj = np.abs(np.diagonal(R, axis1=1, axis2=2))
+    spanned = rjj > max(Q.shape[1], R.shape[2]) * np.finfo(R.dtype).eps * rjj.max(axis=1, keepdims=True)
+    Q = np.where(spanned[:, None], Q, 0)
     num = np.add.reduce((np.abs(U.conj().mT @ Q) ** 2 * (s**2)[..., None]).reshape(len(Q), -1), axis=1)
     return (num / np.add.reduce(s[:, : Q.shape[2]] ** 2, axis=1)).tolist()

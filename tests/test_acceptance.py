@@ -190,9 +190,8 @@ def test_criterion_7_structural_baselines():
             rng = np.random.default_rng([707, r, s])
             H, Sigma = designs.synthetic_channel(32, 4, 4, rng)
             prior = likelihood.SubspacePrior(designs.eigvecs_descending(Sigma, 8))
-            q1 = designs.type1_q1(Sigma)
-            rounds = model.simulate_rounds([q1], cb, H, 1.0, rule="hard", attach_cqi=True)
-            prob = model.EstimationProblem(tuple(rounds), cb, 1.0, radius=4.0)
+            q1 = designs.eigvecs_descending(Sigma, 8) @ designs._TYPE1_INNER
+            prob = model.simulate_problem([q1], cb, H, 1.0, rule="hard", attach_cqi=True, radius=4.0)
             two = baselines.two_stage_estimate(prob)
             bp_two = metrics.beam_precision(two, H)
             spec = baselines.spectral_estimate(prob, r)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pmichannel import baselines, designs, likelihood, metrics, model
-from conftest import designed_problem, pr_loss_grad, random_problem, records
+from conftest import designed_problem, pr_loss_grad, random_problem
 
 
 def _sin_max_angle(A, B):
@@ -24,7 +24,9 @@ class TestSpectral:
 
     def test_identical_rounds_match_t1(self, rng):
         prob, x, q = designed_problem(rng, d=5, p=3, n=3, T=1, rule="hard")
-        rep = model.EstimationProblem(records(prob, q) * 4, prob.codebook, prob.tau)
+        rep = model.EstimationProblem.from_arrays(
+            np.tile(q, (4, 1, 1)), np.tile(prob.pmi_array, 4), prob.codebook, prob.tau
+        )
         a = baselines.spectral_estimate(prob, 1)
         b = baselines.spectral_estimate(rep, 1)
         np.testing.assert_allclose(a, b, atol=1e-12)
@@ -34,8 +36,8 @@ class TestSpectral:
         est = baselines.spectral_estimate(prob, 1)
         # independent power iteration on the PMI sample covariance
         cov = np.zeros((6, 6), dtype=complex)
-        for rd in records(prob, q):
-            e = rd.Q @ prob.codebook.codeword(rd.pmi)
+        for Q, i in zip(q, prob.pmi_array):
+            e = Q @ prob.codebook.codeword(i)
             cov += e @ e.conj().T
         cov /= prob.T
         v = np.ones(6, dtype=complex) / np.sqrt(6)
@@ -46,7 +48,7 @@ class TestSpectral:
 
     def test_order_invariance(self, rng):
         prob, _, q = designed_problem(rng, d=5, p=3, n=3, T=6, rule="hard")
-        shuffled = model.EstimationProblem(tuple(reversed(records(prob, q))), prob.codebook, prob.tau)
+        shuffled = model.EstimationProblem.from_arrays(q[::-1], prob.pmi_array[::-1], prob.codebook, prob.tau)
         np.testing.assert_allclose(
             baselines.spectral_estimate(prob, 2), baselines.spectral_estimate(shuffled, 2), atol=1e-12
         )
@@ -56,6 +58,14 @@ class TestSpectral:
         with pytest.warns(baselines.DegenerateEstimateWarning):
             est = baselines.spectral_estimate(prob, 3)
         assert est.shape == (6, 3)
+
+    @pytest.mark.parametrize("r", [-1, 0, 7, 1.5, True])
+    def test_stream_count_outside_one_to_d_refused(self, rng, r):
+        prob, _ = random_problem(rng, d=6, p=4, n=2, T=5, rule="hard")
+        with pytest.raises(ValueError, match="stream"):
+            baselines.spectral_estimate(prob, r)
+        with pytest.raises(ValueError, match="stream"):
+            baselines.spectral_estimate([prob, prob], r)
 
     @pytest.mark.parametrize("complex_mode", [False, True])
     @pytest.mark.parametrize("width", [1, 2])
@@ -121,7 +131,7 @@ class TestAmSingle:
     def test_objective_monotone(self, rng):
         prob, _, q = designed_problem(rng, d=6, p=4, n=4, T=8, rule="hard", attach_cqi=True)
         rows = np.stack(
-            [rd.Q @ prob.codebook.codeword(rd.pmi)[:, 0] for rd in records(prob, q)]
+            [Q @ prob.codebook.codeword(i)[:, 0] for Q, i in zip(q, prob.pmi_array)]
         )
         targets = np.sqrt(prob.cqi_array)
         lam = 0.3
@@ -181,6 +191,11 @@ class TestAmMulti:
         prob, _ = random_problem(rng, d=3, p=2, n=2, T=4, rule="hard", attach_cqi=True)
         with pytest.raises(ValueError, match="stream count"):
             baselines.am_estimate_multi(prob, 0, rng=rng)
+
+    def test_fractional_streams(self, rng):
+        prob, _ = random_problem(rng, d=3, p=2, n=2, T=4, rule="hard", attach_cqi=True)
+        with pytest.raises(ValueError, match="stream count"):
+            baselines.am_estimate_multi(prob, 1.5, rng=rng)
 
 
 def _stream_reports(monkeypatch) -> list:
@@ -256,6 +271,14 @@ class TestSubspacePr:
             est, rep = baselines.subspace_pr_estimate(prob0, likelihood.SubspacePrior(B), 1)
         assert rep.degenerate
         assert np.linalg.norm(est) == 0.0
+
+    @pytest.mark.parametrize("r", [-1, 0, 4, 1.5])
+    def test_stream_count_outside_one_to_k_refused(self, rng, r):
+        # Under a k = 3 prior the estimate has at most 3 columns.
+        prob, _ = random_problem(rng, d=6, p=4, n=2, T=5, rule="hard", attach_cqi=True)
+        prior = likelihood.SubspacePrior(designs.haar_stiefel(6, 3, rng))
+        with pytest.raises(ValueError, match="stream"):
+            baselines.subspace_pr_estimate(prob, prior, r)
 
     def test_consistency_truth_in_span(self):
         hits = 0

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pmichannel import crb, designs, model
-from conftest import designed_problem, lifted, random_problem, records, ref_fisher
+from conftest import designed_problem, lifted, random_problem, ref_fisher
 
 
 class TestRealify:
@@ -210,8 +210,8 @@ class TestAdditivity:
     def test_fisher_adds_over_round_sets(self, rng):
         prob, h, q = designed_problem(rng, d=4, p=3, n=3, T=6)
         F_all = crb.fisher(prob, h).F
-        first = model.EstimationProblem(records(prob, q)[:2], prob.codebook, prob.tau)
-        rest = model.EstimationProblem(records(prob, q)[2:], prob.codebook, prob.tau)
+        first = model.EstimationProblem.from_arrays(q[:2], prob.pmi_array[:2], prob.codebook, prob.tau)
+        rest = model.EstimationProblem.from_arrays(q[2:], prob.pmi_array[2:], prob.codebook, prob.tau)
         F_sum = crb.fisher(first, h).F + crb.fisher(rest, h).F
         np.testing.assert_allclose(F_all, F_sum, atol=1e-12)
 
@@ -219,6 +219,8 @@ class TestAdditivity:
         prob, h, q = designed_problem(rng, d=4, p=4, n=4, T=10)
         base = crb.crb_trace(crb.fisher(prob, h))
         for k in (2, 5):
-            rep = model.EstimationProblem(records(prob, q) * k, prob.codebook, prob.tau)
+            rep = model.EstimationProblem.from_arrays(
+                np.tile(q, (k, 1, 1)), np.tile(prob.pmi_array, k), prob.codebook, prob.tau
+            )
             val = crb.crb_trace(crb.fisher(rep, h))
             assert abs(val - base / k) <= 1e-10 * (base / k)

@@ -200,13 +200,16 @@ class TestFddDesign:
 
     @staticmethod
     def _round_by_round(Sigma, T, scheme, rng):
+        # The first round is the top-8 eigenvectors times the dual-polarized inner factor;
+        # every later one is those eigenvectors times a Haar unitary, or a d x 8 Haar draw.
+        U = designs.eigvecs_descending(Sigma, 8)
         rest = [
             designs.haar_stiefel(Sigma.shape[0], 8, rng)
             if scheme == "haar-random"
-            else designs.structured_q(Sigma, 8, rng)
+            else U @ designs.haar_stiefel(8, 8, rng)
             for _ in range(T - 1)
         ]
-        return [designs.type1_q1(Sigma), *rest]
+        return [U @ designs._TYPE1_INNER, *rest]
 
     @pytest.mark.parametrize("scheme", ["structured-outer-inner", "haar-random"])
     @pytest.mark.parametrize("T", [1, 2, 20])
@@ -239,7 +242,7 @@ class TestFddDesign:
 
     @pytest.mark.parametrize("k", [1, 4, 8, 12])
     def test_prior_basis_is_a_prefix_of_the_shared_basis(self, k):
-        # The fdd driver slices the prior's k columns from one decomposition.
+        # A narrower basis is a prefix of a wider one of the same matrix, strides included.
         Sigma = designs.synthetic_channel(16, 2, 4, np.random.default_rng(k))[1]
         want = designs.eigvecs_descending(Sigma, k)
         got = designs.eigvecs_descending(Sigma, max(k, 8))[:, :k]

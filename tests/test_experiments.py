@@ -66,15 +66,6 @@ class TestFddDriver:
         assert sum(B for B, d, _ in shapes if d == 32) == 3 * 2
         assert eigvalsh and not any(eigvalsh)
 
-    def test_missing_cqi_flags_skip(self):
-        rows = experiments.run_fdd_experiment(
-            rounds=(2,), n_samples=1, seed=0, methods=("am", "subspace-pr", "mle"),
-            attach_cqi=False,
-        )
-        skipped = {r.method for r in rows if r.metric == "skipped"}
-        assert skipped == {"am", "subspace-pr"}
-        assert any(r.method == "mle" and r.metric == "beam_precision" for r in rows)
-
     def test_dataset_ingestion(self, tmp_path):
         data = experiments.make_synthetic_dataset(3, d=16, n_rx=2, paths=2, seed=5)
         from pmichannel.dataset import write_dataset
@@ -147,7 +138,6 @@ class TestFddDriver:
             ("fdd", {"tau": -1.0}),
             ("fdd", {"tau": float("inf")}),
             ("fdd", {"n_samples": 0}),
-            ("fdd", {"mle_init": "bogus"}),
             ("ablate-tau", {"grid": (0.0,)}),
             ("ablate-tau", {"grid": (1.0, -2.0)}),
             ("ablate-tau", {"grid": ()}),
@@ -259,11 +249,14 @@ class TestAblationDriver:
         def rows(run, method):
             return [(x.T, x.trial, x.seed, x.metric, repr(x.value)) for x in run if x.method == method]
 
-        option = {"tau": "tau", "init": "mle_init"}[kind]
         spectral = experiments.run_fdd_experiment(methods=("spectral",), **kw)
         assert rows(ab, "spectral") == rows(spectral, "spectral")
         for g in grid:
-            alone = experiments.run_fdd_experiment(methods=("subspace-mle",), **{option: g}, **kw)
+            if kind == "tau":
+                alone = experiments.run_fdd_experiment(methods=("subspace-mle",), tau=g, **kw)
+            else:  # an init other than the method's own is set only by a variant
+                variant = ("subspace-mle", "subspace-mle", None, g)
+                alone = experiments.run_fdd_experiment(_variants=[variant], **kw)
             assert rows(ab, f"subspace-mle[{kind}={g}]") == rows(alone, "subspace-mle")
         assert len(ab) == len(rows(ab, "spectral")) * (len(grid) + 1)
         sum_ab = experiments.summarize_ablation(ab)
@@ -297,12 +290,11 @@ class TestAblationDriver:
         [
             ("tau", {"methods": ("mle",)}, "the tau ablation sets methods itself"),
             ("init", {"methods": ("spectral", "mle")}, "the init ablation sets methods itself"),
-            ("init", {"mle_init": "random"}, "the init ablation sets mle_init itself"),
             ("tau", {"tau": 5.0}, "the tau ablation sets tau itself"),
             ("tau", {"tau": 5.0, "methods": ("mle",)}, "sets methods and tau itself"),
             ("temperature", {}, "ablation kind must be tau or init, got 'temperature'"),
         ],
-        ids=["tau-methods", "init-methods", "init-mle_init", "tau-tau", "tau-both", "unknown-kind"],
+        ids=["tau-methods", "init-methods", "tau-tau", "tau-both", "unknown-kind"],
     )
     def test_option_the_grid_sets_refused_before_loading(self, monkeypatch, kind, options, match):
         def no_work(*args, **kwargs):

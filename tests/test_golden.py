@@ -77,7 +77,8 @@ def _hard_fdd_stream(r) -> str:
     # first round, structured later rounds, hard argmax rule with CQI.
     rng = np.random.default_rng([9, 2, r])
     H, Sigma = designs.synthetic_channel(16, 2, 3, rng)
-    qs = [designs.type1_q1(Sigma)] + [designs.structured_q(Sigma, 8, rng) for _ in range(40)]
+    U = designs.eigvecs_descending(Sigma, 8)
+    qs = [U @ designs._TYPE1_INNER] + [U @ designs.haar_stiefel(8, 8, rng) for _ in range(40)]
     problem = model.simulate_problem(
         qs, designs.dft_codebook(8, r), H, 1.0, rule="hard", attach_cqi=True
     )

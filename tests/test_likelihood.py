@@ -352,8 +352,8 @@ def _fdd_shaped_problem(sample, r, T=5):
     rng = np.random.default_rng([0, 3, sample])
     H, Sigma = designs.synthetic_channel(32, 4, 4, rng)
     rng = np.random.default_rng([0, 4, sample])
-    qs = [designs.type1_q1(Sigma)]
-    qs += [designs.structured_q(Sigma, 8, rng) for _ in range(T - 1)]
+    U = designs.eigvecs_descending(Sigma, 8)
+    qs = [U @ designs._TYPE1_INNER] + [U @ designs.haar_stiefel(8, 8, rng) for _ in range(T - 1)]
     cb = designs.dft_codebook(8, r)
     return model.simulate_problem(qs, cb, H, 1.0, rule="hard", radius=4.0)
 

@@ -132,6 +132,19 @@ class TestBeamPrecision:
             E = rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2))
             assert metrics.beam_precision(E, H) <= 1 + 1e-10
 
+    def test_columns_with_no_column_space_capture_nothing(self, rng):
+        # Only the estimate's column space counts: a zero estimate spans nothing, and a
+        # zero or repeated column adds no direction to v's.
+        H = rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))
+        v = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+        U, s, _ = np.linalg.svd(H, full_matrices=False)
+        v_share = float(np.sum(np.abs(U.conj().T @ v / np.linalg.norm(v)) ** 2 * s**2) / np.sum(s**2))
+        assert metrics.beam_precision(np.zeros((6, 2)), H) == 0.0
+        assert metrics.beam_precision(np.zeros(6), H) == 0.0
+        assert metrics.beam_precision(v, H) > v_share > 0  # v's share of the top-1 energy
+        for est in (np.stack([v, 0 * v], axis=1), np.stack([v, v], axis=1)):
+            assert abs(metrics.beam_precision(est, H) - v_share) < 1e-12
+
     def test_zero_truth_rejected(self):
         with pytest.raises(ValueError):
             metrics.beam_precision(np.ones((3, 1)), np.zeros((3, 2)))

@@ -273,7 +273,7 @@ class TestSoftmaxPmf:
         win = np.argmax(oracle_gains(prob, q, x), axis=1)
         last = np.zeros(prob.T)
         for tau in (2.0, 1.0, 0.5, 0.1, 0.02):
-            prob_t = model.EstimationProblem(records(prob, q), prob.codebook, tau)
+            prob_t = model.EstimationProblem.from_arrays(q, prob.pmi_array, prob.codebook, tau)
             val = model.softmax_pmf(prob_t, x)[np.arange(prob.T), win]
             assert np.all(val >= last - 1e-12)
             last = val

@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from pmichannel import baselines, crb, designs, likelihood, model
-from conftest import designed_problem, pr_loss_grad, random_problem, records
+from conftest import designed_problem, pr_loss_grad, random_problem
 
 SETTINGS = settings(max_examples=25, deadline=None)
 
@@ -68,7 +68,9 @@ def test_prefix_matches_rebuilt_problem(seed, d, T, data):
     prob, x, _, q = _problem(seed, d, T, rule="hard", attach_cqi=True, radius=2.0)
     k = data.draw(st.integers(1, T))
     pre = prob.prefix(k)
-    rebuilt = model.EstimationProblem(records(prob, q)[:k], prob.codebook, prob.tau, radius=2.0)
+    rebuilt = model.EstimationProblem.from_arrays(
+        q[:k], prob.pmi_array[:k], prob.codebook, prob.tau, prob.cqi_array[:k], radius=2.0
+    )
     assert pre.selected.tobytes() == rebuilt.selected.tobytes()
     np.testing.assert_array_equal(model.all_gains(pre, x), model.all_gains(rebuilt, x))
     assert likelihood.nll(pre, 2 * x) == likelihood.nll(rebuilt, 2 * x)
