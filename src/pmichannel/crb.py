@@ -140,31 +140,33 @@ def fisher(problem: EstimationProblem, h: np.ndarray) -> FisherMatrix:
     a_{t,i} (a_{t,i}^H h), with a_{t,i}^H h from ``model._project``, at the
     problem's temperature tau.  Single stream only.
 
-    G = [Re; Im] of those columns is filled per block of ``model._ROUND_BLOCK``
-    rounds.  The (2d, T*N) GEMM is one call, as a split sum would change its
-    bits, run with numpy's OpenBLAS held at one thread: more threads split
-    its sum differently, so the last bits of F (and of the CRB) would follow
-    the caller's BLAS thread count.
+    The sums run per block of ``model._ROUND_BLOCK`` rounds, each adding
+    G_b diag(P_b) G_b^T and m_b m_b^T (G_b = [Re; Im] of the block's columns,
+    m_b its per-round means) into a 2d x 2d sum, to hold nothing as large as
+    the lift beside it.  F has the one-shot GEMM's bits at T <= 1024 (one
+    block) and moves by roundoff above.  numpy's OpenBLAS is held at one
+    thread: more threads split each sum differently, so the last bits of F
+    (and of the CRB) would follow the caller's BLAS thread count.
     """
     if problem.codebook.r != 1:
         raise ValueError("Fisher matrix is defined for the single-stream model")
     tau = problem.tau
     h = np.asarray(h).ravel().astype(complex)
     C = _project(problem, _channel(h, problem.d))  # a_{t,i}^H h, round-major, (T*N, 1)
-    P = _softmax(_gains_from_proj(C, problem.codebook) / tau)
-    A, d, k = problem.effective_flat, problem.d, _ROUND_BLOCK * problem.n_codewords
-    G = np.empty((2 * d, A.shape[1]))
-    for s in range(0, A.shape[1], k):
-        W = A[:, s : s + k] * C[s : s + k, 0]  # columns a_{t,i} (a_{t,i}^H h)
-        G[:d, s : s + k], G[d:, s : s + k] = W.real, W.imag
-    del W  # the last block is not kept alive through the full-size GP
-    GP = G * P.ravel()
-    by_round = GP.reshape(G.shape[0], problem.T, -1)
-    mean = by_round[:, :, 0].copy()  # (2d, T); plane by plane is ~3x faster than .sum(axis=2)
-    for i in range(1, by_round.shape[2]):
-        mean += by_round[:, :, i]
+    P = _softmax(_gains_from_proj(C, problem.codebook) / tau).ravel()
+    A, k, S = problem.effective_flat, _ROUND_BLOCK * problem.n_codewords, None
     with _single_threaded_blas():
-        F = (4.0 / tau**2) * (GP @ G.T - mean @ mean.T)
+        for b in (slice(s, s + k) for s in range(0, A.shape[1], k)):
+            W = A[:, b] * C[b, 0]  # columns a_{t,i} (a_{t,i}^H h)
+            G = np.concatenate([W.real, W.imag])
+            GP = G * P[b]
+            by_round = GP.reshape(G.shape[0], -1, problem.n_codewords)
+            mean = by_round[:, :, 0].copy()  # (2d, rounds); plane by plane is ~3x faster than .sum(axis=2)
+            for i in range(1, by_round.shape[2]):
+                mean += by_round[:, :, i]
+            S_b, M_b = GP @ G.T, mean @ mean.T  # no add to zeros, so one block keeps the one-shot bits
+            S, M = (S_b, M_b) if S is None else (S + S_b, M + M_b)
+        F = (4.0 / tau**2) * (S - M)
     F = 0.5 * (F + F.T)
     return FisherMatrix(F=F, theta=realify_vector(h), tau=tau)
 

@@ -556,10 +556,13 @@ def excess_risk_slope(
     """Log-log slope of the mean population excess risk of the MLE versus T.
 
     Real-valued certified design: Haar real reduction matrices with an
-    orthonormal codebook.  The local theory predicts a slope of -1; ``t_grid`` needs two distinct T.
+    orthonormal codebook.  The local theory predicts a slope of -1; ``t_grid`` needs two distinct T,
+    and the codebook two codewords: with one, the excess risk is 0 at every T and has no slope.
     """
     if len(set(t_grid)) < 2:
         raise InvalidOptionError(f"a slope needs two or more distinct round counts, got {list(t_grid)}")
+    if n_codewords < 2:
+        raise InvalidOptionError(f"a slope needs two or more codewords, got n_codewords={n_codewords}")
     rng_h = np.random.default_rng([seed, 11])
     h = rng_h.standard_normal(d)
     h /= np.linalg.norm(h)

@@ -1,3 +1,4 @@
+import functools
 import tracemalloc
 
 import numpy as np
@@ -91,17 +92,27 @@ def ref_lift(q, V):
     return np.ascontiguousarray(A.transpose(1, 0, 2).reshape(A.shape[1], -1))
 
 
-def ref_fisher(problem, q, h):
-    """``crb.fisher``'s matrix from the one-shot lift of the design stack q and W, with the
-    per-round mean as one ``sum(axis=2)``."""
+def ref_fisher(problem, q, h, block=None):
+    """``crb.fisher``'s matrix from the lift of the design stack q and W, with each
+    per-round mean as one ``sum(axis=2)``.
+
+    With no ``block`` it is one GEMM over all T rounds.  With ``block`` rounds per
+    term, each block's GEMMs come from its own lift, and the terms are summed in
+    round order starting from the first block's.
+    """
     h = np.asarray(h).ravel().astype(complex)
     C = model._project(problem, h[:, None])
-    P = model._softmax(model._gains_from_proj(C, problem.codebook) / problem.tau)
-    W = ref_lift(q, problem.codebook.V) * C[:, 0]
-    G = np.concatenate([W.real, W.imag])
-    GP = G * P.ravel()
-    mean = GP.reshape(G.shape[0], problem.T, -1).sum(axis=2)
-    F = (4.0 / problem.tau**2) * (GP @ G.T - mean @ mean.T)
+    P = model._softmax(model._gains_from_proj(C, problem.codebook) / problem.tau).ravel()
+    block, n, terms = block or problem.T, problem.n_codewords, []
+    for s in range(0, problem.T, block):
+        cols = slice(s * n, (s + block) * n)
+        W = ref_lift(q[s : s + block], problem.codebook.V) * C[cols, 0]
+        G = np.concatenate([W.real, W.imag])
+        GP = G * P[cols]
+        mean = GP.reshape(G.shape[0], -1, n).sum(axis=2)
+        terms.append((GP @ G.T, mean @ mean.T))
+    S, M = (functools.reduce(np.add, sums) for sums in zip(*terms))
+    F = (4.0 / problem.tau**2) * (S - M)
     return 0.5 * (F + F.T)
 
 

@@ -1,8 +1,10 @@
 """The large-T kernels that fill their output in blocks of ``model._ROUND_BLOCK`` rounds.
 
 Each kernel is compared byte for byte with the one-shot formula it replaced,
-at T on both sides of the block edges, and its traced memory is pinned at
-the CRB experiment's shape (T = 10000, d = 16, p = 4, complex).
+at T on both sides of the block edges; above one block the Fisher matrix is
+compared with its per-block sums, and with the one-shot formula to roundoff.
+Each kernel's traced memory is pinned at the CRB experiment's shape
+(T = 10000, d = 16, p = 4, complex).
 """
 
 import gc
@@ -58,7 +60,14 @@ def test_fisher_matches_one_shot(T, complex_):
     h = rng.standard_normal(5) + 1j * rng.standard_normal(5)
     q, cb = _stack(T, 5, 3, complex_), _codebook(3, 3, 1, complex_)
     problem = model.simulate_problem(q, cb, h, 0.4, rng)
-    assert crb.fisher(problem, h).F.tobytes() == ref_fisher(problem, q, h).tobytes()
+    F, one_shot = crb.fisher(problem, h).F, ref_fisher(problem, q, h)
+    assert F.tobytes() == ref_fisher(problem, q, h, block=model._ROUND_BLOCK).tobytes()
+    if T <= model._ROUND_BLOCK:
+        assert F.tobytes() == one_shot.tobytes()
+    else:
+        # Summed per block, F moves from the one-shot GEMM by roundoff only:
+        # at most 8.6e-15 of its largest entry at T = 1025 and 2049 here.
+        assert np.abs(F - one_shot).max() <= 1e-13 * np.abs(one_shot).max()
 
 
 class TestOrthonormalityCheck:
@@ -118,7 +127,7 @@ class TestMemory:
         problem = model.simulate_problem(q, designs.dft_codebook(4), h, 0.05, np.random.default_rng(2))
         lift = problem.effective_flat
         _, peak = traced(lambda: crb.fisher(problem, h))
-        assert peak <= 2.6 * lift.nbytes
+        assert peak <= 0.75 * lift.nbytes  # measured 0.54x: no block is as large as the lift
 
     def test_crb_task(self):
         # The whole task: Haar draw, feedback, spectral-start MLE, Fisher and CRB.
@@ -126,7 +135,7 @@ class TestMemory:
         T, d, p = self.SHAPE
         rows, peak = traced(lambda: experiments.run_crb_experiment(d, p, rounds=(T,), trials=1))
         lift_nbytes = 16 * d * T * p  # complex (d, T*N), N = p codewords
-        assert len(rows) == 2 and peak <= 4 * lift_nbytes
+        assert len(rows) == 2 and peak <= 2.5 * lift_nbytes  # measured 2.38x, at the Haar draw
 
 
 BUILDERS = {

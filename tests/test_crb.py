@@ -95,8 +95,8 @@ class TestFisher:
             np.testing.assert_allclose(F, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
 
     def test_psd(self, rng):
-        for _ in range(10):
-            prob, h = random_problem(rng, d=4, p=3, n=3, T=6)
+        for T in [6] * 10 + [2049]:  # 2049 rounds: F is summed over three blocks
+            prob, h = random_problem(rng, d=4, p=3, n=3, T=T)
             w = np.linalg.eigvalsh(crb.fisher(prob, h).F)
             assert w.min() >= -1e-10 * max(w.max(), 1e-30)
 
@@ -112,8 +112,9 @@ class TestGauge:
         assert crb.gauge_nullity(fm) == 0.0
 
     def test_valid_fisher_output(self, rng):
-        prob, h = random_problem(rng)
-        assert crb.gauge_nullity(crb.fisher(prob, h)) <= 1e-10
+        for T in (3, 2049):  # 2049 rounds: F is summed over three blocks
+            prob, h = random_problem(rng, T=T)
+            assert crb.gauge_nullity(crb.fisher(prob, h)) <= 1e-10
 
     def test_randomized_sweep(self):
         rng = np.random.default_rng(17)

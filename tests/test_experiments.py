@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -416,6 +417,19 @@ class TestTheoryVerification:
         monkeypatch.setattr(experiments, "_run_tasks", no_work)
         with pytest.raises(experiments.InvalidOptionError, match="round count"):
             experiments.excess_risk_slope(t_grid=t_grid, trials=1)
+
+    @pytest.mark.parametrize("n_codewords", [1, 0, -1])
+    def test_slope_needs_two_codewords(self, monkeypatch, n_codewords):
+        # With one codeword the excess risk is 0 at every T: np.polyfit of log 0
+        # gave a nan slope and a divide-by-zero RuntimeWarning.
+        def no_work(*args, **kwargs):
+            raise AssertionError("a trial ran before the codebook size was checked")
+
+        monkeypatch.setattr(experiments, "_run_tasks", no_work)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(experiments.InvalidOptionError, match="two or more codewords"):
+                experiments.excess_risk_slope(n_codewords=n_codewords, t_grid=(50, 100), trials=2)
 
     @pytest.mark.parametrize("option", ["moment_samples", "secant_samples", "slope_trials", "workers"])
     @pytest.mark.parametrize("count", [0, -1])
